@@ -7,7 +7,7 @@ verifies it by exhaustive simulation at small scale, and generates the
 adversary families used to probe worst-case behavior.
 """
 
-from .decision import RefinementTrace, Verdict, check_protected_chain, consensus_round_bound, decide
+from .decision import RefinementTrace, Verdict, check_protected_chain, decide
 from .errors import (
     AdversaryFormatError,
     BudgetExceededError,
@@ -16,13 +16,11 @@ from .errors import (
     NotRootedError,
     PremiseError,
 )
-from .graphs import CommunicationGraph, is_root_compatible, reaches_all, root_component
-from .indist import Adversary, IndistGraph, connected_components, is_protected, single_round_indist
+from .graphs import CommunicationGraph, is_root_compatible, reaches_all
+from .indist import Adversary, IndistGraph, is_protected, single_round_indist
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
-    ViewInterner,
-    ViewTable,
     broadcaster_mask,
     broadcasters,
     heard_of,
@@ -31,8 +29,6 @@ from .patterns import (
     pattern_at,
     pattern_index,
     pattern_indist_graph,
-    remove_round,
-    views,
 )
 from .simulate import (
     ConsensusRule,
@@ -66,14 +62,10 @@ __all__ = [
     "RunReport",
     "Verdict",
     "VerificationReport",
-    "ViewInterner",
-    "ViewTable",
     "broadcaster_mask",
     "broadcasters",
     "build_rule",
     "check_protected_chain",
-    "connected_components",
-    "consensus_round_bound",
     "decide",
     "heard_of",
     "imposs_witness",
@@ -86,10 +78,7 @@ __all__ = [
     "pattern_index",
     "pattern_indist_graph",
     "reaches_all",
-    "remove_round",
-    "root_component",
     "run",
     "single_round_indist",
     "verify_all_runs",
-    "views",
 ]

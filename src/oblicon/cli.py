@@ -48,6 +48,11 @@ def adversary_to_doc(adv: Adversary) -> dict:
     }
 
 
+def _is_int(x: Any) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def adversary_from_doc(doc: Any) -> Adversary:
     if not isinstance(doc, dict):
         raise AdversaryFormatError("document must be a JSON object")
@@ -57,7 +62,7 @@ def adversary_from_doc(doc: Any) -> Adversary:
     if "n" not in doc or "graphs" not in doc:
         raise AdversaryFormatError("document needs 'n' and 'graphs'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise AdversaryFormatError("'n' must be an integer")
     if not isinstance(doc["graphs"], list) or not doc["graphs"]:
         raise AdversaryFormatError("'graphs' must be a non-empty list")
@@ -79,7 +84,7 @@ def adversary_from_doc(doc: Any) -> Adversary:
             if (
                 not isinstance(e, list)
                 or len(e) != 2
-                or not all(isinstance(x, int) for x in e)
+                or not all(_is_int(x) for x in e)
             ):
                 raise AdversaryFormatError(f"graph {k} has a malformed edge: {e!r}")
             edges.append((e[0], e[1]))

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from .errors import PremiseError
-from .indist import Adversary, IndistGraph, induced_edge_labels, is_protected, single_round_indist
+from .indist import (
+    Adversary,
+    IndistGraph,
+    induced_connected,
+    induced_edge_labels,
+    is_protected,
+    single_round_indist,
+)
 from .procset import is_subset
 
 
@@ -172,18 +179,6 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     )
 
 
-def consensus_round_bound(trace: RefinementTrace, n: int | None = None) -> int:
-    """Round by which the synthesized algorithm decides, c*(n-1)*(iterations+1).
-
-    Only meaningful for solvable adversaries; raises otherwise.
-    """
-    if trace.verdict is not Verdict.SOLVABLE:
-        raise ValueError(f"round bound requires a solvable adversary, verdict is {trace.verdict}")
-    if n is None:
-        n = trace.adversary.n
-    return trace.component_count * (n - 1) * (trace.iterations + 1)
-
-
 def check_protected_chain(
     subgraphs: Sequence[Iterable[int]], trace: RefinementTrace
 ) -> bool:
@@ -209,7 +204,7 @@ def check_protected_chain(
     for j, nodes in enumerate(sets, start=1):
         if not nodes:
             raise PremiseError(f"S_{j} is empty")
-        if not _induced_connected(base, nodes):
+        if not induced_connected(base, nodes):
             raise PremiseError(f"S_{j} does not induce a connected subgraph of level 1")
 
     for j in range(1, depth):
@@ -236,22 +231,3 @@ def check_protected_chain(
         if not final.has_edge(u, v):
             return False
     return True
-
-
-def _induced_connected(ig: IndistGraph, nodes: list[int]) -> bool:
-    if len(nodes) == 1:
-        return True
-    node_set = set(nodes)
-    adj: dict[int, list[int]] = {u: [] for u in nodes}
-    for (u, v) in induced_edge_labels(ig, nodes):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {nodes[0]}
-    queue = [nodes[0]]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == node_set

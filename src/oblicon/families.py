@@ -17,11 +17,16 @@ from collections.abc import Iterator, Sequence
 from .decision import RefinementTrace, decide
 from .errors import FamilyValidationError
 from .graphs import CommunicationGraph
-from .indist import Adversary, IndistGraph, induced_edge_labels, is_protected, single_round_indist
+from .indist import (
+    Adversary,
+    induced_connected,
+    induced_edge_labels,
+    is_protected,
+    single_round_indist,
+)
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
-    ViewInterner,
     broadcaster_mask,
     indist_label,
     pattern_at,
@@ -311,13 +316,10 @@ def _validate_inflated(spec: InflateSpec, adv: Adversary) -> None:
             raise FamilyValidationError(
                 f"new edge (G{u + 1},G{v + 1}) has label outside the relay/encoder sets"
             )
-    interner = ViewInterner()
     for i in range(1, base.num_graphs):
         target = mask_of(base.roots[i + 1])
         for r in range(1, len(spec.path) + 1):
-            lab = indist_label(
-                Pattern.repeat(adv, i - 1, r), Pattern.repeat(adv, i, r), interner
-            )
+            lab = indist_label(Pattern.repeat(adv, i - 1, r), Pattern.repeat(adv, i, r))
             if lab & target != target:
                 raise FamilyValidationError(
                     f"delay violated: G{i}^{r} vs G{i + 1}^{r} distinguishable "
@@ -354,14 +356,13 @@ def check_inflation_preserved(
     number of edges checked."""
     k = len(spec.path)
     big = pattern_indist_graph(base_adv, length, budget)
-    interner = ViewInterner()
     checked = 0
     for u, v, lab in big.edges():
         s1 = pattern_at(base_adv, length, u)
         s2 = pattern_at(base_adv, length, v)
         t1 = inflate_pattern(s1, spec, inflated, k)
         t2 = inflate_pattern(s2, spec, inflated, k)
-        tlab = indist_label(t1, t2, interner)
+        tlab = indist_label(t1, t2)
         if not is_subset(lab, tlab):
             raise FamilyValidationError(
                 f"inflation lost label bits on edge {s1.name} -- {s2.name}: "
@@ -573,7 +574,7 @@ def _validate_partitioned(
     ig = single_round_indist(adv)
     # (i) every block induces a connected subgraph
     for i, block in enumerate(blocks, start=1):
-        if not _block_connected(ig, block):
+        if not induced_connected(ig, block):
             raise FamilyValidationError(f"block S_{i} is not connected in the indist graph")
     # (ii) induced edges of the earlier blocks are protected by the current block
     for i in range(2, len(blocks) + 1):
@@ -593,23 +594,6 @@ def _validate_partitioned(
         raise FamilyValidationError(
             "witness patterns share a broadcaster; the block product would be broadcastable"
         )
-
-
-def _block_connected(ig: IndistGraph, block: Sequence[int]) -> bool:
-    members = set(block)
-    adj: dict[int, set[int]] = {u: set() for u in block}
-    for (u, v) in induced_edge_labels(ig, block):
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {block[0]}
-    queue = [block[0]]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == members
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +704,3 @@ def random_rooted(n: int, count: int, seed: int, edge_prob: float = 0.5) -> Adve
         seen.add(g._in)
         graphs.append(g)
     return Adversary(graphs)
-
-
-CATALOG = {
-    "rooted-trees": rooted_trees,
-    "source-broadcast": source_broadcast,
-    "lossy-link": lossy_link,
-    "random-rooted": random_rooted,
-}
-
-
-def gen_catalog(name: str, n: int, **params) -> Adversary:
-    """Dispatch into the catalog families by name."""
-    if name not in CATALOG:
-        raise FamilyValidationError(
-            f"unknown family '{name}', available: {sorted(CATALOG)}"
-        )
-    return CATALOG[name](n, **params)

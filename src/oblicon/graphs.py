@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .errors import NotRootedError
-from .procset import bit, full_mask, mask_of, procs_of
+from .procset import bit, full_mask, procs_of
 
 
 class CommunicationGraph:
@@ -96,69 +96,36 @@ class CommunicationGraph:
         return f"CommunicationGraph({label}, n={self.n}, edges={len(self.edges())})"
 
 
-def _sccs(n: int, out_masks: Sequence[int]) -> list[list[int]]:
-    """Tarjan's strongly connected components, in reverse topological order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    def strongconnect(v: int) -> None:
-        nonlocal counter
-        index[v] = low[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in procs_of(out_masks[v - 1]):
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            comps.append(comp)
-
-    for v in range(1, n + 1):
-        if v not in index:
-            strongconnect(v)
-    return comps
+def _closure(start: int, adj: Sequence[int]) -> int:
+    """Mask of the processes reachable from the mask ``start`` along ``adj``
+    (``adj[p-1]`` is p's neighbour mask), one frontier at a time."""
+    reached = frontier = start
+    while frontier:
+        nxt = 0
+        for q in procs_of(frontier):
+            nxt |= adj[q - 1]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return reached
 
 
 def _root_mask(n: int, in_masks: Sequence[int], out_masks: Sequence[int]) -> int:
-    """Mask of the unique source component of the condensation, or 0 if not unique.
+    """Mask of the processes that reach everyone, or 0 if there are none.
 
-    A root component is a strongly connected component with no incoming edge
-    from outside; the graph is rooted iff the condensation has exactly one
-    source node.
+    These form the unique source component of the condensation when there is
+    one.  The first candidate that reaches everyone is in it, and the
+    component is everything that reaches that candidate.  A candidate that
+    fails takes its descendants with it: none of them reaches everyone either.
     """
-    comps = _sccs(n, out_masks)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    is_source = [True] * len(comps)
-    for v in range(1, n + 1):
-        for u in procs_of(in_masks[v - 1]):
-            if comp_of[u] != comp_of[v]:
-                is_source[comp_of[v]] = False
-    sources = [ci for ci, s in enumerate(is_source) if s]
-    if len(sources) != 1:
-        return 0
-    return mask_of(comps[sources[0]])
-
-
-def root_component(g: CommunicationGraph) -> frozenset[int] | None:
-    """Member set of the unique root component, or None if the graph is not rooted."""
-    return g.root
+    full = full_mask(n)
+    candidates = full
+    while candidates:
+        c = candidates & -candidates
+        down = _closure(c, out_masks)
+        if down == full:
+            return _closure(c, in_masks)
+        candidates &= ~down
+    return 0
 
 
 def is_root_compatible(graphs: Iterable[CommunicationGraph]) -> bool:
@@ -176,15 +143,4 @@ def is_root_compatible(graphs: Iterable[CommunicationGraph]) -> bool:
 
 def reaches_all(g: CommunicationGraph, p: int) -> bool:
     """True iff p has a directed path to every process; equals p in Root(g) for rooted g."""
-    reached = bit(p)
-    frontier = reached
-    target = full_mask(g.n)
-    while frontier:
-        nxt = 0
-        for q in procs_of(frontier):
-            nxt |= g._out[q - 1]
-        frontier = nxt & ~reached
-        reached |= nxt
-        if reached == target:
-            return True
-    return reached == target
+    return _closure(bit(p), g._out) == full_mask(g.n)

@@ -10,7 +10,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import NotRootedError
 from .graphs import CommunicationGraph
-from .procset import fmt, is_subset, procs_of
+from .procset import fmt, is_subset
 
 
 class Adversary:
@@ -170,14 +170,19 @@ class IndistGraph:
         """Deterministic DOT rendering; labels are sorted process lists."""
         lines = [f"graph {graph_name} {{"]
         for name in self.names:
-            lines.append(f'  "{name}";')
+            lines.append(f'  "{_dot_escape(name)}";')
         for u, v, label in self.edges():
-            lines.append(f'  "{self.names[u]}" -- "{self.names[v]}" [label="{fmt(label)}"];')
+            a, b = _dot_escape(self.names[u]), _dot_escape(self.names[v])
+            lines.append(f'  "{a}" -- "{b}" [label="{fmt(label)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"IndistGraph(nodes={self.size}, edges={self.num_edges})"
+
+
+def _dot_escape(name: str) -> str:
+    return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def single_round_indist(d: Adversary) -> IndistGraph:
@@ -199,11 +204,6 @@ def single_round_indist(d: Adversary) -> IndistGraph:
             if label:
                 edges[(i, j)] = label
     return IndistGraph(len(graphs), d.names, edges)
-
-
-def connected_components(ig: IndistGraph) -> tuple[tuple[int, ...], ...]:
-    """Partition of the nodes into connected components (smallest-index order)."""
-    return ig.components()
 
 
 def is_protected(
@@ -245,5 +245,20 @@ def induced_edge_labels(ig: IndistGraph, nodes: Iterable[int]) -> dict[tuple[int
     }
 
 
-def label_procs(label: int) -> tuple[int, ...]:
-    return procs_of(label)
+def induced_connected(ig: IndistGraph, nodes: Sequence[int]) -> bool:
+    """True iff the (nonempty) node set induces a connected subgraph: paths
+    through nodes outside the set do not count."""
+    members = set(nodes)
+    adj: dict[int, list[int]] = {u: [] for u in members}
+    for (u, v) in induced_edge_labels(ig, members):
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {nodes[0]}
+    queue = [nodes[0]]
+    while queue:
+        u = queue.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == members

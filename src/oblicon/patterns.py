@@ -1,16 +1,20 @@
 """Multi-round communication patterns, full-information views, and their
 indistinguishability graphs.
 
-Views are interned structurally: two views get the same identifier iff they
-are equal under the recursive definition (process identity at round 0, then
-process, round, and the set of in-neighbor views one round earlier).  Inputs
-stay symbolic since indistinguishability compares patterns under identical
-inputs; concrete inputs only matter when runs are verified.
+One kernel, ``_advance``, builds every view and influence state.  It moves a
+list of (view row, influence state) pairs through one round graph each.  A
+view is keyed by its process and the previous-round view ids of its
+in-neighbours, and the key is interned in a dict that lives for one round
+only.  Ids are therefore unique within a round and equal exactly when the
+views are equal under the recursive definition (process identity at round 0,
+then process and in-neighbour views one round earlier).  Inputs stay symbolic
+since indistinguishability compares patterns under identical inputs; concrete
+inputs only matter when runs are verified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
@@ -19,39 +23,8 @@ from .procset import bit, procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
 
-
-class ViewInterner:
-    """Deterministic structural interning store for view identifiers.
-
-    Identifiers are canonical across every pattern built against the same
-    store, so cross-pattern view equality is plain identifier equality.
-    Inserts are idempotent; a dict makes them atomic under the GIL, so one
-    store may be shared by concurrent builders.
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self) -> None:
-        self._ids: dict[tuple, int] = {}
-
-    def _intern(self, key: tuple) -> int:
-        got = self._ids.get(key)
-        if got is None:
-            got = len(self._ids)
-            self._ids[key] = got
-        return got
-
-    def leaf(self, p: int) -> int:
-        return self._intern((0, p))
-
-    def node(self, p: int, r: int, child_ids: Sequence[int]) -> int:
-        return self._intern((p, r, tuple(sorted(child_ids))))
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-_SHARED = ViewInterner()
+Row = tuple[int, ...]
+InTuples = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -111,85 +84,89 @@ class Pattern:
         return Pattern(d, tuple(d.index_of(p.strip()) for p in parts))
 
 
-@dataclass(frozen=True)
-class ViewTable:
-    """Interned view identifiers for one pattern: rows[r][p-1] = id of p's view at time r."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def id(self, p: int, r: int) -> int:
-        return self.rows[r][p - 1]
-
-    @property
-    def final(self) -> tuple[int, ...]:
-        return self.rows[-1]
+def _in_tuples(g: CommunicationGraph) -> InTuples:
+    """Each process's in-neighbours as ascending 0-based indices."""
+    return tuple(tuple(q - 1 for q in procs_of(m)) for m in g._in)
 
 
-def _initial_row(n: int, interner: ViewInterner) -> tuple[int, ...]:
-    return tuple(interner.leaf(p) for p in range(1, n + 1))
-
-def _extend_row(
-    row: tuple[int, ...], g: CommunicationGraph, r: int, interner: ViewInterner
-) -> tuple[int, ...]:
-    return tuple(
-        interner.node(p, r, {row[q - 1] for q in procs_of(g._in[p - 1])})
-        for p in range(1, g.n + 1)
-    )
+def _start(n: int) -> tuple[Row, Row]:
+    """Round-0 views (one id per process) and influence states (each process itself)."""
+    return tuple(range(n)), tuple(1 << p for p in range(n))
 
 
-def views(sigma: Pattern, interner: ViewInterner | None = None) -> ViewTable:
-    """Compute the full view table of a pattern bottom-up."""
-    interner = interner if interner is not None else _SHARED
-    n = sigma.adversary.n
-    row = _initial_row(n, interner)
-    rows = [row]
-    for r in range(1, len(sigma) + 1):
-        row = _extend_row(row, sigma.graph_at(r), r, interner)
-        rows.append(row)
-    return ViewTable(tuple(rows))
+def _advance(steps: Iterable[tuple[Row, Row, InTuples]]) -> tuple[list[Row], list[Row]]:
+    """Advance every (view row, influence state, round graph) step by one round.
+
+    A new view's key lists the in-neighbours' view ids in ascending neighbour
+    order.  Ids of different processes never coincide, so this is the same as
+    keying by the set of in-neighbour views, without a sort or a set.  The
+    intern dict lives for this one call: ids are unique within the round.  A
+    process's new influence state ORs the states of its in-neighbours.
+    """
+    ids: dict[tuple[int, ...], int] = {}
+    rows: list[Row] = []
+    states: list[Row] = []
+    for row, state, ins in steps:
+        new_row = []
+        new_state = []
+        for p, qs in enumerate(ins):
+            new_row.append(ids.setdefault((p, *[row[q] for q in qs]), len(ids)))
+            acc = 0
+            for q in qs:
+                acc |= state[q]
+            new_state.append(acc)
+        rows.append(tuple(new_row))
+        states.append(tuple(new_state))
+    return rows, states
 
 
-def indistinguishable(
-    sigma: Pattern, sigma_prime: Pattern, p: int, interner: ViewInterner | None = None
-) -> bool:
+def _common(state: Row, n: int) -> int:
+    """Processes in every influence mask of the state: the broadcasters."""
+    common = (1 << n) - 1
+    for m in state:
+        common &= m
+    return common
+
+
+def final_views(patterns: Sequence[Pattern]) -> list[tuple[Row, Row]]:
+    """Final view row and influence state of each of a few equal-length patterns.
+
+    View ids are comparable across the given patterns only: every call
+    interns afresh.
+    """
+    if not patterns:
+        return []
+    length = len(patterns[0])
+    for sigma in patterns:
+        if len(sigma) != length:
+            raise ValueError(f"patterns have different lengths: {length} vs {len(sigma)}")
+    ins_of: dict[CommunicationGraph, InTuples] = {}
+    row, state = _start(patterns[0].adversary.n)
+    rows, states = [row] * len(patterns), [state] * len(patterns)
+    for r in range(1, length + 1):
+        ins = []
+        for sigma in patterns:
+            g = sigma.graph_at(r)
+            if g not in ins_of:
+                ins_of[g] = _in_tuples(g)
+            ins.append(ins_of[g])
+        rows, states = _advance(zip(rows, states, ins))
+    return list(zip(rows, states))
+
+
+def indistinguishable(sigma: Pattern, sigma_prime: Pattern, p: int) -> bool:
     """True iff p ends with identical views under both (equal-length) patterns."""
-    if len(sigma) != len(sigma_prime):
-        raise ValueError(
-            f"patterns have different lengths: {len(sigma)} vs {len(sigma_prime)}"
-        )
-    interner = interner if interner is not None else _SHARED
-    return views(sigma, interner).id(p, len(sigma)) == views(sigma_prime, interner).id(
-        p, len(sigma_prime)
-    )
+    return bool(indist_label(sigma, sigma_prime) & bit(p))
 
 
-def indist_label(
-    sigma: Pattern, sigma_prime: Pattern, interner: ViewInterner | None = None
-) -> int:
+def indist_label(sigma: Pattern, sigma_prime: Pattern) -> int:
     """Mask of the processes that cannot distinguish the two patterns."""
-    if len(sigma) != len(sigma_prime):
-        raise ValueError(
-            f"patterns have different lengths: {len(sigma)} vs {len(sigma_prime)}"
-        )
-    interner = interner if interner is not None else _SHARED
-    a = views(sigma, interner).final
-    b = views(sigma_prime, interner).final
+    (a, _), (b, _) = final_views([sigma, sigma_prime])
     label = 0
     for p in range(len(a)):
         if a[p] == b[p]:
             label |= 1 << p
     return label
-
-
-def _influence_step(state: tuple[int, ...], g: CommunicationGraph) -> tuple[int, ...]:
-    # state[q-1] = mask of processes whose time-0 state has influenced q
-    out = []
-    for q in range(1, g.n + 1):
-        acc = 0
-        for v in procs_of(g._in[q - 1]):
-            acc |= state[v - 1]
-        out.append(acc)
-    return tuple(out)
 
 
 def heard_of(sigma: Pattern, p: int, r_from: int, q: int, r_to: int) -> bool:
@@ -198,36 +175,18 @@ def heard_of(sigma: Pattern, p: int, r_from: int, q: int, r_to: int) -> bool:
         raise ValueError(
             f"need 0 <= r_from < r_to <= {len(sigma)}, got r_from={r_from}, r_to={r_to}"
         )
-    influenced = bit(p)
-    for r in range(r_from + 1, r_to + 1):
-        g = sigma.graph_at(r)
-        nxt = 0
-        for v in range(1, g.n + 1):
-            if g._in[v - 1] & influenced:
-                nxt |= bit(v)
-        influenced = nxt
-    return bool(influenced & bit(q))
+    [(_, state)] = final_views([Pattern(sigma.adversary, sigma.rounds[r_from:r_to])])
+    return bool(state[q - 1] & bit(p))
 
 
 def broadcaster_mask(sigma: Pattern) -> int:
     """Mask of processes whose initial state reaches everyone by the end."""
-    n = sigma.adversary.n
-    state = tuple(bit(q) for q in range(1, n + 1))
-    for r in range(1, len(sigma) + 1):
-        state = _influence_step(state, sigma.graph_at(r))
-    common = -1
-    for m in state:
-        common &= m
-    return common & ((1 << n) - 1)
+    [(_, state)] = final_views([sigma])
+    return _common(state, sigma.adversary.n)
 
 
 def broadcasters(sigma: Pattern) -> frozenset[int]:
     return frozenset(procs_of(broadcaster_mask(sigma)))
-
-
-def remove_round(sigma: Pattern, r_prime: int) -> Pattern:
-    """The pattern with the round r_prime graph omitted."""
-    return sigma.remove_round(r_prime)
 
 
 def pattern_count(d: Adversary, r: int) -> int:
@@ -260,64 +219,43 @@ class PatternLevel:
     rows and per-process influence states."""
 
     rounds: int
-    view_rows: list[tuple[int, ...]]
-    influence: list[tuple[int, ...]]
+    view_rows: list[Row]
+    influence: list[Row]
 
     def broadcaster_masks(self, n: int) -> list[int]:
-        full = (1 << n) - 1
-        out = []
-        for state in self.influence:
-            common = -1
-            for m in state:
-                common &= m
-            out.append(common & full)
-        return out
+        return [_common(state, n) for state in self.influence]
 
 
 def iter_pattern_levels(
-    d: Adversary,
-    r_max: int,
-    interner: ViewInterner | None = None,
-    budget: int = DEFAULT_PATTERN_BUDGET,
+    d: Adversary, r_max: int, budget: int = DEFAULT_PATTERN_BUDGET
 ) -> Iterator[PatternLevel]:
     """Yield levels 1..r_max of the pattern enumeration, extending round by round.
 
     Raises BudgetExceededError before materializing a level whose pattern
     count exceeds the budget; the error names the offending count and length.
     """
-    interner = interner if interner is not None else ViewInterner()
-    n = d.n
-    m = len(d)
-    rows = [_initial_row(n, interner)]
-    states = [tuple(bit(q) for q in range(1, n + 1))]
-    graphs = d.graphs
+    graph_ins = [_in_tuples(g) for g in d.graphs]
+    row, state = _start(d.n)
+    rows, states = [row], [state]
     for k in range(1, r_max + 1):
-        required = m**k
+        required = len(d) ** k
         if required > budget:
             raise BudgetExceededError(required, budget, k)
-        new_rows = []
-        new_states = []
-        for row, state in zip(rows, states):
-            for g in graphs:
-                new_rows.append(_extend_row(row, g, k, interner))
-                new_states.append(_influence_step(state, g))
-        rows, states = new_rows, new_states
+        rows, states = _advance(
+            (row, state, ins) for row, state in zip(rows, states) for ins in graph_ins
+        )
         yield PatternLevel(k, rows, states)
 
 
-def _level(d: Adversary, r: int, interner: ViewInterner | None, budget: int) -> PatternLevel:
+def _level(d: Adversary, r: int, budget: int) -> PatternLevel:
     if r == 0:
-        interner = interner if interner is not None else ViewInterner()
-        return PatternLevel(
-            0,
-            [_initial_row(d.n, interner)],
-            [tuple(bit(q) for q in range(1, d.n + 1))],
-        )
+        row, state = _start(d.n)
+        return PatternLevel(0, [row], [state])
     required = len(d) ** r
     if required > budget:
         raise BudgetExceededError(required, budget, r)
     last = None
-    for last in iter_pattern_levels(d, r, interner, budget):
+    for last in iter_pattern_levels(d, r, budget):
         pass
     assert last is not None
     return last
@@ -365,16 +303,13 @@ def pattern_components(
 ) -> list[list[int]]:
     """Connected components of the r-round pattern indistinguishability graph,
     as lists of lexicographic pattern indices."""
-    level = _level(d, r, None, budget)
+    level = _level(d, r, budget)
     _, comps = _components_from_rows(d.n, level.view_rows)
     return comps
 
 
 def pattern_indist_graph(
-    d: Adversary,
-    r: int,
-    budget: int = DEFAULT_PATTERN_BUDGET,
-    interner: ViewInterner | None = None,
+    d: Adversary, r: int, budget: int = DEFAULT_PATTERN_BUDGET
 ) -> IndistGraph:
     """The full labeled indistinguishability graph over all r-round patterns.
 
@@ -383,7 +318,7 @@ def pattern_indist_graph(
     buckets, so the work is proportional to the indistinguishable pairs
     rather than all pairs.
     """
-    level = _level(d, r, interner, budget)
+    level = _level(d, r, budget)
     rows = level.view_rows
     names = [pattern_at(d, r, i).name for i in range(len(rows))]
     edges: dict[tuple[int, int], int] = {}

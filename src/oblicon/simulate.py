@@ -18,7 +18,6 @@ from .indist import Adversary
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
-    ViewInterner,
     _components_from_rows,
     _level,
     broadcaster_mask,
@@ -97,7 +96,7 @@ def build_rule(
     smallest pattern index) is reported via NonBroadcastableComponentError,
     which signals that t is too small or consensus is unsolvable.
     """
-    level = _level(d, t, None, budget)
+    level = _level(d, t, budget)
     rows = level.view_rows
     bmasks = level.broadcaster_masks(d.n)
     comp_of, comps = _components_from_rows(d.n, rows)
@@ -212,8 +211,7 @@ def oracle_min_horizon(
     This is the independent brute-force solvability check: it never looks at
     the refinement procedure, only at raw view equality and influence.
     """
-    interner = ViewInterner()
-    for level in iter_pattern_levels(d, r_max, interner, budget):
+    for level in iter_pattern_levels(d, r_max, budget):
         bmasks = level.broadcaster_masks(d.n)
         _, comps = _components_from_rows(d.n, level.view_rows)
         for comp in comps:
@@ -252,7 +250,7 @@ def imposs_witness(
     component and materialize the pattern-level path that certifies it.
 
     Returns None when all components at level i are root-compatible.  The
-    path's edges are re-verified with a fresh intern store.
+    path's edges are re-verified pairwise, each with views interned afresh.
     """
     if not d.all_rooted:
         raise NotRootedError("witness construction requires all graphs rooted")
@@ -279,9 +277,8 @@ def imposs_witness(
             )
         path = tuple(pattern_at(d, i, idx) for idx in path_idx)
         labels = []
-        fresh = ViewInterner()
         for s1, s2 in zip(path, path[1:]):
-            lab = indist_label(s1, s2, fresh)
+            lab = indist_label(s1, s2)
             if lab == 0:
                 raise RuntimeError(f"path edge {s1.name} -- {s2.name} failed re-verification")
             labels.append(lab)

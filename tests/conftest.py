@@ -62,3 +62,23 @@ def naive_indist_procs(sigma, sigma_prime) -> set[int]:
     return {
         p for p in range(1, n + 1) if naive_view(sigma, p, r) == naive_view(sigma_prime, p, r)
     }
+
+
+def naive_root(g: CommunicationGraph) -> frozenset[int] | None:
+    """Processes from which a breadth-first search over the edge list reaches
+    everyone, or None when there are none."""
+    succ: dict[int, set[int]] = {p: set() for p in range(1, g.n + 1)}
+    for u, v in g.edges():
+        succ[u].add(v)
+    root = set()
+    for p in range(1, g.n + 1):
+        seen = {p}
+        queue = [p]
+        while queue:
+            u = queue.pop(0)
+            for w in sorted(succ[u] - seen):
+                seen.add(w)
+                queue.append(w)
+        if len(seen) == g.n:
+            root.add(p)
+    return frozenset(root) if root else None

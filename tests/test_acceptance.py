@@ -33,7 +33,6 @@ from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary
 from oblicon.patterns import (
     Pattern,
-    ViewInterner,
     indist_label,
     pattern_at,
     pattern_components,
@@ -212,7 +211,6 @@ def test_criterion_4a_extension_claim(corpus):
     for name, d in corpus:
         if not d.all_rooted:
             continue
-        interner = ViewInterner()
         for r in range(1, _max_r(d, extension=True) + 1):
             pig = pattern_indist_graph(d, r, budget=BUDGET)
             for u, v, lab in pig.edges():
@@ -220,12 +218,12 @@ def test_criterion_4a_extension_claim(corpus):
                 if r > 1:
                     p1, p2 = s1.prefix(r - 1), s2.prefix(r - 1)
                     if p1.rounds != p2.rounds:
-                        plab = indist_label(p1, p2, interner)
+                        plab = indist_label(p1, p2)
                         if not is_subset(lab, plab):
                             violations.append(f"{name}: prefix label shrank at r={r}")
                 for gi, g in enumerate(d.graphs):
                     if is_subset(g.root_mask, lab):
-                        ext = indist_label(s1.extend(gi), s2.extend(gi), interner)
+                        ext = indist_label(s1.extend(gi), s2.extend(gi))
                         if not (is_subset(g.root_mask, ext) and is_subset(ext, lab)):
                             violations.append(f"{name}: extension label broke nesting at r={r}")
     report("4a extension keeps protected edges", not violations, f"violations={violations[:3]}")
@@ -234,14 +232,13 @@ def test_criterion_4a_extension_claim(corpus):
 def test_criterion_4b_round_removal(corpus):
     violations = []
     for name, d in corpus:
-        interner = ViewInterner()
         for r in range(2, _max_r(d) + 1):
             pig = pattern_indist_graph(d, r, budget=BUDGET)
             for u, v, _ in pig.edges():
                 s1, s2 = pattern_at(d, r, u), pattern_at(d, r, v)
                 for rr in range(1, r + 1):
                     a, b = s1.remove_round(rr), s2.remove_round(rr)
-                    if a.rounds != b.rounds and indist_label(a, b, interner) == 0:
+                    if a.rounds != b.rounds and indist_label(a, b) == 0:
                         violations.append(f"{name}: removing round {rr} killed an edge at r={r}")
     report("4b round removal keeps edges", not violations, f"violations={violations[:3]}")
 
@@ -252,7 +249,6 @@ def test_criterion_4c_influence_bound(corpus):
         if not d.all_rooted:
             continue
         roots = d.root_masks()
-        interner = ViewInterner()
         for r in range(2, _max_r(d) + 1):
             pig = pattern_indist_graph(d, r, budget=BUDGET)
             for u, v, _ in pig.edges():
@@ -261,7 +257,7 @@ def test_criterion_4c_influence_bound(corpus):
                     p1, p2 = s1.prefix(rp), s2.prefix(rp)
                     if p1.rounds == p2.rounds:
                         continue
-                    plab = indist_label(p1, p2, interner)
+                    plab = indist_label(p1, p2)
                     if plab == 0:
                         violations.append(f"{name}: missing prefix edge at r'={rp}")
                         continue

@@ -214,3 +214,53 @@ def test_cli_byte_determinism(ll_file, chain_file, tmp_path, capsys):
     main(gen)
     second = capsys.readouterr()
     assert first.out == second.out
+
+
+def _write_doc(tmp_path, doc, name="adv.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_decide_long_path_graph(tmp_path, capsys):
+    # root finding must not recurse once per process
+    n = 1200
+    doc = {"n": n, "graphs": [{"name": "P", "edges": [[i, i + 1] for i in range(1, n)]}]}
+    assert main(["decide", _write_doc(tmp_path, doc), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["verdict"] == "SOLVABLE"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": True, "graphs": [{"name": "G", "edges": []}]}, "'n' must be an integer"),
+        ({"n": 2, "graphs": [{"name": "G", "edges": [[True, 2]]}]}, "malformed edge"),
+        ({"n": 2, "graphs": [{"name": "G", "edges": [[2, True]]}]}, "malformed edge"),
+        ({"n": 3, "graphs": [{"name": "G", "edges": [[False, 1]]}]}, "malformed edge"),
+    ],
+)
+def test_decide_rejects_json_booleans_as_integers(tmp_path, capsys, doc, message):
+    assert main(["decide", _write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
+def test_export_dot_escapes_names(tmp_path, capsys):
+    doc = {
+        "n": 2,
+        "graphs": [
+            {"name": 'a"b', "edges": [[1, 2]]},
+            {"name": "c\\d", "edges": [[1, 2], [2, 1]]},
+        ],
+    }
+    assert main(["export-dot", _write_doc(tmp_path, doc)]) == 0
+    dot = capsys.readouterr().out
+    assert dot == (
+        "graph indist {\n"
+        '  "a\\"b";\n'
+        '  "c\\\\d";\n'
+        '  "a\\"b" -- "c\\\\d" [label="{p2}"];\n'
+        "}\n"
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from oblicon.decision import Verdict, check_protected_chain, consensus_round_bound, decide
+from oblicon.decision import Verdict, check_protected_chain, decide
 from oblicon.errors import PremiseError
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary
@@ -76,14 +76,8 @@ def test_round_bound_formula(solvable_pair):
     assert trace.verdict is Verdict.SOLVABLE
     assert trace.iterations == 1
     assert trace.component_count == 1
-    assert consensus_round_bound(trace) == 1 * 2 * 2
+    assert trace.round_bound == 1 * 2 * 2
     assert trace.round_bound == 4
-
-
-def test_round_bound_requires_solvable(lossy_link_2):
-    trace = decide(lossy_link_2)
-    with pytest.raises(ValueError):
-        consensus_round_bound(trace)
 
 
 def test_monotone_levels_and_absorbing_fixpoint(lossy_link_2):
@@ -172,6 +166,12 @@ def test_check_protected_chain_premise_errors(lossy_link_2):
     early_trace = decide(lossy_link_2)
     with pytest.raises(PremiseError):
         check_protected_chain([[0, 1, 2]], early_trace)
+    # level 1 of the 3-chain is the path G1 -- G2 -- G3: G1 and G3 are joined
+    # only through G2, which is outside S_1
+    chain_trace = decide(gen_chain(simple_chain_spec(3)), no_early_exit=True)
+    with pytest.raises(PremiseError, match="S_1 does not induce a connected subgraph"):
+        check_protected_chain([[0, 2]], chain_trace)
+    assert check_protected_chain([[0, 1, 2]], chain_trace) is True
 
 
 def test_check_protected_chain_unprotected_premise():

@@ -7,7 +7,6 @@ from oblicon.families import (
     InflateSpec,
     PartitionSpec,
     check_inflation_preserved,
-    gen_catalog,
     gen_chain,
     gen_inflated,
     gen_canonical_chain,
@@ -23,7 +22,6 @@ from oblicon.families import (
 from oblicon.indist import single_round_indist
 from oblicon.patterns import (
     Pattern,
-    ViewInterner,
     indist_label,
     pattern_components,
     pattern_index,
@@ -124,11 +122,8 @@ def _inflated_pair(num_graphs=2, path_len=2):
 def test_inflated_delay_holds_then_breaks():
     base_adv, spec, infl_adv = _inflated_pair(2, 2)
     target = mask_of(spec.base.roots[2])
-    interner = ViewInterner()
     labels = {
-        r: indist_label(
-            Pattern.repeat(infl_adv, 0, r), Pattern.repeat(infl_adv, 1, r), interner
-        )
+        r: indist_label(Pattern.repeat(infl_adv, 0, r), Pattern.repeat(infl_adv, 1, r))
         for r in range(1, 5)
     }
     # delay holds for r <= |P| (validated at generation) and in fact for one
@@ -303,10 +298,8 @@ def test_random_rooted_deterministic():
     assert [g.edges() for g in c.graphs] != [g.edges() for g in a.graphs]
 
 
-def test_gen_catalog_dispatch():
-    assert len(gen_catalog("lossy-link", 2, f=1)) == 3
-    assert len(gen_catalog("rooted-trees", 3)) == 9
-    assert len(gen_catalog("source-broadcast", 3, clique_size=1)) == 3
-    assert len(gen_catalog("random-rooted", 3, count=2, seed=1)) == 2
-    with pytest.raises(FamilyValidationError):
-        gen_catalog("nope", 3)
+def test_catalog_family_sizes():
+    assert len(lossy_link(2, f=1)) == 3
+    assert len(rooted_trees(3)) == 9
+    assert len(source_broadcast(3, clique_size=1)) == 3
+    assert len(random_rooted(3, count=2, seed=1)) == 2

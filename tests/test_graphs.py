@@ -1,7 +1,7 @@
 import pytest
 
 from oblicon.errors import NotRootedError
-from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all, root_component
+from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
 
 
 def test_self_loops_inserted():
@@ -22,23 +22,23 @@ def test_rejects_small_n_and_bad_edges():
 
 def test_root_unique_source():
     g = CommunicationGraph(3, [(1, 2), (2, 3)])
-    assert root_component(g) == {1}
+    assert g.root == {1}
 
 
 def test_root_two_cycle_source():
     g = CommunicationGraph(3, [(1, 2), (2, 1), (1, 3)])
-    assert root_component(g) == {1, 2}
+    assert g.root == {1, 2}
 
 
 def test_root_absent_when_disconnected():
     g = CommunicationGraph(2, [])
-    assert root_component(g) is None
+    assert g.root is None
     assert not g.is_rooted
 
 
 def test_root_complete_graph():
     g = CommunicationGraph.complete(3)
-    assert root_component(g) == {1, 2, 3}
+    assert g.root == {1, 2, 3}
 
 
 def test_root_compatibility_basic():

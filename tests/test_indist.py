@@ -5,7 +5,7 @@ from oblicon.graphs import CommunicationGraph
 from oblicon.indist import (
     Adversary,
     IndistGraph,
-    connected_components,
+    induced_connected,
     induced_edge_labels,
     is_protected,
     single_round_indist,
@@ -75,14 +75,22 @@ def test_single_round_no_edges_for_distinct_stars():
 
 def test_connected_components_ordering():
     ig = IndistGraph(3, ("a", "b", "c"), {})
-    assert connected_components(ig) == ((0,), (1,), (2,))
+    assert ig.components() == ((0,), (1,), (2,))
     ig2 = IndistGraph(3, ("a", "b", "c"), {(0, 1): 1, (1, 2): 2})
-    assert connected_components(ig2) == ((0, 1, 2),)
+    assert ig2.components() == ((0, 1, 2),)
 
 
 def test_connected_components_lossy_link(lossy_link_2):
     ig = single_round_indist(lossy_link_2)
-    assert connected_components(ig) == ((0, 1, 2),)
+    assert ig.components() == ((0, 1, 2),)
+
+
+def test_induced_connected_ignores_outside_nodes():
+    ig = IndistGraph(4, ("a", "b", "c", "d"), {(0, 1): 1, (1, 2): 2})
+    assert induced_connected(ig, [0, 1, 2])
+    assert induced_connected(ig, [3])
+    assert not induced_connected(ig, [0, 2])  # joined only through node 1
+    assert not induced_connected(ig, [0, 1, 3])
 
 
 def test_is_protected_subset_and_witness():

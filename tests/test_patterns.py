@@ -5,17 +5,15 @@ from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary, single_round_indist
 from oblicon.patterns import (
     Pattern,
-    ViewInterner,
     broadcaster_mask,
     broadcasters,
+    final_views,
     heard_of,
     indist_label,
     indistinguishable,
     pattern_at,
     pattern_index,
     pattern_indist_graph,
-    remove_round,
-    views,
 )
 from oblicon.procset import mask_of, procs_of
 
@@ -27,13 +25,11 @@ def pat(d, *names):
 
 
 def test_round_zero_views_shared_across_patterns(lossy_link_2):
-    interner = ViewInterner()
     d = lossy_link_2
-    va = views(pat(d, "Ga"), interner)
-    vb = views(pat(d, "Gb"), interner)
+    (va, _), (vb, _) = final_views([pat(d, "Ga").prefix(0), pat(d, "Gb").prefix(0)])
     for p in (1, 2):
-        assert va.id(p, 0) == vb.id(p, 0)
-    assert va.id(1, 0) != va.id(2, 0)
+        assert va[p - 1] == vb[p - 1]
+    assert va[0] != va[1]
 
 
 def test_one_round_views_match_labels(lossy_link_2):
@@ -106,10 +102,10 @@ def test_broadcasters_empty_and_complete():
 def test_remove_round_basic(lossy_link_2):
     d = lossy_link_2
     sigma = pat(d, "Ga", "Gb", "Gc")
-    assert remove_round(sigma, 2).rounds == pat(d, "Ga", "Gc").rounds
-    assert remove_round(pat(d, "Ga"), 1).rounds == ()
+    assert sigma.remove_round(2).rounds == pat(d, "Ga", "Gc").rounds
+    assert pat(d, "Ga").remove_round(1).rounds == ()
     with pytest.raises(ValueError):
-        remove_round(sigma, 4)
+        sigma.remove_round(4)
 
 
 def test_remove_round_preserves_edges(lossy_link_2):
@@ -118,7 +114,7 @@ def test_remove_round_preserves_edges(lossy_link_2):
     for u, v, _ in pig.edges():
         s1, s2 = pattern_at(d, 3, u), pattern_at(d, 3, v)
         for r in (1, 2, 3):
-            a, b = remove_round(s1, r), remove_round(s2, r)
+            a, b = s1.remove_round(r), s2.remove_round(r)
             assert a.rounds == b.rounds or indist_label(a, b) != 0
 
 

@@ -1,22 +1,21 @@
 """Property-based checks of the structural invariants, driven by hypothesis."""
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oblicon.decision import Verdict, decide
 from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
 from oblicon.indist import Adversary, single_round_indist
 from oblicon.patterns import (
     Pattern,
-    ViewInterner,
+    final_views,
     indist_label,
     pattern_at,
     pattern_indist_graph,
-    views,
 )
 from oblicon.procset import is_subset, mask_of, procs_of
 
-from conftest import naive_in_sets, naive_indist_procs
+from conftest import naive_in_sets, naive_indist_procs, naive_root
 
 
 @st.composite
@@ -58,6 +57,12 @@ def test_reaches_all_iff_in_root(g):
             assert reaches_all(g, p) == (p in g.root)
     else:
         assert not any(reaches_all(g, p) for p in range(1, g.n + 1))
+
+
+@given(comm_graphs(max_n=9))
+def test_root_matches_naive_reachability(g):
+    assert g.root == naive_root(g)
+    assert g.root_mask == (mask_of(g.root) if g.root else 0)
 
 
 @given(comm_graphs(), st.randoms())
@@ -133,12 +138,11 @@ def test_extension_by_fitting_root_keeps_edge(d):
     # extension stays an edge with a label nested between root and original
     r = 2
     pig = pattern_indist_graph(d, r)
-    interner = ViewInterner()
     for u, v, lab in pig.edges():
         s1, s2 = pattern_at(d, r, u), pattern_at(d, r, v)
         for gi, g in enumerate(d.graphs):
             if is_subset(g.root_mask, lab):
-                ext = indist_label(s1.extend(gi), s2.extend(gi), interner)
+                ext = indist_label(s1.extend(gi), s2.extend(gi))
                 assert is_subset(g.root_mask, ext)
                 assert is_subset(ext, lab)
 
@@ -148,13 +152,12 @@ def test_extension_by_fitting_root_keeps_edge(d):
 def test_prefix_preserves_edges_with_larger_labels(d):
     r = 3
     pig = pattern_indist_graph(d, r)
-    interner = ViewInterner()
     for u, v, lab in pig.edges():
         s1, s2 = pattern_at(d, r, u), pattern_at(d, r, v)
         p1, p2 = s1.prefix(r - 1), s2.prefix(r - 1)
         if p1.rounds == p2.rounds:
             continue
-        plab = indist_label(p1, p2, interner)
+        plab = indist_label(p1, p2)
         assert is_subset(lab, plab)
 
 
@@ -163,14 +166,13 @@ def test_prefix_preserves_edges_with_larger_labels(d):
 def test_round_removal_keeps_edges(d):
     r = 3
     pig = pattern_indist_graph(d, r)
-    interner = ViewInterner()
     for u, v, _ in pig.edges():
         s1, s2 = pattern_at(d, r, u), pattern_at(d, r, v)
         for rr in range(1, r + 1):
             a, b = s1.remove_round(rr), s2.remove_round(rr)
             if a.rounds == b.rounds:
                 continue
-            assert indist_label(a, b, interner) != 0
+            assert indist_label(a, b) != 0
 
 
 @given(adversaries(rooted=True))
@@ -197,29 +199,40 @@ def test_views_interning_matches_naive_equality(d):
     total = len(d) ** r
     if total > 30:
         total = 30
-    interner = ViewInterner()
     pats = [pattern_at(d, r, i) for i in range(total)]
-    tables = [views(s, interner) for s in pats]
+    rows = [row for row, _ in final_views(pats)]
     for i in range(len(pats)):
         for j in range(i + 1, len(pats)):
             fast = {
                 p
                 for p in range(1, d.n + 1)
-                if tables[i].id(p, r) == tables[j].id(p, r)
+                if rows[i][p - 1] == rows[j][p - 1]
             }
             assert fast == naive_indist_procs(pats[i], pats[j])
 
 
 @given(adversaries(rooted=True, max_n=3, max_graphs=3))
 @settings(max_examples=30, deadline=None)
+@example(
+    Adversary(
+        [
+            CommunicationGraph(3, [(3, 1), (1, 2), (3, 2), (1, 3), (2, 3)]),
+            CommunicationGraph(3, [(2, 1), (3, 1), (1, 3), (2, 3)]),
+            CommunicationGraph.complete(3),
+        ]
+    )
+)
 def test_separate_components_never_mix_patterns(d):
     # graphs from different final components yield disconnected repetitions
+    # once the horizon reaches (n-1) * iterations; shorter horizons may still
+    # join them (e.g. n=3 with in-masks (5,7,7), (7,2,7), (7,7,7) mixes up to
+    # r=3 although its horizon is 8)
     trace = decide(d, no_early_exit=True)
     comps = trace.final_level.components()
     if len(comps) < 2:
         return
-    r = min((d.n - 1) * trace.iterations, 3)
-    if r < 1 or len(d) ** r > 2000:
+    r = (d.n - 1) * trace.iterations
+    if r < 1 or len(d) ** r > 10_000:
         return
     from oblicon.patterns import pattern_components, pattern_index
 
