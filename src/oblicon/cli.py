@@ -24,13 +24,17 @@ from .errors import (
 from .graphs import CommunicationGraph
 from .indist import Adversary, single_round_indist
 from .patterns import DEFAULT_PATTERN_BUDGET, Pattern, pattern_indist_graph
-from .procset import fmt, is_subset, procs_of
+from .procset import procs_of
 from .simulate import build_rule, oracle_min_horizon, run as run_pattern, verify_all_runs
 
 EXIT_OK = 0
 EXIT_IMPOSSIBLE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+# Each graph holds 2n masks of up to n bits, so a document's memory grows as
+# n squared per graph; larger declared process counts are rejected unread.
+MAX_PROCESSES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,8 @@ def adversary_from_doc(doc: Any) -> Adversary:
     n = doc["n"]
     if not _is_int(n):
         raise AdversaryFormatError("'n' must be an integer")
+    if n > MAX_PROCESSES:
+        raise AdversaryFormatError(f"'n' is {n}; at most {MAX_PROCESSES} processes are supported")
     if not isinstance(doc["graphs"], list) or not doc["graphs"]:
         raise AdversaryFormatError("'graphs' must be a non-empty list")
     graphs = []
@@ -81,11 +87,7 @@ def adversary_from_doc(doc: Any) -> Adversary:
             raise AdversaryFormatError(f"graph {k} edges must be a list")
         edges = []
         for e in raw_edges:
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(_is_int(x) for x in e)
-            ):
+            if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
                 raise AdversaryFormatError(f"graph {k} has a malformed edge: {e!r}")
             edges.append((e[0], e[1]))
         try:
@@ -141,17 +143,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
         "component_count": trace.component_count,
         "round_bound": trace.round_bound,
     }
-    if trace.levels:
+    rooted = trace.first_level is not None
+    if rooted:
         report["components"] = [
             [adv.names[u] for u in comp] for comp in trace.components_final
         ]
-    if args.trace and trace.levels:
+    if args.trace and rooted:
         report["removed"] = _removal_table(adv, trace)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(f"verdict: {report['verdict']}")
-        if trace.levels:
+        if rooted:
             print(f"iterations: {trace.iterations}")
             print(f"edge-removing iterations: {trace.removal_iterations}")
             print(f"final components: {trace.component_count}")
@@ -162,20 +165,20 @@ def cmd_decide(args: argparse.Namespace) -> int:
         else:
             bad = [g.name for g in adv.graphs if not g.is_rooted]
             print(f"graphs without a unique root component: {', '.join(bad)}")
-    if args.dot_level is not None and trace.levels:
+    if args.dot_level is not None and rooted:
         _emit(trace.level_at(args.dot_level).to_dot(), args.output)
     return EXIT_OK if trace.verdict is Verdict.SOLVABLE else EXIT_IMPOSSIBLE
 
 
 def _removal_table(adv: Adversary, trace) -> list[dict]:
+    """One entry per removed edge; labels never change across levels, so
+    they and their guards come from level 1 and the refinement's fitting
+    masks."""
     table = []
-    roots = adv.root_masks()
     for lvl, removed in enumerate(trace.removed, start=1):
         for (u, v) in removed:
-            label = trace.levels[lvl - 2].label(u, v)
-            guards = [
-                adv.names[k] for k, rm in enumerate(roots) if is_subset(rm, label)
-            ]
+            label = trace.first_level.label(u, v)
+            guards = [adv.names[k - 1] for k in procs_of(trace.fitting[label])]
             table.append(
                 {
                     "iteration": lvl,
@@ -366,7 +369,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         ig = single_round_indist(adv)
     else:
         trace = decide(adv, no_early_exit=True)
-        if not trace.levels:
+        if trace.first_level is None:
             raise NotRootedError("cannot refine an adversary with non-rooted graphs")
         ig = trace.level_at(args.level)
     _emit(ig.to_dot(), args.output)

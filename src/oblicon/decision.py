@@ -5,12 +5,17 @@ keeps an edge only if its current connected component contains a graph whose
 root component is inside the edge label.  The loop stops when the edge set
 stabilizes or every component becomes root-compatible; consensus is solvable
 iff all components of the final level are root-compatible.
+
+A label never changes across levels, so the graphs that fit an edge are
+fixed: each edge carries that set as a bitmask over graph indices, and an
+iteration is one union-find over the surviving edges plus one AND per edge.
+Levels are kept as the log of removed edges and rebuilt only when read.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import PremiseError
 from .indist import (
@@ -21,7 +26,6 @@ from .indist import (
     is_protected,
     single_round_indist,
 )
-from .procset import is_subset
 
 
 class Verdict(enum.Enum):
@@ -38,33 +42,35 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Everything the refinement produced: the level sequence and the verdict.
+    """Everything the refinement produced: level 1, the removal log and the verdict.
 
-    ``levels[k]`` is the graph after k+1 iterations (level 1 is the raw
-    indistinguishability graph); ``removed[k]`` lists the edges dropped while
-    forming that level.  ``iterations`` is the loop counter at exit with level
-    1 counting as iteration 1; ``removal_iterations`` counts only the levels
-    that actually dropped an edge, so both ways of counting are available.
+    ``removed[k]`` lists the edges dropped while forming level k+1 (level 1
+    is the raw indistinguishability graph, so ``removed[0]`` is empty).
+    Levels are kept as this log: ``level_at``, ``levels`` and ``final_level``
+    rebuild an ``IndistGraph`` only when read.  ``iterations`` is the loop
+    counter at exit with level 1 counting as iteration 1;
+    ``removal_iterations`` counts only the levels that actually dropped an
+    edge, so both ways of counting are available.  ``fitting`` maps each
+    level-1 label to the mask of graph indices whose root lies inside it.
     """
 
     adversary: Adversary
     verdict: Verdict
-    levels: tuple[IndistGraph, ...]
+    first_level: IndistGraph | None
     removed: tuple[tuple[Edge, ...], ...]
+    components_final: tuple[tuple[int, ...], ...]
     iterations: int
     early_exit: bool
+    fitting: Mapping[int, int] = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def levels(self) -> tuple[IndistGraph, ...]:
+        """Every computed level, rebuilt from the removal log."""
+        return tuple(self.level_at(i) for i in range(1, len(self.removed) + 1))
 
     @property
     def final_level(self) -> IndistGraph:
-        if not self.levels:
-            raise ValueError("trace has no levels (input was not rooted)")
-        return self.levels[-1]
-
-    @property
-    def components_final(self) -> tuple[tuple[int, ...], ...]:
-        if not self.levels:
-            return ()
-        return self.final_level.components()
+        return self.level_at(max(1, len(self.removed)))
 
     @property
     def component_count(self) -> int:
@@ -77,13 +83,13 @@ class RefinementTrace:
     @property
     def round_bound(self) -> int:
         """The synthesized algorithm's decision round: c * (n-1) * (iterations+1)."""
-        if not self.levels:
+        if self.first_level is None:
             return 0
         return self.component_count * (self.adversary.n - 1) * (self.iterations + 1)
 
     @property
     def reached_fixpoint(self) -> bool:
-        return len(self.levels) >= 2 and self.levels[-1].same_edge_set(self.levels[-2])
+        return len(self.removed) >= 2 and not self.removed[-1]
 
     def level_at(self, i: int) -> IndistGraph:
         """Level i (1-based).  Beyond the last computed level the edge set is
@@ -91,91 +97,132 @@ class RefinementTrace:
         valid when the trace ran to the fixpoint."""
         if i < 1:
             raise ValueError("levels are numbered from 1")
-        if not self.levels:
+        if self.first_level is None:
             raise ValueError("trace has no levels (input was not rooted)")
-        if i <= len(self.levels):
-            return self.levels[i - 1]
-        if not self.reached_fixpoint:
+        if i == 1:
+            return self.first_level
+        if i > len(self.removed) and not self.reached_fixpoint:
             raise ValueError(
                 f"level {i} not computed and trace stopped before the fixpoint"
             )
-        return self.levels[-1]
+        gone = {key for removed in self.removed[:i] for key in removed}
+        first = self.first_level
+        return IndistGraph(
+            first.size,
+            first.names,
+            {(u, v): label for u, v, label in first.edges() if (u, v) not in gone},
+        )
 
 
-def _all_components_root_compatible(ig: IndistGraph, root_masks: Sequence[int]) -> bool:
-    for comp in ig.components():
-        common = -1
-        for u in comp:
-            common &= root_masks[u]
-        if common == 0:
-            return False
-    return True
+def _fitting_masks(labels: Iterable[int], root_masks: Sequence[int]) -> dict[int, int]:
+    """For each label, the mask of graph indices whose root lies inside it."""
+    by_root: dict[int, int] = {}
+    for g, rm in enumerate(root_masks):
+        by_root[rm] = by_root.get(rm, 0) | (1 << g)
+    fitting: dict[int, int] = {}
+    for label in labels:
+        if label not in fitting:
+            acc = 0
+            for rm, graphs in by_root.items():
+                if rm & ~label == 0:
+                    acc |= graphs
+            fitting[label] = acc
+    return fitting
 
 
-def _refine_once(
-    level: IndistGraph, root_masks: Sequence[int]
-) -> tuple[IndistGraph, tuple[Edge, ...]]:
-    """One iteration: keep an edge iff its component holds a graph whose root
-    is contained in the edge label."""
-    comp_roots = [sorted({root_masks[u] for u in comp}) for comp in level.components()]
-    kept: dict[Edge, int] = {}
-    removed: list[Edge] = []
-    for u, v, label in level.edges():
-        guards = comp_roots[level.component_of(u)]
-        if any(is_subset(rm, label) for rm in guards):
-            kept[(u, v)] = label
-        else:
-            removed.append((u, v))
-    return IndistGraph(level.size, level.names, kept), tuple(sorted(removed))
+def _components(size: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Union-find over the (u, v, ...) edges: each node's component
+    representative, the smallest node of its component."""
+    parent = list(range(size))
+    for u, v, _ in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for x in range(size):
+        # ascending order: a node's parent is smaller, so it is already final
+        parent[x] = parent[parent[x]]
+    return parent
+
+
+def _root_compatible(rep: Sequence[int], root_masks: Sequence[int]) -> bool:
+    """True iff the roots of every component's graphs share a process."""
+    common: dict[int, int] = {}
+    for x, r in enumerate(rep):
+        common[r] = common.get(r, -1) & root_masks[x]
+    return all(common.values())
 
 
 def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     """Run the refinement and judge consensus solvability for the adversary.
 
-    With ``no_early_exit`` the loop ignores the root-compatibility stop and
-    runs to the edge-set fixpoint, whose components are exactly the abstract
-    equivalence classes the verdict characterizes; property checks that
-    reason about late levels need this mode.
+    Each level-1 edge carries its fitting mask, the graphs whose root lies
+    inside its label; an edge survives an iteration iff that mask meets its
+    component.  The loop stops when an iteration removes nothing or every
+    component becomes root-compatible.  With ``no_early_exit`` the loop
+    ignores the root-compatibility stop and runs to the edge-set fixpoint,
+    whose components are exactly the abstract equivalence classes the verdict
+    characterizes; property checks that reason about late levels need this
+    mode.
     """
     root_masks = d.root_masks()
     if any(rm == 0 for rm in root_masks):
         return RefinementTrace(
             adversary=d,
             verdict=Verdict.NOT_ROOTED,
-            levels=(),
+            first_level=None,
             removed=(),
+            components_final=(),
             iterations=0,
             early_exit=not no_early_exit,
         )
 
-    level = single_round_indist(d)
-    levels = [level]
+    first = single_round_indist(d)
+    size = first.size
+    edges = first.edges()
+    fitting = _fitting_masks((label for _, _, label in edges), root_masks)
+    alive = [(u, v, fitting[label]) for u, v, label in edges]
     removed: list[tuple[Edge, ...]] = [()]
     iterations = 1
-    done = not no_early_exit and _all_components_root_compatible(level, root_masks)
+    rep = _components(size, alive)
+    compatible = _root_compatible(rep, root_masks)
+    done = not no_early_exit and compatible
     while not done:
         iterations += 1
-        new_level, removed_now = _refine_once(level, root_masks)
-        levels.append(new_level)
-        removed.append(removed_now)
-        if new_level.same_edge_set(level):
-            done = True
-        elif not no_early_exit and _all_components_root_compatible(new_level, root_masks):
-            done = True
-        level = new_level
+        members = [0] * size
+        for x in range(size):
+            members[rep[x]] |= 1 << x
+        kept = []
+        gone = []
+        for edge in alive:
+            if edge[2] & members[rep[edge[0]]]:
+                kept.append(edge)
+            else:
+                gone.append(edge[:2])
+        removed.append(tuple(gone))
+        if not gone:
+            break
+        alive = kept
+        rep = _components(size, alive)
+        compatible = _root_compatible(rep, root_masks)
+        done = not no_early_exit and compatible
 
-    verdict = (
-        Verdict.SOLVABLE
-        if _all_components_root_compatible(level, root_masks)
-        else Verdict.IMPOSSIBLE
-    )
+    groups: dict[int, list[int]] = {}
+    for x in range(size):
+        groups.setdefault(rep[x], []).append(x)
     return RefinementTrace(
         adversary=d,
-        verdict=verdict,
-        levels=tuple(levels),
+        verdict=Verdict.SOLVABLE if compatible else Verdict.IMPOSSIBLE,
+        first_level=first,
         removed=tuple(removed),
+        components_final=tuple(tuple(c) for c in groups.values()),
         iterations=iterations,
         early_exit=not no_early_exit,
+        fitting=fitting,
     )
 
 
@@ -193,13 +240,13 @@ def check_protected_chain(
     """
     if trace.early_exit:
         raise PremiseError("requires a trace computed without early exit")
-    if not trace.levels:
+    if trace.first_level is None:
         raise PremiseError("trace has no levels (input was not rooted)")
     sets = [sorted(set(s)) for s in subgraphs]
     if not sets:
         raise PremiseError("need at least one subgraph")
     depth = len(sets)
-    base = trace.levels[0]
+    base = trace.first_level
 
     for j, nodes in enumerate(sets, start=1):
         if not nodes:

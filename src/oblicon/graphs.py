@@ -20,23 +20,24 @@ class CommunicationGraph:
     every downstream analysis queries it repeatedly.
     """
 
-    __slots__ = ("n", "name", "_in", "_out", "_root_mask")
+    __slots__ = ("n", "name", "_in", "_out", "_root_mask", "_in_indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str | None = None):
         if n < 2:
             raise ValueError(f"need at least 2 processes, got n={n}")
         self.n = n
         self.name = name
-        in_masks = [bit(p) for p in range(1, n + 1)]
-        out_masks = [bit(p) for p in range(1, n + 1)]
+        in_masks = [1 << p for p in range(n)]
+        out_masks = in_masks[:]
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            in_masks[v - 1] |= bit(u)
-            out_masks[u - 1] |= bit(v)
+            in_masks[v - 1] |= 1 << (u - 1)
+            out_masks[u - 1] |= 1 << (v - 1)
         self._in = tuple(in_masks)
         self._out = tuple(out_masks)
         self._root_mask = _root_mask(n, self._in, self._out)
+        self._in_indices: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def complete(cls, n: int, name: str | None = None) -> "CommunicationGraph":
@@ -47,6 +48,13 @@ class CommunicationGraph:
 
     def in_neighbors(self, p: int) -> tuple[int, ...]:
         return procs_of(self._in[p - 1])
+
+    def in_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Each process's in-neighbours as ascending 0-based indices, built on
+        first use and kept."""
+        if self._in_indices is None:
+            self._in_indices = tuple(tuple(q - 1 for q in procs_of(m)) for m in self._in)
+        return self._in_indices
 
     def out_mask(self, p: int) -> int:
         return self._out[p - 1]
@@ -96,36 +104,46 @@ class CommunicationGraph:
         return f"CommunicationGraph({label}, n={self.n}, edges={len(self.edges())})"
 
 
-def _closure(start: int, adj: Sequence[int]) -> int:
+def _closure(start: int, adj: Sequence[int]) -> tuple[int, int]:
     """Mask of the processes reachable from the mask ``start`` along ``adj``
-    (``adj[p-1]`` is p's neighbour mask), one frontier at a time."""
-    reached = frontier = start
+    (``adj[p-1]`` is p's neighbour mask), one frontier at a time, and the
+    last non-empty frontier: the processes farthest from ``start``."""
+    reached = frontier = far = start
     while frontier:
         nxt = 0
         for q in procs_of(frontier):
             nxt |= adj[q - 1]
         frontier = nxt & ~reached
         reached |= frontier
-    return reached
+        if frontier:
+            far = frontier
+    return reached, far
 
 
 def _root_mask(n: int, in_masks: Sequence[int], out_masks: Sequence[int]) -> int:
     """Mask of the processes that reach everyone, or 0 if there are none.
 
     These form the unique source component of the condensation when there is
-    one.  The first candidate that reaches everyone is in it, and the
-    component is everything that reaches that candidate.  A candidate that
-    fails takes its descendants with it: none of them reaches everyone either.
+    one.  A candidate that reaches everyone is in it, and the component is
+    everything that reaches that candidate.  A candidate that fails rules out
+    its descendants, and the root, which reaches every process, lies among
+    its ancestors.  The next candidate is one of the farthest of those, so a
+    path whose edges run against the candidate order takes four closures,
+    not one per process.
     """
     full = full_mask(n)
     candidates = full
-    while candidates:
-        c = candidates & -candidates
-        down = _closure(c, out_masks)
+    c = 1
+    while True:
+        down, _ = _closure(c, out_masks)
         if down == full:
-            return _closure(c, in_masks)
-        candidates &= ~down
-    return 0
+            return _closure(c, in_masks)[0]
+        up, far = _closure(c, in_masks)
+        candidates &= up & ~down
+        if not candidates:
+            return 0
+        pick = far & candidates or candidates
+        c = pick & -pick
 
 
 def is_root_compatible(graphs: Iterable[CommunicationGraph]) -> bool:
@@ -143,4 +161,4 @@ def is_root_compatible(graphs: Iterable[CommunicationGraph]) -> bool:
 
 def reaches_all(g: CommunicationGraph, p: int) -> bool:
     """True iff p has a directed path to every process; equals p in Root(g) for rooted g."""
-    return _closure(bit(p), g._out) == full_mask(g.n)
+    return _closure(bit(p), g._out)[0] == full_mask(g.n)

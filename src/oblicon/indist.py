@@ -185,25 +185,35 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def bucket_labels(n: int, rows: Sequence[Sequence[object]]) -> dict[tuple[int, int], int]:
+    """Edge labels of the nodes whose ``rows[i][p]`` coincide for some p.
+
+    For each process p the nodes are grouped by their entry at p, and p's bit
+    is ORed into the label of every pair inside a group, so the work is
+    proportional to the indistinguishable pairs rather than all pairs.
+    """
+    labels: dict[tuple[int, int], int] = {}
+    for p in range(n):
+        buckets: dict[object, list[int]] = {}
+        for i, row in enumerate(rows):
+            buckets.setdefault(row[p], []).append(i)
+        pbit = 1 << p
+        for members in buckets.values():
+            for a in range(len(members)):
+                ia = members[a]
+                for b in range(a + 1, len(members)):
+                    key = (ia, members[b])
+                    labels[key] = labels.get(key, 0) | pbit
+    return labels
+
+
 def single_round_indist(d: Adversary) -> IndistGraph:
     """The indistinguishability graph of the adversary's graphs viewed as one-round patterns.
 
     Two graphs are joined iff some process has identical in-neighborhoods in
     both; the label is the set of all such processes.
     """
-    edges: dict[tuple[int, int], int] = {}
-    graphs = d.graphs
-    for i in range(len(graphs)):
-        gi = graphs[i]._in
-        for j in range(i + 1, len(graphs)):
-            gj = graphs[j]._in
-            label = 0
-            for p in range(d.n):
-                if gi[p] == gj[p]:
-                    label |= 1 << p
-            if label:
-                edges[(i, j)] = label
-    return IndistGraph(len(graphs), d.names, edges)
+    return IndistGraph(len(d), d.names, bucket_labels(d.n, [g._in for g in d.graphs]))
 
 
 def is_protected(

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
-from .indist import Adversary, IndistGraph
+from .indist import Adversary, IndistGraph, bucket_labels
 from .procset import bit, procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
@@ -84,11 +84,6 @@ class Pattern:
         return Pattern(d, tuple(d.index_of(p.strip()) for p in parts))
 
 
-def _in_tuples(g: CommunicationGraph) -> InTuples:
-    """Each process's in-neighbours as ascending 0-based indices."""
-    return tuple(tuple(q - 1 for q in procs_of(m)) for m in g._in)
-
-
 def _start(n: int) -> tuple[Row, Row]:
     """Round-0 views (one id per process) and influence states (each process itself)."""
     return tuple(range(n)), tuple(1 << p for p in range(n))
@@ -140,16 +135,10 @@ def final_views(patterns: Sequence[Pattern]) -> list[tuple[Row, Row]]:
     for sigma in patterns:
         if len(sigma) != length:
             raise ValueError(f"patterns have different lengths: {length} vs {len(sigma)}")
-    ins_of: dict[CommunicationGraph, InTuples] = {}
     row, state = _start(patterns[0].adversary.n)
     rows, states = [row] * len(patterns), [state] * len(patterns)
     for r in range(1, length + 1):
-        ins = []
-        for sigma in patterns:
-            g = sigma.graph_at(r)
-            if g not in ins_of:
-                ins_of[g] = _in_tuples(g)
-            ins.append(ins_of[g])
+        ins = [sigma.graph_at(r).in_indices() for sigma in patterns]
         rows, states = _advance(zip(rows, states, ins))
     return list(zip(rows, states))
 
@@ -234,7 +223,7 @@ def iter_pattern_levels(
     Raises BudgetExceededError before materializing a level whose pattern
     count exceeds the budget; the error names the offending count and length.
     """
-    graph_ins = [_in_tuples(g) for g in d.graphs]
+    graph_ins = [g.in_indices() for g in d.graphs]
     row, state = _start(d.n)
     rows, states = [row], [state]
     for k in range(1, r_max + 1):
@@ -318,19 +307,6 @@ def pattern_indist_graph(
     buckets, so the work is proportional to the indistinguishable pairs
     rather than all pairs.
     """
-    level = _level(d, r, budget)
-    rows = level.view_rows
+    rows = _level(d, r, budget).view_rows
     names = [pattern_at(d, r, i).name for i in range(len(rows))]
-    edges: dict[tuple[int, int], int] = {}
-    for p in range(d.n):
-        buckets: dict[int, list[int]] = {}
-        for i, row in enumerate(rows):
-            buckets.setdefault(row[p], []).append(i)
-        pbit = 1 << p
-        for members in buckets.values():
-            for a in range(len(members)):
-                ia = members[a]
-                for b in range(a + 1, len(members)):
-                    key = (ia, members[b])
-                    edges[key] = edges.get(key, 0) | pbit
-    return IndistGraph(len(rows), names, edges)
+    return IndistGraph(len(rows), names, bucket_labels(d.n, rows))

@@ -2,10 +2,13 @@
 used as independent oracles."""
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from oblicon.graphs import CommunicationGraph
-from oblicon.indist import Adversary
+from oblicon.indist import Adversary, IndistGraph
+from oblicon.procset import mask_of
 
 
 @pytest.fixture
@@ -82,3 +85,58 @@ def naive_root(g: CommunicationGraph) -> frozenset[int] | None:
         if len(seen) == g.n:
             root.add(p)
     return frozenset(root) if root else None
+
+
+class NaiveTrace(NamedTuple):
+    verdict: str
+    iterations: int
+    removed: tuple[tuple[tuple[int, int], ...], ...]
+    levels: tuple[IndistGraph, ...]
+    components: tuple[tuple[int, ...], ...]
+
+
+def naive_refine_once(level: IndistGraph, root_masks) -> tuple[IndistGraph, tuple]:
+    """One refinement step by rescanning every edge: keep it iff some graph
+    of its current component has its root inside the label."""
+    comps = level.components()
+    kept = {}
+    removed = []
+    for u, v, label in level.edges():
+        comp = comps[level.component_of(u)]
+        if any(root_masks[g] & ~label == 0 for g in comp):
+            kept[(u, v)] = label
+        else:
+            removed.append((u, v))
+    return IndistGraph(level.size, level.names, kept), tuple(removed)
+
+
+def naive_refinement(d: Adversary, no_early_exit: bool = False) -> NaiveTrace:
+    """The refinement as first written: all-pairs level 1 from rebuilt
+    in-neighbourhoods, then full rescans until nothing is removed (or, unless
+    ``no_early_exit``, every component is root-compatible)."""
+    roots = [naive_root(g) for g in d.graphs]
+    if any(r is None for r in roots):
+        return NaiveTrace("IMPOSSIBLE-NOT-ROOTED", 0, (), (), ())
+    root_masks = [mask_of(r) for r in roots]
+    ins = [naive_in_sets(g) for g in d.graphs]
+    edges = {}
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            label = mask_of(p for p in range(1, d.n + 1) if ins[i][p] == ins[j][p])
+            if label:
+                edges[(i, j)] = label
+    level = IndistGraph(len(d), d.names, edges)
+
+    def compatible(ig: IndistGraph) -> bool:
+        return all(set.intersection(*(set(roots[g]) for g in comp)) for comp in ig.components())
+
+    levels = [level]
+    removed = [()]
+    done = not no_early_exit and compatible(level)
+    while not done:
+        level, gone = naive_refine_once(level, root_masks)
+        levels.append(level)
+        removed.append(gone)
+        done = not gone or (not no_early_exit and compatible(level))
+    verdict = "SOLVABLE" if compatible(level) else "IMPOSSIBLE"
+    return NaiveTrace(verdict, len(levels), tuple(removed), tuple(levels), level.components())

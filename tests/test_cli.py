@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from oblicon import cli
 from oblicon.cli import (
+    MAX_PROCESSES,
     adversary_from_doc,
     adversary_to_doc,
     load_adversary,
@@ -230,6 +232,28 @@ def test_decide_long_path_graph(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["verdict"] == "SOLVABLE"
+
+
+def test_decide_reversed_long_path_graph(tmp_path, capsys):
+    # edges run against the candidate order of the root search
+    n = 1200
+    doc = {"n": n, "graphs": [{"name": "P", "edges": [[i + 1, i] for i in range(1, n)]}]}
+    assert main(["decide", _write_doc(tmp_path, doc), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["verdict"] == "SOLVABLE"
+
+
+@pytest.mark.parametrize("n", [MAX_PROCESSES + 1, 10**12])
+def test_decide_rejects_oversized_n_before_building(tmp_path, capsys, monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for an oversized document")
+
+    monkeypatch.setattr(cli, "CommunicationGraph", refuse)
+    doc = {"n": n, "graphs": [{"name": "G", "edges": []}]}
+    assert main(["decide", _write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: 'n' is {n}; at most {MAX_PROCESSES} processes are supported\n"
 
 
 @pytest.mark.parametrize(

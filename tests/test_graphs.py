@@ -100,3 +100,25 @@ def test_relabel_roundtrip():
     inv = {v: k for k, v in perm.items()}
     assert g.relabel(perm).relabel(inv) == g
     assert g.relabel(perm).root == {perm[p] for p in g.root}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_root_of_long_path_takes_constant_closures(monkeypatch, reverse):
+    # each closure is linear in n, so a constant count keeps construction
+    # linear whichever way the path runs against the candidate order
+    from oblicon import graphs
+
+    calls = []
+    closure = graphs._closure
+    monkeypatch.setattr(graphs, "_closure", lambda *a: calls.append(1) or closure(*a))
+    n = 1200
+    edges = [(i + 1, i) if reverse else (i, i + 1) for i in range(1, n)]
+    g = CommunicationGraph(n, edges)
+    assert g.root == {n if reverse else 1}
+    assert len(calls) <= 4
+
+
+def test_in_indices_are_zero_based_and_kept():
+    g = CommunicationGraph(3, [(1, 2), (3, 2)])
+    assert g.in_indices() == ((0,), (0, 1, 2), (2,))
+    assert g.in_indices() is g.in_indices()

@@ -1,9 +1,20 @@
 """Property-based checks of the structural invariants, driven by hypothesis."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oblicon.decision import Verdict, decide
+from oblicon.families import (
+    PartitionSpec,
+    gen_chain,
+    gen_partitioned,
+    lossy_link,
+    random_rooted,
+    rooted_trees,
+    simple_chain_spec,
+    source_broadcast,
+)
 from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
 from oblicon.indist import Adversary, single_round_indist
 from oblicon.patterns import (
@@ -15,7 +26,7 @@ from oblicon.patterns import (
 )
 from oblicon.procset import is_subset, mask_of, procs_of
 
-from conftest import naive_in_sets, naive_indist_procs, naive_root
+from conftest import naive_in_sets, naive_indist_procs, naive_refinement, naive_root
 
 
 @st.composite
@@ -63,6 +74,30 @@ def test_reaches_all_iff_in_root(g):
 def test_root_matches_naive_reachability(g):
     assert g.root == naive_root(g)
     assert g.root_mask == (mask_of(g.root) if g.root else 0)
+
+
+@st.composite
+def ordered_trees(draw, max_n=40):
+    """A random tree oriented away from a random root, with process numbers
+    drawn so that edges often run against the numbering, plus a few random
+    extra edges.  A node drawn without a parent starts a second tree, so
+    some of these graphs are not rooted."""
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges = []
+    for k in range(1, n):
+        parent = draw(st.integers(-1, k - 1))
+        if parent >= 0:
+            edges.append((order[parent], order[k]))
+    extra = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(extra, max_size=3))
+    return CommunicationGraph(n, edges)
+
+
+@given(ordered_trees())
+@settings(max_examples=150, deadline=None)
+def test_root_matches_naive_reachability_on_ordered_trees(g):
+    assert g.root == naive_root(g)
 
 
 @given(comm_graphs(), st.randoms())
@@ -183,6 +218,47 @@ def test_refinement_monotone_and_bounded(d):
     for earlier, later in zip(trace.levels, trace.levels[1:]):
         assert later.edge_keys() <= earlier.edge_keys()
     assert trace.reached_fixpoint
+
+
+def assert_matches_naive_refinement(d):
+    for no_early_exit in (False, True):
+        trace = decide(d, no_early_exit=no_early_exit)
+        ref = naive_refinement(d, no_early_exit=no_early_exit)
+        assert trace.verdict.value == ref.verdict
+        assert trace.iterations == ref.iterations
+        assert trace.removed == ref.removed
+        assert [lvl.edges() for lvl in trace.levels] == [lvl.edges() for lvl in ref.levels]
+        assert trace.components_final == ref.components
+        assert trace.reached_fixpoint == (len(ref.removed) >= 2 and not ref.removed[-1])
+
+
+FAMILY_CASES = {
+    "chain12": lambda: gen_chain(simple_chain_spec(12)),
+    "partitioned2x3": lambda: gen_partitioned(PartitionSpec.standard(2, 3)).adversary,
+    "rooted_trees3": lambda: rooted_trees(3),
+    "lossy_link3-1": lambda: lossy_link(3, 1),
+    "lossy_link3-2": lambda: lossy_link(3, 2),
+    "lossy_link4-2": lambda: lossy_link(4, 2),
+    "source_broadcast4-2": lambda: source_broadcast(4, 2),
+    **{f"random_rooted4x14s{seed}": (lambda s=seed: random_rooted(4, 14, s)) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_decide_matches_naive_refinement_on_families(name):
+    assert_matches_naive_refinement(FAMILY_CASES[name]())
+
+
+@given(adversaries(max_n=5, max_graphs=8, rooted=True))
+@settings(max_examples=100, deadline=None)
+def test_decide_matches_naive_refinement(d):
+    assert_matches_naive_refinement(d)
+
+
+@given(adversaries(max_n=4, max_graphs=5))
+@settings(max_examples=40, deadline=None)
+def test_decide_matches_naive_refinement_unrooted_allowed(d):
+    assert_matches_naive_refinement(d)
 
 
 @given(adversaries(rooted=True))
