@@ -112,7 +112,7 @@ def load_adversary(path: str) -> Adversary:
 
 
 def save_adversary(adv: Adversary, path: str) -> None:
-    text = json.dumps(adversary_to_doc(adv), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:

@@ -21,10 +21,13 @@ from .errors import PremiseError
 from .indist import (
     Adversary,
     IndistGraph,
+    common_masks,
+    group,
     induced_connected,
     induced_edge_labels,
     is_protected,
     single_round_indist,
+    union_find,
 )
 
 
@@ -130,33 +133,6 @@ def _fitting_masks(labels: Iterable[int], root_masks: Sequence[int]) -> dict[int
     return fitting
 
 
-def _components(size: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
-    """Union-find over the (u, v, ...) edges: each node's component
-    representative, the smallest node of its component."""
-    parent = list(range(size))
-    for u, v, _ in edges:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u < v:
-            parent[v] = u
-        elif v < u:
-            parent[u] = v
-    for x in range(size):
-        # ascending order: a node's parent is smaller, so it is already final
-        parent[x] = parent[parent[x]]
-    return parent
-
-
-def _root_compatible(rep: Sequence[int], root_masks: Sequence[int]) -> bool:
-    """True iff the roots of every component's graphs share a process."""
-    common: dict[int, int] = {}
-    for x, r in enumerate(rep):
-        common[r] = common.get(r, -1) & root_masks[x]
-    return all(common.values())
-
-
 def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     """Run the refinement and judge consensus solvability for the adversary.
 
@@ -188,10 +164,12 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     alive = [(u, v, fitting[label]) for u, v, label in edges]
     removed: list[tuple[Edge, ...]] = [()]
     iterations = 1
-    rep = _components(size, alive)
-    compatible = _root_compatible(rep, root_masks)
-    done = not no_early_exit and compatible
-    while not done:
+    while True:
+        rep = union_find(size, alive)
+        comps = group(rep)[1]
+        compatible = all(common_masks(comps, root_masks))
+        if compatible and not no_early_exit:
+            break
         iterations += 1
         members = [0] * size
         for x in range(size):
@@ -207,19 +185,13 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
         if not gone:
             break
         alive = kept
-        rep = _components(size, alive)
-        compatible = _root_compatible(rep, root_masks)
-        done = not no_early_exit and compatible
 
-    groups: dict[int, list[int]] = {}
-    for x in range(size):
-        groups.setdefault(rep[x], []).append(x)
     return RefinementTrace(
         adversary=d,
         verdict=Verdict.SOLVABLE if compatible else Verdict.IMPOSSIBLE,
         first_level=first,
         removed=tuple(removed),
-        components_final=tuple(tuple(c) for c in groups.values()),
+        components_final=tuple(tuple(c) for c in comps),
         iterations=iterations,
         early_exit=not no_early_exit,
         fitting=fitting,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import combinations, product
 from collections.abc import Iterator, Sequence
 
 from .decision import RefinementTrace, decide
@@ -615,8 +616,7 @@ def rooted_trees(n: int, max_n: int = 4) -> Adversary:
             edges = []
             seen = {root}
             queue = [root]
-            while queue:
-                u = queue.pop(0)
+            for u in queue:  # also visits the nodes appended below
                 for w in sorted(adj[u]):
                     if w not in seen:
                         seen.add(w)
@@ -631,24 +631,18 @@ def _labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
     if n == 2:
         yield [(1, 2)]
         return
-    import itertools
-
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+    for seq in product(range(1, n + 1), repeat=n - 2):
         degree = [1] * (n + 1)
         for v in seq:
             degree[v] += 1
         edges = []
-        seq_list = list(seq)
-        leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
-        for v in seq_list:
-            leaf = leaves.pop(0)
-            edges.append((leaf, v))
+        leaves = [v for v in range(1, n + 1) if degree[v] == 1]  # ascending: a heap
+        for v in seq:
+            edges.append((heappop(leaves), v))
             degree[v] -= 1
             if degree[v] == 1:
-                import bisect
-
-                bisect.insort(leaves, v)
-        edges.append((leaves[0], leaves[1]))
+                heappush(leaves, v)
+        edges.append((heappop(leaves), leaves[0]))
         yield edges
 
 

@@ -60,13 +60,13 @@ class CommunicationGraph:
         return self._out[p - 1]
 
     def edges(self, with_loops: bool = False) -> list[tuple[int, int]]:
-        out = []
-        for v in range(1, self.n + 1):
-            for u in procs_of(self._in[v - 1]):
-                if u != v or with_loops:
-                    out.append((u, v))
-        out.sort()
-        return out
+        """Edges (u, v) in ascending order, read off the out-masks."""
+        return [
+            (u, v)
+            for u in range(1, self.n + 1)
+            for v in procs_of(self._out[u - 1])
+            if u != v or with_loops
+        ]
 
     @property
     def root_mask(self) -> int:

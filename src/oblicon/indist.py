@@ -124,40 +124,11 @@ class IndistGraph:
     def same_edge_set(self, other: "IndistGraph") -> bool:
         return self.size == other.size and self._edges == other._edges
 
-    def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.size)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, ordered by smallest contained node."""
         if self._components is None:
-            adj = self._adjacency()
-            seen = [False] * self.size
-            comps = []
-            for start in range(self.size):
-                if seen[start]:
-                    continue
-                comp = [start]
-                seen[start] = True
-                queue = [start]
-                while queue:
-                    u = queue.pop()
-                    for w in adj[u]:
-                        if not seen[w]:
-                            seen[w] = True
-                            comp.append(w)
-                            queue.append(w)
-                comps.append(tuple(sorted(comp)))
-            self._components = tuple(comps)
-            comp_of = [0] * self.size
-            for ci, comp in enumerate(self._components):
-                for u in comp:
-                    comp_of[u] = ci
+            comp_of, comps = group(union_find(self.size, self._edges))
+            self._components = tuple(tuple(c) for c in comps)
             self._comp_of = tuple(comp_of)
         return self._components
 
@@ -205,6 +176,59 @@ def bucket_labels(n: int, rows: Sequence[Sequence[object]]) -> dict[tuple[int, i
                     key = (ia, members[b])
                     labels[key] = labels.get(key, 0) | pbit
     return labels
+
+
+def union_find(size: int, edges: Iterable[Sequence[int]]) -> list[int]:
+    """Each node's component representative, the smallest node of its component.
+
+    Only the first two items of each edge are read, so labelled edge tuples
+    need no wrapper.  Every link points a root at a smaller root and path
+    halving only moves pointers down, so a parent is never larger than its
+    node.
+    """
+    parent = list(range(size))
+    for edge in edges:
+        u = edge[0]
+        v = edge[1]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for x in range(size):
+        # ascending order: a node's parent is smaller, so it is already final
+        parent[x] = parent[parent[x]]
+    return parent
+
+
+def group(rep: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """Components from ``union_find`` representatives: each node's component
+    index, and the components, each ascending and ordered by smallest node."""
+    comp_of: list[int] = []
+    comps: list[list[int]] = []
+    for x, r in enumerate(rep):
+        if r == x:
+            comp_of.append(len(comps))
+            comps.append([x])
+        else:
+            c = comp_of[r]
+            comp_of.append(c)
+            comps[c].append(x)
+    return comp_of, comps
+
+
+def common_masks(comps: Iterable[Sequence[int]], masks: Sequence[int]) -> list[int]:
+    """Per component, the AND of its members' masks: the processes they all share."""
+    out = []
+    for comp in comps:
+        acc = -1
+        for x in comp:
+            acc &= masks[x]
+        out.append(acc)
+    return out
 
 
 def single_round_indist(d: Adversary) -> IndistGraph:
@@ -258,17 +282,5 @@ def induced_edge_labels(ig: IndistGraph, nodes: Iterable[int]) -> dict[tuple[int
 def induced_connected(ig: IndistGraph, nodes: Sequence[int]) -> bool:
     """True iff the (nonempty) node set induces a connected subgraph: paths
     through nodes outside the set do not count."""
-    members = set(nodes)
-    adj: dict[int, list[int]] = {u: [] for u in members}
-    for (u, v) in induced_edge_labels(ig, members):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {nodes[0]}
-    queue = [nodes[0]]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == members
+    rep = union_find(ig.size, induced_edge_labels(ig, nodes))
+    return len({rep[u] for u in nodes}) == 1

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
-from .indist import Adversary, IndistGraph, bucket_labels
+from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
 from .procset import bit, procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
@@ -220,71 +220,56 @@ def iter_pattern_levels(
 ) -> Iterator[PatternLevel]:
     """Yield levels 1..r_max of the pattern enumeration, extending round by round.
 
-    Raises BudgetExceededError before materializing a level whose pattern
-    count exceeds the budget; the error names the offending count and length.
+    Raises ValueError for a negative r_max, and BudgetExceededError before
+    materializing a level whose pattern count exceeds the budget; the error
+    names the offending count and length.
     """
+    if r_max < 0:
+        raise ValueError(f"round count must be non-negative, got {r_max}")
     graph_ins = [g.in_indices() for g in d.graphs]
     row, state = _start(d.n)
     rows, states = [row], [state]
     for k in range(1, r_max + 1):
-        required = len(d) ** k
-        if required > budget:
-            raise BudgetExceededError(required, budget, k)
+        _check_budget(d, k, budget)
         rows, states = _advance(
             (row, state, ins) for row, state in zip(rows, states) for ins in graph_ins
         )
         yield PatternLevel(k, rows, states)
 
 
-def _level(d: Adversary, r: int, budget: int) -> PatternLevel:
-    if r == 0:
-        row, state = _start(d.n)
-        return PatternLevel(0, [row], [state])
+def _check_budget(d: Adversary, r: int, budget: int) -> None:
     required = len(d) ** r
     if required > budget:
         raise BudgetExceededError(required, budget, r)
-    last = None
-    for last in iter_pattern_levels(d, r, budget):
+
+
+def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
+    """Level r alone; level 0 holds the empty pattern.  An r over the budget
+    is named in the error before any level is built."""
+    if r > 0:
+        _check_budget(d, r, budget)
+    row, state = _start(d.n)
+    level = PatternLevel(0, [row], [state])
+    for level in iter_pattern_levels(d, r, budget):
         pass
-    assert last is not None
-    return last
+    return level
 
 
-def _components_from_rows(
-    n: int, rows: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[list[int]]]:
-    """Union-find over view-equality buckets: patterns sharing any process's
-    final view are connected."""
-    size = len(rows)
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _view_pairs(n: int, rows: Sequence[Row]) -> Iterator[tuple[int, int]]:
+    """(first pattern with this view, pattern) for every process's final view:
+    patterns sharing any process's view are indistinguishable."""
     for p in range(n):
-        first_of: dict[int, int] = {}
+        first: dict[int, int] = {}
         for i, row in enumerate(rows):
-            vid = row[p]
-            j = first_of.setdefault(vid, i)
+            j = first.setdefault(row[p], i)
             if j != i:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(size):
-        groups.setdefault(find(i), []).append(i)
-    comps = sorted(groups.values(), key=min)
-    comp_of = [0] * size
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = ci
-    return comp_of, comps
+                yield j, i
+
+
+def _components_from_rows(n: int, rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
+    """Each pattern's component index and the components of the pattern
+    indistinguishability graph, each ascending and ordered by smallest index."""
+    return group(union_find(len(rows), _view_pairs(n, rows)))
 
 
 def pattern_components(
@@ -292,7 +277,7 @@ def pattern_components(
 ) -> list[list[int]]:
     """Connected components of the r-round pattern indistinguishability graph,
     as lists of lexicographic pattern indices."""
-    level = _level(d, r, budget)
+    level = _final_level(d, r, budget)
     _, comps = _components_from_rows(d.n, level.view_rows)
     return comps
 
@@ -307,6 +292,6 @@ def pattern_indist_graph(
     buckets, so the work is proportional to the indistinguishable pairs
     rather than all pairs.
     """
-    rows = _level(d, r, budget).view_rows
+    rows = _final_level(d, r, budget).view_rows
     names = [pattern_at(d, r, i).name for i in range(len(rows))]
     return IndistGraph(len(rows), names, bucket_labels(d.n, rows))

@@ -14,12 +14,12 @@ from collections.abc import Sequence
 
 from .decision import decide
 from .errors import NonBroadcastableComponentError, NotRootedError
-from .indist import Adversary
+from .indist import Adversary, common_masks
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     _components_from_rows,
-    _level,
+    _final_level,
     broadcaster_mask,
     indist_label,
     iter_pattern_levels,
@@ -96,16 +96,12 @@ def build_rule(
     smallest pattern index) is reported via NonBroadcastableComponentError,
     which signals that t is too small or consensus is unsolvable.
     """
-    level = _level(d, t, budget)
+    level = _final_level(d, t, budget)
     rows = level.view_rows
     bmasks = level.broadcaster_masks(d.n)
     comp_of, comps = _components_from_rows(d.n, rows)
     chosen = []
-    for comp in comps:
-        common = -1
-        for i in comp:
-            common &= bmasks[i]
-        common &= (1 << d.n) - 1
+    for comp, common in zip(comps, common_masks(comps, bmasks)):
         if common == 0:
             names = [pattern_at(d, t, i).name for i in comp]
             raise NonBroadcastableComponentError(t, names)
@@ -214,13 +210,7 @@ def oracle_min_horizon(
     for level in iter_pattern_levels(d, r_max, budget):
         bmasks = level.broadcaster_masks(d.n)
         _, comps = _components_from_rows(d.n, level.view_rows)
-        for comp in comps:
-            common = -1
-            for i in comp:
-                common &= bmasks[i]
-            if common & ((1 << d.n) - 1) == 0:
-                break
-        else:
+        if all(common_masks(comps, bmasks)):
             return level.rounds
     return None
 
@@ -257,10 +247,8 @@ def imposs_witness(
     trace = decide(d, no_early_exit=True)
     level = trace.level_at(i)
     roots = d.root_masks()
-    for comp in level.components():
-        common = -1
-        for u in comp:
-            common &= roots[u]
+    comps = level.components()
+    for comp, common in zip(comps, common_masks(comps, roots)):
         if common != 0:
             continue
         pair = _disjoint_root_pair(comp, roots)

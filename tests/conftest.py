@@ -95,14 +95,38 @@ class NaiveTrace(NamedTuple):
     components: tuple[tuple[int, ...], ...]
 
 
+def naive_components(ig: IndistGraph) -> tuple[tuple[int, ...], ...]:
+    """Connected components by breadth-first search over the edge list, each
+    ascending, ordered by smallest node."""
+    adj: dict[int, set[int]] = {u: set() for u in range(ig.size)}
+    for u, v, _ in ig.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    comps = []
+    seen: set[int] = set()
+    for start in range(ig.size):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for w in sorted(adj[u] - comp):
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 def naive_refine_once(level: IndistGraph, root_masks) -> tuple[IndistGraph, tuple]:
     """One refinement step by rescanning every edge: keep it iff some graph
     of its current component has its root inside the label."""
-    comps = level.components()
+    comp_of = {u: comp for comp in naive_components(level) for u in comp}
     kept = {}
     removed = []
     for u, v, label in level.edges():
-        comp = comps[level.component_of(u)]
+        comp = comp_of[u]
         if any(root_masks[g] & ~label == 0 for g in comp):
             kept[(u, v)] = label
         else:
@@ -128,7 +152,9 @@ def naive_refinement(d: Adversary, no_early_exit: bool = False) -> NaiveTrace:
     level = IndistGraph(len(d), d.names, edges)
 
     def compatible(ig: IndistGraph) -> bool:
-        return all(set.intersection(*(set(roots[g]) for g in comp)) for comp in ig.components())
+        return all(
+            set.intersection(*(set(roots[g]) for g in comp)) for comp in naive_components(ig)
+        )
 
     levels = [level]
     removed = [()]
@@ -139,4 +165,4 @@ def naive_refinement(d: Adversary, no_early_exit: bool = False) -> NaiveTrace:
         removed.append(gone)
         done = not gone or (not no_early_exit and compatible(level))
     verdict = "SOLVABLE" if compatible(level) else "IMPOSSIBLE"
-    return NaiveTrace(verdict, len(levels), tuple(removed), tuple(levels), level.components())
+    return NaiveTrace(verdict, len(levels), tuple(removed), tuple(levels), naive_components(level))

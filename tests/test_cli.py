@@ -195,6 +195,18 @@ def test_oracle_default_rmax_hits_budget(chain_file, capsys):
     assert doc["min_horizon"] == 4 and doc["agrees"] is True
 
 
+@pytest.mark.parametrize(
+    "verb,option,value",
+    [("verify", "--horizon", "-1"), ("export-dot", "--rounds", "-1"), ("oracle", "--rmax", "-2")],
+)
+def test_negative_round_count_is_an_input_error(chain_file, verb, option, value, capsys):
+    # chain(3) is SOLVABLE, so an oracle that searched no round would disagree
+    assert main([verb, chain_file, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: round count must be non-negative, got {value}\n"
+
+
 def test_cli_byte_determinism(ll_file, chain_file, tmp_path, capsys):
     commands = [
         ["decide", ll_file, "--trace"],

@@ -16,17 +16,30 @@ from oblicon.families import (
     source_broadcast,
 )
 from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
-from oblicon.indist import Adversary, single_round_indist
+from oblicon.indist import (
+    Adversary,
+    IndistGraph,
+    common_masks,
+    induced_connected,
+    single_round_indist,
+)
 from oblicon.patterns import (
     Pattern,
     final_views,
     indist_label,
     pattern_at,
+    pattern_components,
     pattern_indist_graph,
 )
 from oblicon.procset import is_subset, mask_of, procs_of
 
-from conftest import naive_in_sets, naive_indist_procs, naive_refinement, naive_root
+from conftest import (
+    naive_components,
+    naive_in_sets,
+    naive_indist_procs,
+    naive_refinement,
+    naive_root,
+)
 
 
 @st.composite
@@ -74,6 +87,49 @@ def test_reaches_all_iff_in_root(g):
 def test_root_matches_naive_reachability(g):
     assert g.root == naive_root(g)
     assert g.root_mask == (mask_of(g.root) if g.root else 0)
+
+
+@st.composite
+def indist_graphs(draw, max_size=9):
+    size = draw(st.integers(1, max_size))
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return IndistGraph(size, [f"g{u}" for u in range(size)], {key: 1 for key in keys})
+
+
+@given(indist_graphs(), st.data())
+def test_components_match_breadth_first_search(ig, data):
+    comps = ig.components()
+    assert comps == naive_components(ig)
+    assert all(comps[ig.component_of(u)].count(u) == 1 for u in range(ig.size))
+    nodes = data.draw(st.lists(st.integers(0, ig.size - 1), min_size=1, unique=True))
+    induced = IndistGraph(
+        ig.size,
+        ig.names,
+        {(u, v): label for u, v, label in ig.edges() if u in nodes and v in nodes},
+    )
+    inside = [comp for comp in naive_components(induced) if comp[0] in nodes]
+    assert induced_connected(ig, nodes) == (len(inside) == 1)
+
+
+@given(indist_graphs(), st.data())
+def test_common_masks_and_each_component(ig, data):
+    masks = data.draw(st.lists(st.integers(0, 15), min_size=ig.size, max_size=ig.size))
+    comps = ig.components()
+    for comp, common in zip(comps, common_masks(comps, masks), strict=True):
+        assert common == mask_of(
+            set.intersection(*(set(procs_of(masks[u])) for u in comp))
+        )
+
+
+@given(adversaries(max_n=3, max_graphs=4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_pattern_components_match_pattern_graph(d, r):
+    if len(d) ** r > 500:
+        return
+    assert tuple(map(tuple, pattern_components(d, r))) == naive_components(
+        pattern_indist_graph(d, r)
+    )
 
 
 @st.composite

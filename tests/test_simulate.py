@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oblicon.decision import Verdict, decide
@@ -54,6 +56,24 @@ def test_build_rule_source_broadcast_singleton_components():
     for comp, b in zip(rule.components, rule.chosen):
         sigma = pattern_at(d, 2, comp[0])
         assert b == min(broadcasters(sigma))
+
+
+def test_verifier_catches_wrong_broadcaster(solvable_pair):
+    # only p1 broadcasts in the four 2-round patterns, so each run on
+    # distinct inputs decides p2's input, which no broadcaster holds
+    rule = dataclasses.replace(build_rule(solvable_pair, 2), chosen=(2,))
+    report = verify_all_runs(rule)
+    assert report.validity_violations == 4
+    assert report.ok is False
+
+
+def test_verifier_catches_split_component(solvable_pair):
+    rule = build_rule(solvable_pair, 2)
+    assert rule.components == ((0, 1, 2, 3),)
+    wrong = dataclasses.replace(rule, component_of=(0, 0, 0, 1), chosen=(1, 3))
+    report = verify_all_runs(wrong)
+    assert report.cross_run_violations > 0
+    assert report.ok is False
 
 
 def test_run_all_equal_inputs_forces_validity(solvable_pair):
