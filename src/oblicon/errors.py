@@ -13,14 +13,22 @@ class NotRootedError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A pattern enumeration would exceed the configured node budget."""
 
-    def __init__(self, required: int, budget: int, rounds: int):
+    def __init__(self, required: int | None, budget: int, rounds: int):
+        """``required`` is the exact pattern count, or None when it is too
+        large to be worth computing."""
         self.required = required
         self.budget = budget
         self.rounds = rounds
-        super().__init__(
-            f"enumerating all {rounds}-round patterns needs {required} nodes, "
-            f"over the budget of {budget}"
-        )
+        if required is None:
+            message = (
+                f"enumerating all {rounds}-round patterns exceeds the budget of {budget} nodes"
+            )
+        else:
+            message = (
+                f"enumerating all {rounds}-round patterns needs {required} nodes, "
+                f"over the budget of {budget}"
+            )
+        super().__init__(message)
 
 
 class PremiseError(ValueError):

@@ -156,18 +156,19 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def bucket_labels(n: int, rows: Sequence[Sequence[object]]) -> dict[tuple[int, int], int]:
-    """Edge labels of the nodes whose ``rows[i][p]`` coincide for some p.
+def bucket_labels(columns: Sequence[Sequence[object]]) -> dict[tuple[int, int], int]:
+    """Edge labels of the nodes whose entries coincide in some process's column.
 
-    For each process p the nodes are grouped by their entry at p, and p's bit
-    is ORed into the label of every pair inside a group, so the work is
-    proportional to the indistinguishable pairs rather than all pairs.
+    ``columns[p][i]`` is node i's entry for process p.  For each process the
+    nodes are grouped by their entry, and p's bit is ORed into the label of
+    every pair inside a group, so the work is proportional to the
+    indistinguishable pairs rather than all pairs.
     """
     labels: dict[tuple[int, int], int] = {}
-    for p in range(n):
+    for p, column in enumerate(columns):
         buckets: dict[object, list[int]] = {}
-        for i, row in enumerate(rows):
-            buckets.setdefault(row[p], []).append(i)
+        for i, entry in enumerate(column):
+            buckets.setdefault(entry, []).append(i)
         pbit = 1 << p
         for members in buckets.values():
             for a in range(len(members)):
@@ -237,7 +238,8 @@ def single_round_indist(d: Adversary) -> IndistGraph:
     Two graphs are joined iff some process has identical in-neighborhoods in
     both; the label is the set of all such processes.
     """
-    return IndistGraph(len(d), d.names, bucket_labels(d.n, [g._in for g in d.graphs]))
+    in_masks = list(zip(*(g._in for g in d.graphs)))
+    return IndistGraph(len(d), d.names, bucket_labels(in_masks))
 
 
 def is_protected(

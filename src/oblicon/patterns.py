@@ -1,20 +1,35 @@
 """Multi-round communication patterns, full-information views, and their
 indistinguishability graphs.
 
-One kernel, ``_advance``, builds every view and influence state.  It moves a
-list of (view row, influence state) pairs through one round graph each.  A
-view is keyed by its process and the previous-round view ids of its
-in-neighbours, and the key is interned in a dict that lives for one round
-only.  Ids are therefore unique within a round and equal exactly when the
-views are equal under the recursive definition (process identity at round 0,
-then process and in-neighbour views one round earlier).  Inputs stay symbolic
-since indistinguishability compares patterns under identical inputs; concrete
-inputs only matter when runs are verified.
+A view is identified by its process and the previous-round views of its
+in-neighbours (process identity at round 0), and views are interned as small
+integer ids.  Ids of different processes never coincide, so two patterns
+leave a process with equal ids exactly when its views are equal under the
+recursive definition.  Inputs stay symbolic since indistinguishability
+compares patterns under identical inputs; concrete inputs only matter when
+runs are verified.
+
+Two kernels build the views:
+
+* ``iter_pattern_levels`` enumerates every pattern of each length and stores
+  a level as per-process columns: ``views[p][i]`` and ``influence[p][i]`` are
+  process p's view id and influence mask in the pattern with lexicographic
+  index i.  One round extends each column by every graph with a few
+  ``zip``/``map``/``dict`` calls per (process, graph) pair, so no Python code
+  runs per pattern.  Components, broadcaster masks and run verification read
+  the columns the same way.
+* ``final_views`` replays a few given patterns row by row (``_advance``).  It
+  backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
+  calls on one or two patterns would pay the column kernel's fixed cost per
+  process and graph on every call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial, reduce
+from itertools import chain, compress, count
+from operator import and_, ne, or_
 
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
@@ -22,8 +37,11 @@ from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
 from .procset import bit, procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
+# pattern counts above this are not computed exactly (see _check_budget)
+_EXACT_COUNT_LIMIT = 1 << 64
 
 Row = tuple[int, ...]
+Column = Sequence[int]
 InTuples = tuple[tuple[int, ...], ...]
 
 
@@ -90,7 +108,8 @@ def _start(n: int) -> tuple[Row, Row]:
 
 
 def _advance(steps: Iterable[tuple[Row, Row, InTuples]]) -> tuple[list[Row], list[Row]]:
-    """Advance every (view row, influence state, round graph) step by one round.
+    """Advance every (view row, influence state, round graph) step by one
+    round: the row replay behind ``final_views``.
 
     A new view's key lists the in-neighbours' view ids in ascending neighbour
     order.  Ids of different processes never coincide, so this is the same as
@@ -204,15 +223,65 @@ def pattern_index(sigma: Pattern) -> int:
 
 @dataclass
 class PatternLevel:
-    """All patterns of one length in lexicographic order, with their final view
-    rows and per-process influence states."""
+    """All patterns of one length in lexicographic order, stored as
+    per-process columns: ``views[p][i]`` is process p's final view id in
+    pattern i and ``influence[p][i]`` is p's influence mask there."""
 
     rounds: int
-    view_rows: list[Row]
-    influence: list[Row]
+    views: list[tuple[int, ...]]
+    influence: list[list[int]]
 
-    def broadcaster_masks(self, n: int) -> list[int]:
-        return [_common(state, n) for state in self.influence]
+    @property
+    def view_rows(self) -> list[Row]:
+        """Each pattern's view ids of all processes, built from the columns
+        on every read, for callers that read rows, such as the benchmark's
+        tracer; the library reads the columns."""
+        return list(zip(*self.views))
+
+    def broadcaster_masks(self) -> list[int]:
+        """Per pattern, the processes in every influence mask: its broadcasters."""
+        return list(_fold(and_, self.influence))
+
+
+def _fold(op, columns: Sequence[Column]) -> Iterator[int]:
+    """``op`` applied across equal-length columns, entry by entry, as nested maps."""
+    return reduce(partial(map, op), columns)
+
+
+def _level_zero(n: int) -> PatternLevel:
+    return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)])
+
+
+def _extend(level: PatternLevel, ins_of: Sequence[InTuples], m: int) -> PatternLevel:
+    """The next level: pattern i extended by graph g is pattern ``i*m + g``,
+    so graph g fills the slots ``g::m`` of every new column.
+
+    Process p's new view key under g is the tuple of its in-neighbours' view
+    ids, or p's own view id when it hears only itself; the keys are interned
+    per process, with ids counted on from the previous process's so that ids
+    of different processes never coincide.  p's new influence mask ORs the
+    masks of its in-neighbours.
+    """
+    views, influence = level.views, level.influence
+    size = len(views[0]) * m
+    base = 0
+    new_views: list[tuple[int, ...]] = []
+    new_influence: list[list[int]] = []
+    for p, ins_p in enumerate(ins_of):
+        keys: list[object] = [None] * size
+        masks = [0] * size
+        for g, qs in enumerate(ins_p):
+            if len(qs) == 1:
+                keys[g::m] = views[p]
+                masks[g::m] = influence[p]
+            else:
+                keys[g::m] = zip(*[views[q] for q in qs])
+                masks[g::m] = _fold(or_, [influence[q] for q in qs])
+        ids = dict(zip(dict.fromkeys(keys), count(base)))
+        base += len(ids)
+        new_views.append(tuple(map(ids.__getitem__, keys)))
+        new_influence.append(masks)
+    return PatternLevel(level.rounds + 1, new_views, new_influence)
 
 
 def iter_pattern_levels(
@@ -222,23 +291,32 @@ def iter_pattern_levels(
 
     Raises ValueError for a negative r_max, and BudgetExceededError before
     materializing a level whose pattern count exceeds the budget; the error
-    names the offending count and length.
+    names the offending length, and the count when it is at most 2**64.
     """
     if r_max < 0:
         raise ValueError(f"round count must be non-negative, got {r_max}")
-    graph_ins = [g.in_indices() for g in d.graphs]
-    row, state = _start(d.n)
-    rows, states = [row], [state]
+    ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
+    level = _level_zero(d.n)
     for k in range(1, r_max + 1):
         _check_budget(d, k, budget)
-        rows, states = _advance(
-            (row, state, ins) for row, state in zip(rows, states) for ins in graph_ins
-        )
-        yield PatternLevel(k, rows, states)
+        level = _extend(level, ins_of, len(d))
+        yield level
 
 
 def _check_budget(d: Adversary, r: int, budget: int) -> None:
-    required = len(d) ** r
+    """Raise BudgetExceededError when the patterns of length r exceed the budget.
+
+    The count is multiplied up one round at a time and abandoned once it
+    passes both the budget and 2**64, so a huge r builds no huge integer;
+    the error then carries no exact count.  A single graph gives one pattern
+    of every length, so it needs no loop.
+    """
+    m = len(d)
+    required = 1
+    for _ in range(r if m > 1 else 0):
+        required *= m
+        if required > budget and required > _EXACT_COUNT_LIMIT:
+            raise BudgetExceededError(None, budget, r)
     if required > budget:
         raise BudgetExceededError(required, budget, r)
 
@@ -248,28 +326,36 @@ def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
     is named in the error before any level is built."""
     if r > 0:
         _check_budget(d, r, budget)
-    row, state = _start(d.n)
-    level = PatternLevel(0, [row], [state])
+    level = _level_zero(d.n)
     for level in iter_pattern_levels(d, r, budget):
         pass
     return level
 
 
-def _view_pairs(n: int, rows: Sequence[Row]) -> Iterator[tuple[int, int]]:
-    """(first pattern with this view, pattern) for every process's final view:
-    patterns sharing any process's view are indistinguishable."""
-    for p in range(n):
-        first: dict[int, int] = {}
-        for i, row in enumerate(rows):
-            j = first.setdefault(row[p], i)
-            if j != i:
-                yield j, i
+def _first_seen(column: Column) -> list[int] | None:
+    """Each pattern's first pattern with the same entry in the column, or
+    None when all entries are distinct."""
+    first = dict(zip(reversed(column), reversed(range(len(column)))))
+    if len(first) == len(column):
+        return None
+    return list(map(first.__getitem__, column))
 
 
-def _components_from_rows(n: int, rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
+def _view_pairs(views: Sequence[Column]) -> Iterator[tuple[int, int]]:
+    """(first pattern with this view, pattern) for every process's final view
+    that an earlier pattern shares: patterns sharing any process's view are
+    indistinguishable."""
+    return chain.from_iterable(
+        compress(zip(firsts, count()), map(ne, firsts, count()))
+        for firsts in map(_first_seen, views)
+        if firsts is not None
+    )
+
+
+def _components(views: Sequence[Column]) -> tuple[list[int], list[list[int]]]:
     """Each pattern's component index and the components of the pattern
     indistinguishability graph, each ascending and ordered by smallest index."""
-    return group(union_find(len(rows), _view_pairs(n, rows)))
+    return group(union_find(len(views[0]), _view_pairs(views)))
 
 
 def pattern_components(
@@ -277,8 +363,7 @@ def pattern_components(
 ) -> list[list[int]]:
     """Connected components of the r-round pattern indistinguishability graph,
     as lists of lexicographic pattern indices."""
-    level = _final_level(d, r, budget)
-    _, comps = _components_from_rows(d.n, level.view_rows)
+    _, comps = _components(_final_level(d, r, budget).views)
     return comps
 
 
@@ -292,6 +377,7 @@ def pattern_indist_graph(
     buckets, so the work is proportional to the indistinguishable pairs
     rather than all pairs.
     """
-    rows = _final_level(d, r, budget).view_rows
-    names = [pattern_at(d, r, i).name for i in range(len(rows))]
-    return IndistGraph(len(rows), names, bucket_labels(d.n, rows))
+    views = _final_level(d, r, budget).views
+    size = len(views[0])
+    names = [pattern_at(d, r, i).name for i in range(size)]
+    return IndistGraph(size, names, bucket_labels(views))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import compress, count, islice
+from operator import ne
 
 from .decision import decide
 from .errors import NonBroadcastableComponentError, NotRootedError
@@ -18,8 +20,9 @@ from .indist import Adversary, common_masks
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
-    _components_from_rows,
+    _components,
     _final_level,
+    _first_seen,
     broadcaster_mask,
     indist_label,
     iter_pattern_levels,
@@ -35,7 +38,8 @@ class ConsensusRule:
     """Decision rule at a fixed horizon: pattern component -> adopted broadcaster.
 
     ``chosen[c]`` is the smallest common broadcaster of component c; a run
-    whose pattern lies in c decides on that process's input.
+    whose pattern lies in c decides on that process's input.  ``views[p][i]``
+    is process p's final view id in pattern i.
     """
 
     adversary: Adversary
@@ -44,7 +48,7 @@ class ConsensusRule:
     components: tuple[tuple[int, ...], ...]
     chosen: tuple[int, ...]
     broadcast_masks: tuple[int, ...]
-    view_rows: tuple[tuple[int, ...], ...]
+    views: tuple[tuple[int, ...], ...]
 
     def decision_process(self, sigma: Pattern) -> int:
         return self.chosen[self.component_of[pattern_index(sigma)]]
@@ -97,9 +101,8 @@ def build_rule(
     which signals that t is too small or consensus is unsolvable.
     """
     level = _final_level(d, t, budget)
-    rows = level.view_rows
-    bmasks = level.broadcaster_masks(d.n)
-    comp_of, comps = _components_from_rows(d.n, rows)
+    bmasks = level.broadcaster_masks()
+    comp_of, comps = _components(level.views)
     chosen = []
     for comp, common in zip(comps, common_masks(comps, bmasks)):
         if common == 0:
@@ -113,7 +116,7 @@ def build_rule(
         components=tuple(tuple(c) for c in comps),
         chosen=tuple(chosen),
         broadcast_masks=tuple(bmasks),
-        view_rows=tuple(rows),
+        views=tuple(level.views),
     )
 
 
@@ -160,33 +163,38 @@ def verify_all_runs(
     vectors: list[tuple] = (
         [tuple(inputs)] if inputs is not None else [tuple(range(1, n + 1)), (1,) * n]
     )
+
+    def name(idx: int) -> str:
+        return pattern_at(d, rule.t, idx).name
+
+    decided = list(map(rule.chosen.__getitem__, rule.component_of))
+    total = len(decided)
     agreement = validity = termination = 0
     samples: list[str] = []
-    total = len(rule.component_of)
     for vec in vectors:
-        for idx in range(total):
-            b = rule.chosen[rule.component_of[idx]]
-            value = vec[b - 1]
-            bmask = rule.broadcast_masks[idx]
-            if not any(vec[q - 1] == value for q in procs_of(bmask)):
-                validity += 1
-                if len(samples) < 8:
-                    samples.append(
-                        f"validity: pattern {pattern_at(d, rule.t, idx).name} "
-                        f"decided input of p{b}"
-                    )
+        # validity depends only on the decided process and the broadcasters
+        bad = {
+            (b, bmask)
+            for b, bmask in set(zip(decided, rule.broadcast_masks))
+            if not any(vec[q - 1] == vec[b - 1] for q in procs_of(bmask))
+        }
+        if not bad:
+            continue
+        flags = list(map(bad.__contains__, zip(decided, rule.broadcast_masks)))
+        validity += flags.count(True)
+        for idx in islice(compress(count(), flags), 8 - len(samples)):
+            samples.append(f"validity: pattern {name(idx)} decided input of p{decided[idx]}")
     cross = 0
-    for p in range(n):
-        buckets: dict[int, int] = {}
-        for idx, row in enumerate(rule.view_rows):
-            first = buckets.setdefault(row[p], idx)
-            if rule.chosen[rule.component_of[first]] != rule.chosen[rule.component_of[idx]]:
-                cross += 1
-                if len(samples) < 8:
-                    samples.append(
-                        f"cross-run: {pattern_at(d, rule.t, first).name} vs "
-                        f"{pattern_at(d, rule.t, idx).name} disagree for p{p + 1}"
-                    )
+    for p, column in enumerate(rule.views):
+        firsts = _first_seen(column)
+        if firsts is None:
+            continue
+        flags = list(map(ne, map(decided.__getitem__, firsts), decided))
+        cross += flags.count(True)
+        for idx in islice(compress(count(), flags), 8 - len(samples)):
+            samples.append(
+                f"cross-run: {name(firsts[idx])} vs {name(idx)} disagree for p{p + 1}"
+            )
     return VerificationReport(
         horizon=rule.t,
         runs=total * len(vectors),
@@ -208,9 +216,8 @@ def oracle_min_horizon(
     the refinement procedure, only at raw view equality and influence.
     """
     for level in iter_pattern_levels(d, r_max, budget):
-        bmasks = level.broadcaster_masks(d.n)
-        _, comps = _components_from_rows(d.n, level.view_rows)
-        if all(common_masks(comps, bmasks)):
+        _, comps = _components(level.views)
+        if all(common_masks(comps, level.broadcaster_masks())):
             return level.rounds
     return None
 

@@ -1,15 +1,22 @@
 """The benchmark's per-layer tracing patches functions by name.  A refactor
 that renames or removes one would silently turn its layer into "missing", so
-every hook target must resolve in the package."""
+every hook target must resolve in the package, and the counters the tracer
+derives from what the hooked functions return must stay right."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
+from oblicon.cli import load_adversary, main
+from oblicon.patterns import iter_pattern_levels
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+CHAIN8 = Path(__file__).parent / "fixtures" / "chain8.json"
 
 
 def _load_tracing():
@@ -31,3 +38,20 @@ def test_every_hook_target_resolves():
         target = getattr(importlib.import_module(hook.module), hook.attr, None)
         assert callable(target), f"{hook.layer}: {hook.module}.{hook.attr} is gone"
         assert inspect.isgeneratorfunction(target) == hook.generator, hook.layer
+
+
+def test_traced_oracle_counts_patterns_and_final_views():
+    # chain(8) has no broadcastable horizon up to 3, so the oracle enumerates
+    # every level 1..3
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.hooked(tracer) as missing, redirect_stdout(io.StringIO()):
+        assert main(["oracle", str(CHAIN8), "--rmax", "3"]) == 1
+    tracer.end_op()
+    assert missing == []
+    d = load_adversary(str(CHAIN8))
+    m = len(d)
+    assert tracer.counts["patterns.rounds"] == 3
+    assert tracer.counts["patterns.enumerated"] == m + m**2 + m**3
+    *_, last = iter_pattern_levels(d, 3)
+    assert tracer.counts["patterns.views_final"] == len(set().union(*last.views))

@@ -207,6 +207,20 @@ def test_negative_round_count_is_an_input_error(chain_file, verb, option, value,
     assert captured.err == f"error: round count must be non-negative, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "verb,option", [("verify", "--horizon"), ("export-dot", "--rounds")]
+)
+def test_huge_round_count_is_a_budget_error(ll_file, verb, option, capsys):
+    # 3**10000 has 4,772 digits: the count must not be built, let alone printed
+    assert main([verb, ll_file, option, "10000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget error: enumerating all 10000-round patterns exceeds the budget "
+        "of 200000 nodes\n"
+    )
+
+
 def test_cli_byte_determinism(ll_file, chain_file, tmp_path, capsys):
     commands = [
         ["decide", ll_file, "--trace"],

@@ -6,7 +6,10 @@ compares stdout with the recorded file exactly; stderr must stay empty.  The
 every level as a full graph, so they pin that the bitset engine reproduces its
 output byte for byte.  The ``verify``, ``oracle``, ``--rounds`` and
 ``simulate`` fixtures were produced before pattern components and the
-per-component broadcaster checks moved onto the shared union-find.
+per-component broadcaster checks moved onto the shared union-find.  The
+``random_rooted4_5_0`` fixtures were produced by the row-per-pattern
+enumeration; its rule at horizon 3 has 19 components of up to 10 patterns,
+decided by all four processes.
 """
 from pathlib import Path
 
@@ -39,6 +42,14 @@ CASES = [
         ("verify_h2.json", ["verify", "--horizon", "2", "--format", "json"]),
         ("oracle_r3.txt", ["oracle", "--rmax", "3"]),
         ("simulate.txt", ["simulate", "--pattern", "G1.G2", "--inputs", INPUTS[doc]]),
+    )
+] + [
+    ("random_rooted4_5_0", out, argv, 0)
+    for out, argv in (
+        ("verify_h3.txt", ["verify", "--horizon", "3"]),
+        ("verify_h3.json", ["verify", "--horizon", "3", "--format", "json"]),
+        ("oracle_r3.txt", ["oracle", "--rmax", "3"]),
+        ("rounds2.dot", ["export-dot", "--rounds", "2"]),
     )
 ]
 

@@ -165,6 +165,18 @@ def test_pattern_budget_error(lossy_link_2):
     assert exc.value.rounds == 5
 
 
+def test_budget_check_builds_no_huge_count(lossy_link_2):
+    # 3**(10**9) would take hundreds of megabytes to build
+    with pytest.raises(BudgetExceededError) as exc:
+        pattern_indist_graph(lossy_link_2, 10**9)
+    assert exc.value.required is None
+    assert exc.value.rounds == 10**9
+    # a count up to 2**64 is still reported exactly
+    with pytest.raises(BudgetExceededError) as exc:
+        pattern_indist_graph(lossy_link_2, 40, budget=10)
+    assert exc.value.required == 3**40
+
+
 def test_pattern_indexing_roundtrip(lossy_link_2):
     d = lossy_link_2
     for idx in range(27):

@@ -25,8 +25,10 @@ from oblicon.indist import (
 )
 from oblicon.patterns import (
     Pattern,
+    broadcaster_mask,
     final_views,
     indist_label,
+    iter_pattern_levels,
     pattern_at,
     pattern_components,
     pattern_indist_graph,
@@ -39,6 +41,7 @@ from conftest import (
     naive_indist_procs,
     naive_refinement,
     naive_root,
+    naive_view,
 )
 
 
@@ -130,6 +133,51 @@ def test_pattern_components_match_pattern_graph(d, r):
     assert tuple(map(tuple, pattern_components(d, r))) == naive_components(
         pattern_indist_graph(d, r)
     )
+
+
+def _partition(values) -> list[list[int]]:
+    """Indices grouped by equal value, in order of first occurrence."""
+    groups: dict = {}
+    for i, v in enumerate(values):
+        groups.setdefault(v, []).append(i)
+    return list(groups.values())
+
+
+def _heard(view) -> int:
+    """Mask of the processes whose round-0 view occurs inside a naive view."""
+    if view[0] == "init":
+        return 1 << (view[1] - 1)
+    mask = 0
+    for sub in view[2]:
+        mask |= _heard(sub)
+    return mask
+
+
+@given(adversaries(max_n=4, max_graphs=3))
+@settings(max_examples=40, deadline=None)
+def test_column_levels_match_naive_views(d):
+    n = d.n
+    for level in iter_pattern_levels(d, 3):
+        r = level.rounds
+        pats = [pattern_at(d, r, i) for i in range(len(d) ** r)]
+        naive = [[naive_view(sigma, p, r) for sigma in pats] for p in range(1, n + 1)]
+        # ids of different processes never coincide
+        assert len(set().union(*level.views)) == sum(len(set(c)) for c in level.views)
+        labels: dict[tuple[int, int], int] = {}
+        for p in range(n):
+            assert len(level.views[p]) == len(pats)
+            groups = _partition(naive[p])
+            assert _partition(level.views[p]) == groups
+            assert level.influence[p] == [_heard(view) for view in naive[p]]
+            for members in groups:
+                for a, i in enumerate(members):
+                    for j in members[a + 1:]:
+                        labels[(i, j)] = labels.get((i, j), 0) | (1 << p)
+        assert level.broadcaster_masks() == [broadcaster_mask(sigma) for sigma in pats]
+        pig = pattern_indist_graph(d, r)
+        assert {(u, v): lab for u, v, lab in pig.edges()} == labels
+        naive_graph = IndistGraph(len(pats), [s.name for s in pats], labels)
+        assert tuple(map(tuple, pattern_components(d, r))) == naive_components(naive_graph)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from oblicon.cli import load_adversary
 from oblicon.decision import Verdict, decide
 from oblicon.errors import BudgetExceededError, NonBroadcastableComponentError
 from oblicon.graphs import CommunicationGraph
@@ -65,6 +67,10 @@ def test_verifier_catches_wrong_broadcaster(solvable_pair):
     report = verify_all_runs(rule)
     assert report.validity_violations == 4
     assert report.ok is False
+    assert report.samples == tuple(
+        f"validity: pattern {name} decided input of p2"
+        for name in ("G1.G1", "G1.G2", "G2.G1", "G2.G2")
+    )
 
 
 def test_verifier_catches_split_component(solvable_pair):
@@ -74,6 +80,47 @@ def test_verifier_catches_split_component(solvable_pair):
     report = verify_all_runs(wrong)
     assert report.cross_run_violations > 0
     assert report.ok is False
+    assert (report.validity_violations, report.cross_run_violations) == (1, 2)
+    assert report.samples == (
+        "validity: pattern G2.G2 decided input of p3",
+        "cross-run: G1.G1 vs G2.G2 disagree for p1",
+        "cross-run: G1.G1 vs G2.G2 disagree for p2",
+    )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_verifier_samples_keep_order_and_cap():
+    # alternating components with different broadcasters: both checks fire
+    # far more often than the eight samples kept; counts and samples were
+    # recorded from the row-per-pattern verifier
+    d = load_adversary(str(FIXTURES / "random_rooted4_5_0.json"))
+    rule = build_rule(d, 3)
+    wrong = dataclasses.replace(
+        rule, component_of=tuple(i % 2 for i in range(len(rule.component_of))), chosen=(1, 2)
+    )
+    report = verify_all_runs(wrong)
+    assert (report.runs, report.validity_violations, report.cross_run_violations) == (250, 12, 56)
+    assert report.samples == tuple(
+        f"validity: pattern {name} decided input of p{p}"
+        for name, p in (
+            ("G1.G1.G1", 1), ("G2.G1.G1", 2), ("G2.G2.G2", 2), ("G2.G3.G3", 2),
+            ("G2.G5.G1", 2), ("G2.G5.G3", 2), ("G5.G1.G1", 1), ("G5.G2.G3", 2),
+        )
+    )
+    report = verify_all_runs(wrong, "aabb")
+    assert (report.runs, report.validity_violations, report.cross_run_violations) == (125, 2, 56)
+    assert report.samples == (
+        "validity: pattern G1.G1.G1 decided input of p1",
+        "validity: pattern G5.G1.G1 decided input of p1",
+    ) + tuple(
+        f"cross-run: {a} vs {b} disagree for p1"
+        for a, b in (
+            ("G1.G1.G1", "G1.G1.G4"), ("G1.G2.G1", "G1.G2.G4"), ("G1.G3.G1", "G1.G3.G4"),
+            ("G1.G1.G3", "G1.G4.G3"), ("G1.G4.G1", "G1.G4.G4"), ("G1.G5.G1", "G1.G5.G4"),
+        )
+    )
 
 
 def test_run_all_equal_inputs_forces_validity(solvable_pair):
