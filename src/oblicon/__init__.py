@@ -22,10 +22,8 @@ from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     broadcaster_mask,
-    broadcasters,
     heard_of,
     indist_label,
-    indistinguishable,
     pattern_at,
     pattern_index,
     pattern_indist_graph,
@@ -63,14 +61,12 @@ __all__ = [
     "Verdict",
     "VerificationReport",
     "broadcaster_mask",
-    "broadcasters",
     "build_rule",
     "check_protected_chain",
     "decide",
     "heard_of",
     "imposs_witness",
     "indist_label",
-    "indistinguishable",
     "is_protected",
     "is_root_compatible",
     "oracle_min_horizon",

@@ -8,6 +8,7 @@ from sorted structures so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -82,6 +83,9 @@ def adversary_from_doc(doc: Any) -> Adversary:
         name = entry.get("name")
         if name is not None and not isinstance(name, str):
             raise AdversaryFormatError(f"graph {k} name must be a string")
+        if name is not None and ("." in name or "," in name):
+            # `simulate --pattern` separates graph names with these
+            raise AdversaryFormatError(f"graph {k} name {name!r} contains '.' or ','")
         raw_edges = entry.get("edges", [])
         if not isinstance(raw_edges, list):
             raise AdversaryFormatError(f"graph {k} edges must be a list")
@@ -381,7 +385,18 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``oblicon`` argument parser, built on the first call and shared
+    by every later one in the process.
+
+    ``main`` calls this on every invocation, so only the first pays for
+    argparse's set-up.  Reuse is safe because parsing never writes to the
+    parser: no argument appends or has a mutable default, and argparse
+    picks its output streams and the terminal width when it prints.  Each
+    sub-command's ``cmd_*`` handler is bound when the parser is first
+    built.  Callers must not modify the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="oblicon",
         description=(
@@ -464,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI call and return its exit code; callable repeatedly in one
+    process."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AdversaryFormatError as exc:

@@ -43,9 +43,6 @@ class CommunicationGraph:
     def complete(cls, n: int, name: str | None = None) -> "CommunicationGraph":
         return cls(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v], name)
 
-    def in_mask(self, p: int) -> int:
-        return self._in[p - 1]
-
     def in_neighbors(self, p: int) -> tuple[int, ...]:
         return procs_of(self._in[p - 1])
 
@@ -55,9 +52,6 @@ class CommunicationGraph:
         if self._in_indices is None:
             self._in_indices = tuple(tuple(q - 1 for q in procs_of(m)) for m in self._in)
         return self._in_indices
-
-    def out_mask(self, p: int) -> int:
-        return self._out[p - 1]
 
     def edges(self, with_loops: bool = False) -> list[tuple[int, int]]:
         """Edges (u, v) in ascending order, read off the out-masks."""

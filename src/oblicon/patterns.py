@@ -34,7 +34,7 @@ from operator import and_, ne, or_
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
 from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
-from .procset import bit, procs_of
+from .procset import bit
 
 DEFAULT_PATTERN_BUDGET = 200_000
 # pattern counts above this are not computed exactly (see _check_budget)
@@ -162,11 +162,6 @@ def final_views(patterns: Sequence[Pattern]) -> list[tuple[Row, Row]]:
     return list(zip(rows, states))
 
 
-def indistinguishable(sigma: Pattern, sigma_prime: Pattern, p: int) -> bool:
-    """True iff p ends with identical views under both (equal-length) patterns."""
-    return bool(indist_label(sigma, sigma_prime) & bit(p))
-
-
 def indist_label(sigma: Pattern, sigma_prime: Pattern) -> int:
     """Mask of the processes that cannot distinguish the two patterns."""
     (a, _), (b, _) = final_views([sigma, sigma_prime])
@@ -191,14 +186,6 @@ def broadcaster_mask(sigma: Pattern) -> int:
     """Mask of processes whose initial state reaches everyone by the end."""
     [(_, state)] = final_views([sigma])
     return _common(state, sigma.adversary.n)
-
-
-def broadcasters(sigma: Pattern) -> frozenset[int]:
-    return frozenset(procs_of(broadcaster_mask(sigma)))
-
-
-def pattern_count(d: Adversary, r: int) -> int:
-    return len(d) ** r
 
 
 def pattern_at(d: Adversary, r: int, index: int) -> Pattern:

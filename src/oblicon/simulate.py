@@ -103,8 +103,9 @@ def build_rule(
     level = _final_level(d, t, budget)
     bmasks = level.broadcaster_masks()
     comp_of, comps = _components(level.views)
+    components = tuple(map(tuple, comps))
     chosen = []
-    for comp, common in zip(comps, common_masks(comps, bmasks)):
+    for comp, common in zip(components, common_masks(components, bmasks)):
         if common == 0:
             names = [pattern_at(d, t, i).name for i in comp]
             raise NonBroadcastableComponentError(t, names)
@@ -113,7 +114,7 @@ def build_rule(
         adversary=d,
         t=t,
         component_of=tuple(comp_of),
-        components=tuple(tuple(c) for c in comps),
+        components=components,
         chosen=tuple(chosen),
         broadcast_masks=tuple(bmasks),
         views=tuple(level.views),

@@ -138,6 +138,19 @@ def test_simulate_verb(tmp_path, capsys):
     assert "adopt the input of p1" in out and "'x'" in out
 
 
+@pytest.mark.parametrize("name", ["x.y", "x,y"])
+def test_graph_name_with_pattern_separator_is_rejected(tmp_path, capsys, name):
+    # `simulate --pattern` splits on '.' and ',', so it could not address this graph
+    doc = {"n": 2, "graphs": [{"name": "G", "edges": []}, {"name": name, "edges": [[1, 2]]}]}
+    path = tmp_path / "sep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["decide"], ["simulate", "--pattern", name]):
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: graph 1 name {name!r} contains '.' or ','\n"
+
+
 def test_generate_families(tmp_path):
     out = tmp_path / "g.json"
     assert main(["generate", "lossy-link", "--n", "2", "--f", "1", "-o", str(out)]) == 0

@@ -10,12 +10,19 @@ per-component broadcaster checks moved onto the shared union-find.  The
 ``random_rooted4_5_0`` fixtures were produced by the row-per-pattern
 enumeration; its rule at horizon 3 has 19 components of up to 10 patterns,
 decided by all four processes.
+
+The ``usage.*`` fixtures pin argparse's own output (help and a usage error)
+as recorded before ``main`` began reusing one parser per process.  Their
+layout follows the terminal width, so those tests set ``COLUMNS=80``, and it
+differs between Python minor versions; they were recorded with Python 3.11.
+Every call must give the same bytes whether it builds the parser or reuses
+it after other calls.
 """
 from pathlib import Path
 
 import pytest
 
-from oblicon.cli import main
+from oblicon.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,11 +61,70 @@ CASES = [
 ]
 
 
+# (fixture name, argv, exit code, stream written); help exits 0 on stdout, a
+# usage error exits 2 on stderr, both through SystemExit.
+USAGE_CASES = [
+    ("help", ["--help"], 0, "out"),
+    ("decide_help", ["decide", "--help"], 0, "out"),
+    ("verify_no_file", ["verify"], 2, "err"),
+]
+
+
+def _fixture_call(doc, out, argv, code):
+    """(argv, exit code, stdout, stderr) expected of one fixture case."""
+    text = (FIXTURES / f"{doc}.{out}").read_text(encoding="utf-8")
+    return [*argv, str(FIXTURES / f"{doc}.json")], code, text, ""
+
+
+def _usage_call(name, argv, code, stream):
+    """(argv, exit code, stdout, stderr) expected of one usage case."""
+    text = (FIXTURES / f"usage.{name}.txt").read_text(encoding="utf-8")
+    return (argv, code, text, "") if stream == "out" else (argv, code, "", text)
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.mark.parametrize(
     "doc,out,argv,code", CASES, ids=[f"{doc}.{out}" for doc, out, _, _ in CASES]
 )
 def test_cli_output_matches_fixture(doc, out, argv, code, capsys):
-    assert main([*argv, str(FIXTURES / f"{doc}.json")]) == code
-    captured = capsys.readouterr()
-    assert captured.out == (FIXTURES / f"{doc}.{out}").read_text(encoding="utf-8")
-    assert captured.err == ""
+    argv, *expected = _fixture_call(doc, out, argv, code)
+    assert list(_run(argv, capsys)) == expected
+
+
+@pytest.mark.parametrize(
+    "name,argv,code,stream", USAGE_CASES, ids=[name for name, *_ in USAGE_CASES]
+)
+def test_usage_output_matches_fixture(name, argv, code, stream, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser.cache_clear()  # this call builds the parser
+    argv, *expected = _usage_call(name, argv, code, stream)
+    assert list(_run(argv, capsys)) == expected
+
+
+def test_repeated_calls_share_no_state(capsys, monkeypatch):
+    """Every fixture case twice in one process, with a usage error and a
+    help text between consecutive cases, then ``decide --trace`` right before
+    a plain ``decide``: each call matches its fixture, exit code included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser.cache_clear()  # the first call below builds the parser
+    helps = [_usage_call(*c) for c in USAGE_CASES if c[3] == "out"]
+    (error,) = [_usage_call(*c) for c in USAGE_CASES if c[3] == "err"]
+    calls = []
+    for k, case in enumerate(CASES * 2):
+        calls += [_fixture_call(*case), error, helps[k % len(helps)]]
+    trace, plain = (
+        _fixture_call("chain8", out, argv, 0)
+        for out, argv in (("decide_trace.txt", ["decide", "--trace"]), ("decide.txt", ["decide"]))
+    )
+    calls += [trace, plain, trace, plain]
+    for argv, *expected in calls:
+        assert list(_run(argv, capsys)) == expected, argv

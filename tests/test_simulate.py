@@ -49,7 +49,8 @@ def test_build_rule_horizon_zero():
 
 def test_build_rule_source_broadcast_singleton_components():
     from oblicon.families import source_broadcast
-    from oblicon.patterns import broadcasters, pattern_at
+    from oblicon.patterns import broadcaster_mask, pattern_at
+    from oblicon.procset import procs_of
 
     d = source_broadcast(3, 1)
     rule = build_rule(d, 2)
@@ -57,7 +58,7 @@ def test_build_rule_source_broadcast_singleton_components():
     # every pattern is its own component and adopts its smallest broadcaster
     for comp, b in zip(rule.components, rule.chosen):
         sigma = pattern_at(d, 2, comp[0])
-        assert b == min(broadcasters(sigma))
+        assert b == min(procs_of(broadcaster_mask(sigma)))
 
 
 def test_verifier_catches_wrong_broadcaster(solvable_pair):
