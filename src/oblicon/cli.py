@@ -83,9 +83,12 @@ def adversary_from_doc(doc: Any) -> Adversary:
         name = entry.get("name")
         if name is not None and not isinstance(name, str):
             raise AdversaryFormatError(f"graph {k} name must be a string")
+        # `simulate --pattern` splits names on '.' and ',' and strips each one
         if name is not None and ("." in name or "," in name):
-            # `simulate --pattern` separates graph names with these
             raise AdversaryFormatError(f"graph {k} name {name!r} contains '.' or ','")
+        if name is not None and (not name or name != name.strip()):
+            blank = "is empty or has leading or trailing whitespace"
+            raise AdversaryFormatError(f"graph {k} name {name!r} {blank}")
         raw_edges = entry.get("edges", [])
         if not isinstance(raw_edges, list):
             raise AdversaryFormatError(f"graph {k} edges must be a list")

@@ -19,16 +19,24 @@ class BudgetExceededError(RuntimeError):
         self.required = required
         self.budget = budget
         self.rounds = rounds
-        if required is None:
-            message = (
-                f"enumerating all {rounds}-round patterns exceeds the budget of {budget} nodes"
-            )
-        else:
-            message = (
-                f"enumerating all {rounds}-round patterns needs {required} nodes, "
-                f"over the budget of {budget}"
-            )
-        super().__init__(message)
+        super().__init__(self._message())
+
+    def _message(self) -> str:
+        head = f"enumerating all {self.rounds}-round patterns"
+        if self.required is None:
+            return f"{head} exceeds the budget of {self.budget} nodes"
+        return f"{head} needs {self.required} nodes, over the budget of {self.budget}"
+
+
+class PairBudgetExceededError(BudgetExceededError):
+    """A pattern graph would hold more indistinguishable pairs than the
+    budget; ``required`` counts them once per process that shares a view."""
+
+    def _message(self) -> str:
+        return (
+            f"the {self.rounds}-round pattern graph has up to {self.required} "
+            f"indistinguishable pairs, over the budget of {self.budget}"
+        )
 
 
 class PremiseError(ValueError):

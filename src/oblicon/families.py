@@ -15,7 +15,6 @@ from heapq import heappop, heappush
 from itertools import combinations, product
 from collections.abc import Iterator, Sequence
 
-from .decision import RefinementTrace, decide
 from .errors import FamilyValidationError
 from .graphs import CommunicationGraph
 from .indist import (
@@ -129,27 +128,46 @@ def simple_chain_spec(num_graphs: int, n: int | None = None) -> ChainSpec:
     return ChainSpec(n, roots, encoders)
 
 
-def gen_chain(spec: ChainSpec) -> Adversary:
-    """Build the chain adversary and verify its two structural claims:
-    Root(G_i) = R_i, and the indistinguishability graph is exactly the chain
-    with edge (G_i, G_{i+1}) labeled R_{i+2}."""
+def _build_chain(spec: ChainSpec, path: Sequence[int] = ()) -> Adversary:
+    """The chain adversary G_1..G_N, unchecked; with a relay path, R_i reaches
+    the encoders only through it: R_i -> path[0] -> ... -> path[-1] -> B."""
     n = spec.n
     enc_sorted = sorted(spec.encoders)
     num = spec.num_graphs
-    universe = set(range(1, n + 1))
+    others = set(range(1, n + 1)) - spec.encoders - set(path)
+    if path:
+        heads = [path[0]]
+        relay = list(zip(path, path[1:])) + _fan([path[-1]], enc_sorted)
+    else:
+        heads, relay = enc_sorted, []
     graphs = []
     for i in range(1, num + 1):
         r_i = spec.roots[i - 1]
         r_next = spec.roots[i]
         r_after = spec.roots[i + 1] if i < num else frozenset()
-        leftover = universe - spec.encoders - r_i - r_next - r_after
+        leftover = others - r_i - r_next - r_after
         edges = _clique(sorted(r_i))
-        edges += _fan(sorted(r_i), enc_sorted + sorted(leftover))
+        edges += _fan(sorted(r_i), heads + sorted(leftover))
+        edges += relay
         edges += _fan(_encode(enc_sorted, i), sorted(r_next))
         if i < num:
             edges += _fan(_encode(enc_sorted, i + 1), sorted(r_after))
         graphs.append(CommunicationGraph(n, edges, name=f"G{i}"))
-    adv = Adversary(graphs)
+    return Adversary(graphs)
+
+
+def _check_roots(roots: Sequence[frozenset[int]], adv: Adversary) -> None:
+    """Root(G_i) = R_i for every graph of a chain."""
+    for i, g in enumerate(adv.graphs, start=1):
+        if g.root != roots[i - 1]:
+            raise FamilyValidationError(f"Root(G{i}) = {g.root}, expected {set(roots[i - 1])}")
+
+
+def gen_chain(spec: ChainSpec) -> Adversary:
+    """Build the chain adversary and verify its two structural claims:
+    Root(G_i) = R_i, and the indistinguishability graph is exactly the chain
+    with edge (G_i, G_{i+1}) labeled R_{i+2}."""
+    adv = _build_chain(spec)
     _validate_chain(spec, adv)
     return adv
 
@@ -162,11 +180,7 @@ def _validate_chain(spec: ChainSpec, adv: Adversary) -> None:
             raise FamilyValidationError(f"encoding of index {k} is empty")
     if len(set(codes)) != len(codes):
         raise FamilyValidationError("encoder set too small: index encodings collide")
-    for i, g in enumerate(adv.graphs, start=1):
-        if g.root != spec.roots[i - 1]:
-            raise FamilyValidationError(
-                f"Root(G{i}) = {g.root}, expected {set(spec.roots[i - 1])}"
-            )
+    _check_roots(spec.roots, adv)
     ig = single_round_indist(adv)
     expected = {
         (i - 1, i): mask_of(spec.roots[i + 1]) for i in range(1, spec.num_graphs)
@@ -260,49 +274,20 @@ class InflateSpec:
             if set(p) & r:
                 raise FamilyValidationError(f"relay path intersects root set R_{k}")
 
-    @property
-    def entry(self) -> int:
-        return self.path[0]
-
 
 def gen_inflated(spec: InflateSpec) -> Adversary:
     """Build the inflated chain and verify the delay property: G_i and G_{i+1}
     repeated r times stay indistinguishable for all of R_{i+2} while
     r <= path length.  Also checks that every indistinguishability edge that
     is new relative to the base chain has its label inside B union P."""
-    base = spec.base
-    n = base.n
-    num = base.num_graphs
-    enc_sorted = sorted(base.encoders)
-    path = spec.path
-    universe = set(range(1, n + 1))
-    path_edges = [(path[k], path[k + 1]) for k in range(len(path) - 1)]
-    graphs = []
-    for i in range(1, num + 1):
-        r_i = base.roots[i - 1]
-        r_next = base.roots[i]
-        r_after = base.roots[i + 1] if i < num else frozenset()
-        leftover = universe - base.encoders - set(path) - r_i - r_next - r_after
-        edges = _clique(sorted(r_i))
-        edges += _fan(sorted(r_i), [spec.entry] + sorted(leftover))
-        edges += path_edges
-        edges += _fan([path[-1]], enc_sorted)
-        edges += _fan(_encode(enc_sorted, i), sorted(r_next))
-        if i < num:
-            edges += _fan(_encode(enc_sorted, i + 1), sorted(r_after))
-        graphs.append(CommunicationGraph(n, edges, name=f"G{i}"))
-    adv = Adversary(graphs)
+    adv = _build_chain(spec.base, spec.path)
     _validate_inflated(spec, adv)
     return adv
 
 
 def _validate_inflated(spec: InflateSpec, adv: Adversary) -> None:
     base = spec.base
-    for i, g in enumerate(adv.graphs, start=1):
-        if g.root != base.roots[i - 1]:
-            raise FamilyValidationError(
-                f"Root(G{i}) = {g.root}, expected {set(base.roots[i - 1])}"
-            )
+    _check_roots(base.roots, adv)
     relay_mask = mask_of(base.encoders) | mask_of(spec.path)
     ig = single_round_indist(adv)
     base_edges = {(i - 1, i) for i in range(1, base.num_graphs)}
@@ -516,12 +501,10 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class PartitionedFamily:
-    """A partitioned adversary plus its block structure and decision trace."""
+    """A partitioned adversary plus its block structure."""
 
     adversary: Adversary
     blocks: tuple[tuple[int, ...], ...]
-    spec: PartitionSpec
-    trace: RefinementTrace
 
 
 def gen_partitioned(spec: PartitionSpec) -> PartitionedFamily:
@@ -558,8 +541,7 @@ def gen_partitioned(spec: PartitionSpec) -> PartitionedFamily:
         blocks.append(tuple(block))
     adv = Adversary(graphs)
     _validate_partitioned(spec, adv, tuple(blocks))
-    trace = decide(adv)
-    return PartitionedFamily(adversary=adv, blocks=tuple(blocks), spec=spec, trace=trace)
+    return PartitionedFamily(adversary=adv, blocks=tuple(blocks))
 
 
 def _validate_partitioned(
@@ -602,10 +584,10 @@ def _validate_partitioned(
 # ---------------------------------------------------------------------------
 
 
-def rooted_trees(n: int, max_n: int = 4) -> Adversary:
-    """All labeled rooted trees on n processes, edges oriented away from the root."""
-    if n > max_n:
-        raise FamilyValidationError(f"rooted trees supported up to n={max_n}, got {n}")
+def rooted_trees(n: int) -> Adversary:
+    """All labeled rooted trees on n <= 4 processes, edges oriented away from the root."""
+    if n > 4:
+        raise FamilyValidationError(f"rooted trees supported up to n=4, got {n}")
     graphs = []
     for tree_idx, tree_edges in enumerate(_labeled_trees(n), start=1):
         adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
@@ -677,9 +659,9 @@ def lossy_link(n: int, f: int = 1) -> Adversary:
     return Adversary(graphs)
 
 
-def random_rooted(n: int, count: int, seed: int, edge_prob: float = 0.5) -> Adversary:
+def random_rooted(n: int, count: int, seed: int) -> Adversary:
     """Seeded sample of distinct rooted graphs (each non-loop edge kept with
-    the given probability, retried until rooted)."""
+    probability 1/2, retried until rooted)."""
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     seen: set[tuple] = set()
@@ -691,7 +673,7 @@ def random_rooted(n: int, count: int, seed: int, edge_prob: float = 0.5) -> Adve
             raise FamilyValidationError(
                 f"could not sample {count} distinct rooted graphs on n={n}"
             )
-        edges = [e for e in pairs if rng.random() < edge_prob]
+        edges = [e for e in pairs if rng.random() < 0.5]
         g = CommunicationGraph(n, edges, name=f"G{len(graphs) + 1}")
         if not g.is_rooted or g._in in seen:
             continue

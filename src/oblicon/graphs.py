@@ -53,13 +53,13 @@ class CommunicationGraph:
             self._in_indices = tuple(tuple(q - 1 for q in procs_of(m)) for m in self._in)
         return self._in_indices
 
-    def edges(self, with_loops: bool = False) -> list[tuple[int, int]]:
-        """Edges (u, v) in ascending order, read off the out-masks."""
+    def edges(self) -> list[tuple[int, int]]:
+        """Non-loop edges (u, v) in ascending order, read off the out-masks."""
         return [
             (u, v)
             for u in range(1, self.n + 1)
             for v in procs_of(self._out[u - 1])
-            if u != v or with_loops
+            if u != v
         ]
 
     @property

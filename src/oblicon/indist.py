@@ -137,9 +137,10 @@ class IndistGraph:
         assert self._comp_of is not None
         return self._comp_of[u]
 
-    def to_dot(self, graph_name: str = "indist") -> str:
-        """Deterministic DOT rendering; labels are sorted process lists."""
-        lines = [f"graph {graph_name} {{"]
+    def to_dot(self) -> str:
+        """Deterministic DOT rendering of the graph ``indist``; labels are
+        sorted process lists."""
+        lines = ["graph indist {"]
         for name in self.names:
             lines.append(f'  "{_dot_escape(name)}";')
         for u, v, label in self.edges():

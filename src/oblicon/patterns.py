@@ -26,12 +26,13 @@ Two kernels build the views:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import chain, compress, count
 from operator import and_, ne, or_
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PairBudgetExceededError
 from .graphs import CommunicationGraph
 from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
 from .procset import bit
@@ -362,9 +363,13 @@ def pattern_indist_graph(
     Nodes enumerate the patterns lexicographically; names compose the round
     graph names ("Ga.Gc").  Edges are collected per process from view-equality
     buckets, so the work is proportional to the indistinguishable pairs
-    rather than all pairs.
+    rather than all pairs.  Raises PairBudgetExceededError before building
+    any edge when those pairs, counted from the bucket sizes, exceed the budget.
     """
     views = _final_level(d, r, budget).views
+    pairs = sum(k * (k - 1) // 2 for column in views for k in Counter(column).values())
+    if pairs > budget:
+        raise PairBudgetExceededError(pairs, budget, r)
     size = len(views[0])
     names = [pattern_at(d, r, i).name for i in range(size)]
     return IndistGraph(size, names, bucket_labels(views))

@@ -10,6 +10,7 @@ equal decisions across every indistinguishable pair of runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import deque
 from collections.abc import Sequence
 from itertools import compress, count, islice
 from operator import ne
@@ -28,7 +29,6 @@ from .patterns import (
     iter_pattern_levels,
     pattern_at,
     pattern_index,
-    pattern_indist_graph,
 )
 from .procset import procs_of
 
@@ -252,32 +252,27 @@ def imposs_witness(
     """
     if not d.all_rooted:
         raise NotRootedError("witness construction requires all graphs rooted")
-    trace = decide(d, no_early_exit=True)
-    level = trace.level_at(i)
+    comps = decide(d, no_early_exit=True).level_at(i).components()
     roots = d.root_masks()
-    comps = level.components()
     for comp, common in zip(comps, common_masks(comps, roots)):
         if common != 0:
             continue
-        pair = _disjoint_root_pair(comp, roots)
-        a, b = pair
-        pig = pattern_indist_graph(d, i, budget)
-        m = len(d)
-        ia = sum(a * m**k for k in range(i))
-        ib = sum(b * m**k for k in range(i))
-        path_idx = _bfs_path(pig, ia, ib)
+        a, b = _disjoint_root_pair(comp, roots)
+        path_idx = _view_path(
+            _final_level(d, i, budget).views,
+            pattern_index(Pattern.repeat(d, a, i)),
+            pattern_index(Pattern.repeat(d, b, i)),
+        )
         if path_idx is None:
             raise RuntimeError(
                 f"level-{i} component is root-incompatible but {d.names[a]}^{i} and "
                 f"{d.names[b]}^{i} are not connected among {i}-round patterns"
             )
         path = tuple(pattern_at(d, i, idx) for idx in path_idx)
-        labels = []
-        for s1, s2 in zip(path, path[1:]):
-            lab = indist_label(s1, s2)
+        labels = tuple(map(indist_label, path, path[1:]))
+        for s1, s2, lab in zip(path, path[1:], labels):
             if lab == 0:
                 raise RuntimeError(f"path edge {s1.name} -- {s2.name} failed re-verification")
-            labels.append(lab)
         return ImpossibilityWitness(
             level=i,
             graph_a=d.names[a],
@@ -285,7 +280,7 @@ def imposs_witness(
             root_a=frozenset(procs_of(roots[a])),
             root_b=frozenset(procs_of(roots[b])),
             path=path,
-            edge_labels=tuple(labels),
+            edge_labels=labels,
         )
     return None
 
@@ -305,29 +300,34 @@ def _disjoint_root_pair(comp: Sequence[int], roots: Sequence[int]) -> tuple[int,
     return best
 
 
-def _bfs_path(pig, start: int, goal: int) -> list[int] | None:
-    if start == goal:
-        return [start]
-    adj: dict[int, list[int]] = {}
-    for u, v, _ in pig.edges():
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for lst in adj.values():
-        lst.sort()
+def _view_path(views: Sequence[Sequence[int]], start: int, goal: int) -> list[int] | None:
+    """Shortest path of pattern indices from start to goal whose consecutive
+    patterns share some process's view, or None.
+
+    A breadth-first search in which each (process, view id) bucket is one
+    hop, so memory follows the columns, not the indistinguishable pairs.
+    View ids of different processes never coincide, so one dict holds all
+    buckets.  A bucket is expanded once, reaching all its members, so
+    skipping it later changes no predecessor.  Reached patterns join the
+    queue in ascending order: the path is the one a search over the pattern
+    graph's sorted adjacency lists finds.
+    """
+    buckets: dict[int, list[int]] = {}
+    for column in views:
+        for i, view in enumerate(column):
+            buckets.setdefault(view, []).append(i)
     prev = {start: start}
-    queue = [start]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for w in adj.get(u, ()):
-                if w not in prev:
-                    prev[w] = u
-                    if w == goal:
-                        path = [w]
-                        while path[-1] != start:
-                            path.append(prev[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(w)
-        queue = nxt
-    return None
+    queue = deque([start])
+    while goal not in prev:
+        if not queue:
+            return None
+        u = queue.popleft()
+        reached = sorted(
+            {w for column in views for w in buckets.pop(column[u], ()) if w not in prev}
+        )
+        prev.update(dict.fromkeys(reached, u))
+        queue.extend(reached)
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return path[::-1]

@@ -95,6 +95,29 @@ class NaiveTrace(NamedTuple):
     components: tuple[tuple[int, ...], ...]
 
 
+def naive_path(ig: IndistGraph, start: int, goal: int) -> list[int] | None:
+    """Breadth-first path over the edge list, visiting each node's
+    neighbours in ascending order, or None when goal is unreachable."""
+    adj: dict[int, set[int]] = {u: set() for u in range(ig.size)}
+    for u, v, _ in ig.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    prev = {start: start}
+    queue = [start]
+    while queue:
+        u = queue.pop(0)
+        if u == goal:
+            path = [u]
+            while path[-1] != start:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for w in sorted(adj[u]):
+            if w not in prev:
+                prev[w] = u
+                queue.append(w)
+    return None
+
+
 def naive_components(ig: IndistGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components by breadth-first search over the edge list, each
     ascending, ordered by smallest node."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,7 @@ from oblicon.procset import is_subset, procs_of
 from oblicon.simulate import build_rule, imposs_witness, oracle_min_horizon, verify_all_runs
 
 BUDGET = 200_000
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -302,6 +304,11 @@ def test_criterion_4d_components_stay_connected(corpus):
 
 
 def test_criterion_4e_impossibility_witnesses(corpus):
+    """Every witness is also compared exactly with the one recorded by the
+    breadth-first search over the full pattern graph's adjacency lists that
+    preceded the search over view buckets."""
+    recorded = json.loads((FIXTURES / "criterion_4e.witnesses.json").read_text(encoding="utf-8"))
+    found = []
     violations = []
     checked = 0
     for name, d in corpus:
@@ -323,6 +330,20 @@ def test_criterion_4e_impossibility_witnesses(corpus):
                 violations.append(f"{name}: witness path endpoints wrong at level {i}")
             if any(lab == 0 for lab in w.edge_labels):
                 violations.append(f"{name}: unverified path edge at level {i}")
+            found.append(
+                {
+                    "adversary": name,
+                    "graphs": [w.graph_a, w.graph_b],
+                    "labels": [sorted(procs_of(lab)) for lab in w.edge_labels],
+                    "level": i,
+                    "path": [sigma.name for sigma in w.path],
+                    "roots": [sorted(w.root_a), sorted(w.root_b)],
+                }
+            )
+    if found != recorded:
+        violations.append(
+            f"witnesses differ from the recording: {len(found)} found, {len(recorded)} recorded"
+        )
     report(
         "4e impossibility witnesses with disjoint roots",
         not violations and checked > 0,

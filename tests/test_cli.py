@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,9 +139,24 @@ def test_simulate_verb(tmp_path, capsys):
     assert "adopt the input of p1" in out and "'x'" in out
 
 
-@pytest.mark.parametrize("name", ["x.y", "x,y"])
-def test_graph_name_with_pattern_separator_is_rejected(tmp_path, capsys, name):
-    # `simulate --pattern` splits on '.' and ',', so it could not address this graph
+SEPARATOR = "contains '.' or ','"
+BLANK = "is empty or has leading or trailing whitespace"
+
+
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        pytest.param("x.y", SEPARATOR, id="x.y"),
+        pytest.param("x,y", SEPARATOR, id="x,y"),
+        pytest.param("", BLANK, id="empty"),
+        pytest.param(" G", BLANK, id="leading-space"),
+        pytest.param("H ", BLANK, id="trailing-space"),
+        pytest.param("\tH", BLANK, id="leading-tab"),
+    ],
+)
+def test_graph_name_with_pattern_separator_is_rejected(tmp_path, capsys, name, problem):
+    # `simulate --pattern` splits on '.' and ',' and strips whitespace around
+    # each name, so it could not address this graph
     doc = {"n": 2, "graphs": [{"name": "G", "edges": []}, {"name": name, "edges": [[1, 2]]}]}
     path = tmp_path / "sep.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -148,7 +164,7 @@ def test_graph_name_with_pattern_separator_is_rejected(tmp_path, capsys, name):
         assert main([*argv, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"input error: graph 1 name {name!r} contains '.' or ','\n"
+        assert captured.err == f"input error: graph 1 name {name!r} {problem}\n"
 
 
 def test_generate_families(tmp_path):
@@ -195,6 +211,19 @@ def test_decide_dot_level_output(chain_file, tmp_path, capsys):
     assert dot.startswith("graph indist {")
     # level 2 of the 3-chain has dropped the rightmost edge
     assert '"G1" -- "G2"' in dot and '"G2" -- "G3"' not in dot
+
+
+def test_export_dot_pair_budget_exit(capsys):
+    # lossy_link(3,1) has 49 two-round patterns, inside the budget, but 228
+    # pairs that share some process's view
+    doc = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+    assert main(["export-dot", doc, "--rounds", "2", "--budget", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget error: the 2-round pattern graph has up to 228 indistinguishable "
+        "pairs, over the budget of 100\n"
+    )
 
 
 def test_oracle_default_rmax_hits_budget(chain_file, capsys):

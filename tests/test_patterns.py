@@ -1,6 +1,6 @@
 import pytest
 
-from oblicon.errors import BudgetExceededError
+from oblicon.errors import BudgetExceededError, PairBudgetExceededError
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary, single_round_indist
 from oblicon.patterns import (
@@ -161,6 +161,21 @@ def test_pattern_budget_error(lossy_link_2):
         pattern_indist_graph(lossy_link_2, 5, budget=10)
     assert exc.value.required == 3**5
     assert exc.value.rounds == 5
+
+
+def test_pattern_graph_pair_budget():
+    from oblicon.families import lossy_link
+
+    # 49 patterns fit a budget of 100, but 228 pairs share some process's view
+    with pytest.raises(PairBudgetExceededError) as exc:
+        pattern_indist_graph(lossy_link(3, 1), 2, budget=100)
+    assert isinstance(exc.value, BudgetExceededError)
+    assert (exc.value.required, exc.value.budget, exc.value.rounds) == (228, 100, 2)
+    assert str(exc.value) == (
+        "the 2-round pattern graph has up to 228 indistinguishable pairs, "
+        "over the budget of 100"
+    )
+    assert pattern_indist_graph(lossy_link(3, 1), 2, budget=228).num_edges <= 228
 
 
 def test_budget_check_builds_no_huge_count(lossy_link_2):

@@ -31,14 +31,17 @@ from oblicon.patterns import (
     iter_pattern_levels,
     pattern_at,
     pattern_components,
+    pattern_index,
     pattern_indist_graph,
 )
 from oblicon.procset import is_subset, mask_of, procs_of
+from oblicon.simulate import imposs_witness
 
 from conftest import (
     naive_components,
     naive_in_sets,
     naive_indist_procs,
+    naive_path,
     naive_refinement,
     naive_root,
     naive_view,
@@ -132,6 +135,23 @@ def test_pattern_components_match_pattern_graph(d, r):
         return
     assert tuple(map(tuple, pattern_components(d, r))) == naive_components(
         pattern_indist_graph(d, r)
+    )
+
+
+@given(adversaries(rooted=True, max_n=3, max_graphs=4), st.integers(1, 3))
+@example(lossy_link(2, 1), 3)
+@example(rooted_trees(3), 2)
+@settings(max_examples=40, deadline=None)
+def test_witness_path_matches_pattern_graph_search(d, i):
+    if len(d) ** i > 500:
+        return
+    w = imposs_witness(d, i)
+    if w is None:
+        return
+    start = pattern_index(Pattern.repeat(d, d.index_of(w.graph_a), i))
+    goal = pattern_index(Pattern.repeat(d, d.index_of(w.graph_b), i))
+    assert list(map(pattern_index, w.path)) == naive_path(
+        pattern_indist_graph(d, i), start, goal
     )
 
 

@@ -221,6 +221,32 @@ def test_imposs_witness_chain_prefix():
     assert w.root_a.isdisjoint(w.root_b)
 
 
+def test_imposs_witness_builds_no_pattern_graph(monkeypatch):
+    # lossy_link(4,3) has 89,401 two-round patterns but 28,019,136 pairs
+    # that share some process's view: the witness must not list them.  The
+    # refinement's level-1 graph over the 299 graphs themselves still goes
+    # through ``oblicon.indist.bucket_labels``.
+    import oblicon.patterns
+    import oblicon.simulate
+    from oblicon.families import lossy_link
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search built pattern pairs")
+
+    monkeypatch.setattr(oblicon.patterns, "pattern_indist_graph", refuse)
+    monkeypatch.setattr(oblicon.patterns, "bucket_labels", refuse)
+    monkeypatch.setattr(oblicon.simulate, "pattern_indist_graph", refuse, raising=False)
+    d = lossy_link(4, 3)
+    w = imposs_witness(d, 2)
+    assert w is not None
+    a, b = d.index_of(w.graph_a), d.index_of(w.graph_b)
+    assert w.path[0] == Pattern.repeat(d, a, 2)
+    assert w.path[-1] == Pattern.repeat(d, b, 2)
+    assert w.root_a.isdisjoint(w.root_b)
+    assert len(w.edge_labels) == len(w.path) - 1
+    assert all(lab != 0 for lab in w.edge_labels)
+
+
 def test_decision_matches_oracle_on_fixtures(lossy_link_2, solvable_pair):
     from oblicon.families import rooted_trees, source_broadcast
 
