@@ -54,11 +54,13 @@ class CommunicationGraph:
         return self._in_indices
 
     def edges(self) -> list[tuple[int, int]]:
-        """Non-loop edges (u, v) in ascending order, read off the out-masks."""
+        """Non-loop edges (u, v) in ascending order, read off the out-masks;
+        a process whose out-mask is its self-loop alone is skipped unread."""
         return [
             (u, v)
-            for u in range(1, self.n + 1)
-            for v in procs_of(self._out[u - 1])
+            for u, out in enumerate(self._out, 1)
+            if out != 1 << (u - 1)
+            for v in procs_of(out)
             if u != v
         ]
 

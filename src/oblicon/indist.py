@@ -180,15 +180,26 @@ def bucket_labels(columns: Sequence[Sequence[object]]) -> dict[tuple[int, int], 
     return labels
 
 
-def union_find(size: int, edges: Iterable[Sequence[int]]) -> list[int]:
+def union_find(
+    size: int, edges: Iterable[Sequence[int]], masks: Sequence[int] | None = None
+) -> list[int] | None:
     """Each node's component representative, the smallest node of its component.
 
     Only the first two items of each edge are read, so labelled edge tuples
     need no wrapper.  Every link points a root at a smaller root and path
     halving only moves pointers down, so a parent is never larger than its
     node.
+
+    With ``masks`` (one per node), each root also holds the AND of its
+    component's masks, and the call returns None as soon as one of them is
+    empty, a node's own mask included: the components need not be finished
+    to know that one of them has no member common to all its masks.
+    Without ``masks`` the result is never None.
     """
     parent = list(range(size))
+    acc = None if masks is None else list(masks)
+    if acc is not None and 0 in acc:
+        return None
     for edge in edges:
         u = edge[0]
         v = edge[1]
@@ -200,6 +211,13 @@ def union_find(size: int, edges: Iterable[Sequence[int]]) -> list[int]:
             parent[v] = u
         elif v < u:
             parent[u] = v
+            u, v = v, u
+        else:
+            continue
+        if acc is not None:
+            acc[u] &= acc[v]
+            if not acc[u]:
+                return None
     for x in range(size):
         # ascending order: a node's parent is smaller, so it is already final
         parent[x] = parent[parent[x]]

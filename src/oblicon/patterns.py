@@ -16,8 +16,11 @@ Two kernels build the views:
   process p's view id and influence mask in the pattern with lexicographic
   index i.  One round extends each column by every graph with a few
   ``zip``/``map``/``dict`` calls per (process, graph) pair, so no Python code
-  runs per pattern.  Components, broadcaster masks and run verification read
-  the columns the same way.
+  runs per pattern.  A graph-identifying process, one whose in-neighbourhood
+  differs in every graph, is not interned: its views of all patterns differ
+  and interning would number them in pattern order, so its column is a range
+  of ids.  Components, broadcaster masks and run verification read the
+  columns the same way.
 * ``final_views`` replays a few given patterns row by row (``_advance``).  It
   backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
   calls on one or two patterns would pay the column kernel's fixed cost per
@@ -240,15 +243,21 @@ def _level_zero(n: int) -> PatternLevel:
     return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)])
 
 
-def _extend(level: PatternLevel, ins_of: Sequence[InTuples], m: int) -> PatternLevel:
+def _extend(
+    level: PatternLevel, ins_of: Sequence[InTuples], m: int, identifying: Sequence[bool]
+) -> PatternLevel:
     """The next level: pattern i extended by graph g is pattern ``i*m + g``,
     so graph g fills the slots ``g::m`` of every new column.
 
     Process p's new view key under g is the tuple of its in-neighbours' view
     ids, or p's own view id when it hears only itself; the keys are interned
     per process, with ids counted on from the previous process's so that ids
-    of different processes never coincide.  p's new influence mask ORs the
-    masks of its in-neighbours.
+    of different processes never coincide.  A graph-identifying process
+    (``identifying[p]``: its in-neighbourhood differs in every graph) is not
+    interned: its new view holds its old one and names the new graph, so its
+    views of all patterns differ, and interning would number them in pattern
+    order.  Its column is that range of ids, built without reading a key.
+    p's new influence mask ORs the masks of its in-neighbours.
     """
     views, influence = level.views, level.influence
     size = len(views[0]) * m
@@ -256,19 +265,20 @@ def _extend(level: PatternLevel, ins_of: Sequence[InTuples], m: int) -> PatternL
     new_views: list[tuple[int, ...]] = []
     new_influence: list[list[int]] = []
     for p, ins_p in enumerate(ins_of):
-        keys: list[object] = [None] * size
         masks = [0] * size
         for g, qs in enumerate(ins_p):
-            if len(qs) == 1:
-                keys[g::m] = views[p]
-                masks[g::m] = influence[p]
-            else:
-                keys[g::m] = zip(*[views[q] for q in qs])
-                masks[g::m] = _fold(or_, [influence[q] for q in qs])
+            masks[g::m] = _fold(or_, [influence[q] for q in qs])
+        new_influence.append(masks)
+        if identifying[p]:
+            new_views.append(tuple(range(base, base + size)))
+            base += size
+            continue
+        keys: list[object] = [None] * size
+        for g, qs in enumerate(ins_p):
+            keys[g::m] = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
         ids = dict(zip(dict.fromkeys(keys), count(base)))
         base += len(ids)
         new_views.append(tuple(map(ids.__getitem__, keys)))
-        new_influence.append(masks)
     return PatternLevel(level.rounds + 1, new_views, new_influence)
 
 
@@ -283,11 +293,13 @@ def iter_pattern_levels(
     """
     if r_max < 0:
         raise ValueError(f"round count must be non-negative, got {r_max}")
+    m = len(d)
     ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
+    identifying = [len(set(ins_p)) == m for ins_p in ins_of]
     level = _level_zero(d.n)
     for k in range(1, r_max + 1):
         _check_budget(d, k, budget)
-        level = _extend(level, ins_of, len(d))
+        level = _extend(level, ins_of, m, identifying)
         yield level
 
 

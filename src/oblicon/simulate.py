@@ -5,7 +5,9 @@ The synthesized rule fixes a horizon t, groups all t-round patterns into
 indistinguishability components, and picks one common broadcaster per
 component; every process decides on that broadcaster's input.  Verification
 replays every pattern and checks agreement, validity, and termination, plus
-equal decisions across every indistinguishable pair of runs.
+equal decisions across every indistinguishable pair of runs.  The oracle
+searches for the first level whose components all have a common
+broadcaster, and stops a level as soon as some linked patterns share none.
 """
 from __future__ import annotations
 
@@ -17,13 +19,14 @@ from operator import ne
 
 from .decision import decide
 from .errors import NonBroadcastableComponentError, NotRootedError
-from .indist import Adversary, common_masks
+from .indist import Adversary, common_masks, union_find
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     _components,
     _final_level,
     _first_seen,
+    _view_pairs,
     broadcaster_mask,
     indist_label,
     iter_pattern_levels,
@@ -214,11 +217,14 @@ def oracle_min_horizon(
     broadcaster, or None if no such r exists up to r_max.
 
     This is the independent brute-force solvability check: it never looks at
-    the refinement procedure, only at raw view equality and influence.
+    the refinement procedure, only at raw view equality and influence.  A
+    level fails as soon as some linked patterns share no broadcaster (a
+    pattern without broadcasters fails it at once), so a failing level's
+    components are never finished.
     """
     for level in iter_pattern_levels(d, r_max, budget):
-        _, comps = _components(level.views)
-        if all(common_masks(comps, level.broadcaster_masks())):
+        views = level.views
+        if union_find(len(views[0]), _view_pairs(views), level.broadcaster_masks()) is not None:
             return level.rounds
     return None
 

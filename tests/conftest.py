@@ -58,6 +58,34 @@ def naive_view(sigma, p: int, r: int):
     return (p, r, frozenset(naive_view(sigma, q, r - 1) for q in g.in_neighbors(p)))
 
 
+def interned_levels(d: Adversary, r_max: int) -> list[list[tuple[int, ...]]]:
+    """Per-process view-id columns of levels 1..r_max, every process
+    interned pattern by pattern: p's key in pattern i*m + g is its own
+    previous id when it hears only itself under graph g, else the tuple of
+    its in-neighbours' previous ids; ids are numbered by first appearance in
+    pattern order, counted on from the previous process's ids."""
+    m = len(d)
+    ins = [g.in_indices() for g in d.graphs]
+    views = [(p,) for p in range(d.n)]
+    levels = []
+    for _ in range(r_max):
+        new = []
+        base = 0
+        for p in range(d.n):
+            ids: dict[object, int] = {}
+            column = []
+            for i in range(len(views[0]) * m):
+                prev, g = divmod(i, m)
+                qs = ins[g][p]
+                key = views[p][prev] if len(qs) == 1 else tuple(views[q][prev] for q in qs)
+                column.append(ids.setdefault(key, base + len(ids)))
+            base += len(ids)
+            new.append(tuple(column))
+        views = new
+        levels.append(views)
+    return levels
+
+
 def naive_indist_procs(sigma, sigma_prime) -> set[int]:
     assert len(sigma) == len(sigma_prime)
     n = sigma.adversary.n

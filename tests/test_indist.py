@@ -146,3 +146,15 @@ def test_dot_export_stable(lossy_link_2):
         '  "Gb" -- "Gc" [label="{p1}"];\n'
         "}\n"
     )
+
+
+def test_union_find_with_masks_stops_at_an_empty_and():
+    from oblicon.indist import union_find
+
+    assert union_find(4, [(1, 0), (3, 2)]) == [0, 0, 2, 2]
+    assert union_find(4, [(1, 0), (3, 2)], [3, 1, 6, 4]) == [0, 0, 2, 2]
+    # linking 0 and 1 empties their AND, however many links follow
+    assert union_find(4, [(1, 0), (3, 2)], [1, 2, 6, 4]) is None
+    assert union_find(4, [(0, 1), (1, 2)], [3, 1, 2, 7]) is None
+    # a node whose own mask is empty, linked to no other
+    assert union_find(2, [], [0, 1]) is None

@@ -206,3 +206,21 @@ def test_prefix_and_extend(lossy_link_2):
     assert sigma.extend(2).name == "Ga.Gb.Gc"
     with pytest.raises(ValueError):
         Pattern(d, (7,))
+
+
+def test_identifying_process_column_is_the_id_range():
+    from oblicon.families import source_broadcast
+    from oblicon.patterns import _extend, iter_pattern_levels
+
+    # p1 hears itself alone in S1 and also p2 in S2, p3 in S3: it tells the
+    # three graphs apart, so its next column is the id range without
+    # reading its previous one
+    d = source_broadcast(3, 1)
+    m = len(d)
+    ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
+    identifying = [len(set(ins_p)) == m for ins_p in ins_of]
+    assert identifying == [True, True, True]
+    level = next(iter_pattern_levels(d, 1))
+    level.views[0] = (0,) * len(level.views[0])  # junk: interning would merge S1's keys
+    new = _extend(level, ins_of, m, identifying)
+    assert new.views[0] == tuple(range(m * m))

@@ -1,6 +1,9 @@
 """Property-based checks of the structural invariants, driven by hypothesis."""
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -35,9 +38,10 @@ from oblicon.patterns import (
     pattern_indist_graph,
 )
 from oblicon.procset import is_subset, mask_of, procs_of
-from oblicon.simulate import imposs_witness
+from oblicon.simulate import imposs_witness, oracle_min_horizon
 
 from conftest import (
+    interned_levels,
     naive_components,
     naive_in_sets,
     naive_indist_procs,
@@ -198,6 +202,102 @@ def test_column_levels_match_naive_views(d):
         assert {(u, v): lab for u, v, lab in pig.edges()} == labels
         naive_graph = IndistGraph(len(pats), [s.name for s in pats], labels)
         assert tuple(map(tuple, pattern_components(d, r))) == naive_components(naive_graph)
+
+
+def _levels_up_to(d: Adversary, r_max: int, limit: int) -> int:
+    """The largest r <= r_max whose pattern count stays within the limit."""
+    while r_max and len(d) ** r_max > limit:
+        r_max -= 1
+    return r_max
+
+
+@given(adversaries(max_n=4, max_graphs=4))
+@example(source_broadcast(2, 1))
+@example(source_broadcast(3, 1))
+@example(source_broadcast(4, 1))
+@settings(max_examples=60, deadline=None)
+def test_column_levels_equal_interned_ids(d):
+    # graph-identifying processes get their ids without interning; every id
+    # must still be the one interning assigns
+    r_max = _levels_up_to(d, 4, 500)
+    levels = [level.views for level in iter_pattern_levels(d, r_max)]
+    assert levels == interned_levels(d, r_max)
+
+
+def _naive_level(d: Adversary, r: int) -> tuple[IndistGraph, list[int]]:
+    """The r-round pattern graph from raw view equality, and each pattern's
+    broadcasters: the processes heard in every process's raw view."""
+    pats = [pattern_at(d, r, i) for i in range(len(d) ** r)]
+    naive = [[naive_view(sigma, p, r) for sigma in pats] for p in range(1, d.n + 1)]
+    labels: dict[tuple[int, int], int] = {}
+    for p, column in enumerate(naive):
+        for members in _partition(column):
+            for a, i in enumerate(members):
+                for j in members[a + 1:]:
+                    labels[(i, j)] = labels.get((i, j), 0) | (1 << p)
+    graph = IndistGraph(len(pats), [sigma.name for sigma in pats], labels)
+    bcast = [reduce(and_, (_heard(column[i]) for column in naive)) for i in range(len(pats))]
+    return graph, bcast
+
+
+@given(adversaries(max_n=4, max_graphs=4), st.integers(0, 2))
+@example(rooted_trees(3), 1)
+@example(lossy_link(2, 1), 2)
+@settings(max_examples=40, deadline=None)
+def test_components_only_split_along_extensions(d, r):
+    # components only split: every level-(r+1) component lies inside the
+    # extensions of one level-r component, since each process hears itself
+    if len(d) ** (r + 1) > 300:
+        return
+    m = len(d)
+    before = naive_components(_naive_level(d, r)[0])
+    comp_of = {i: k for k, comp in enumerate(before) for i in comp}
+    for comp in naive_components(_naive_level(d, r + 1)[0]):
+        assert len({comp_of[i // m] for i in comp}) == 1
+
+
+@given(adversaries(max_n=4, max_graphs=4), st.integers(0, 2))
+@example(rooted_trees(3), 1)
+@example(source_broadcast(3, 1), 2)
+@settings(max_examples=40, deadline=None)
+def test_broadcasters_only_grow_along_extensions(d, r):
+    # broadcasters only grow: a pattern's broadcasters stay broadcasters of
+    # every extension, since influence masks are ORed along self-loops
+    if len(d) ** (r + 1) > 300:
+        return
+    m = len(d)
+    _, before = _naive_level(d, r)
+    _, after = _naive_level(d, r + 1)
+    assert all(is_subset(before[i // m], mask) for i, mask in enumerate(after))
+
+
+def _component_min_horizon(d: Adversary, r_max: int) -> int | None:
+    """The oracle's answer from whole components: the first level at which
+    the broadcaster masks of every component's patterns share a process."""
+    for r in range(1, r_max + 1):
+        comps = naive_components(_naive_level(d, r)[0])
+        if all(
+            reduce(and_, (broadcaster_mask(pattern_at(d, r, i)) for i in comp))
+            for comp in comps
+        ):
+            return r
+    return None
+
+
+@given(
+    st.one_of(adversaries(max_n=4, max_graphs=4), adversaries(rooted=True, max_graphs=4)),
+    st.integers(0, 3),
+)
+# one pattern, linked to none, with no broadcaster
+@example(Adversary([CommunicationGraph(2, [])]), 1)
+@example(lossy_link(2, 1), 3)
+@example(source_broadcast(3, 1), 2)
+@settings(max_examples=60, deadline=None)
+def test_oracle_matches_component_reference(d, r_max):
+    # the oracle stops a level at its first linked patterns without a common
+    # broadcaster; the answer must be the one whole components give
+    r_max = _levels_up_to(d, r_max, 300)
+    assert oracle_min_horizon(d, r_max) == _component_min_horizon(d, r_max)
 
 
 @st.composite
@@ -483,6 +583,9 @@ def test_oracle_broadcastability_monotone_on_catalog():
                 build_rule(d, r + extra)
             except NonBroadcastableComponentError:
                 findings.append((d, r + extra))
-    if findings:  # documents behavior; the formal claim is not asserted anywhere
+    # the general claim follows from the two facts that
+    # test_components_only_split_along_extensions and
+    # test_broadcasters_only_grow_along_extensions check
+    if findings:
         print(f"broadcastability non-monotone on: {findings}")
     assert not findings

@@ -184,6 +184,18 @@ def test_oracle_min_horizon_source_broadcast():
     assert oracle_min_horizon(source_broadcast(3, 1), 3) == 1
 
 
+def test_oracle_builds_no_component_of_a_failing_level(lossy_link_2, monkeypatch):
+    import oblicon.patterns
+    import oblicon.simulate
+
+    def fail(*args):
+        raise AssertionError("components built")
+
+    monkeypatch.setattr(oblicon.patterns, "group", fail)
+    monkeypatch.setattr(oblicon.simulate, "common_masks", fail)
+    assert oracle_min_horizon(lossy_link_2, 4) is None
+
+
 def test_oracle_budget_error(lossy_link_2):
     with pytest.raises(BudgetExceededError) as exc:
         oracle_min_horizon(lossy_link_2, 12, budget=50)
