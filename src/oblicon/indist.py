@@ -191,7 +191,8 @@ def union_find(
     node.
 
     With ``masks`` (one per node), each root also holds the AND of its
-    component's masks, and the call returns None as soon as one of them is
+    component's masks, and the call returns each node's component AND in
+    place of its representative.  It returns None as soon as one of them is
     empty, a node's own mask included: the components need not be finished
     to know that one of them has no member common to all its masks.
     Without ``masks`` the result is never None.
@@ -221,7 +222,7 @@ def union_find(
     for x in range(size):
         # ascending order: a node's parent is smaller, so it is already final
         parent[x] = parent[parent[x]]
-    return parent
+    return parent if acc is None else list(map(acc.__getitem__, parent))
 
 
 def group(rep: Sequence[int]) -> tuple[list[int], list[list[int]]]:

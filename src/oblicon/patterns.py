@@ -334,10 +334,12 @@ def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
 
 def _first_seen(column: Column) -> list[int] | None:
     """Each pattern's first pattern with the same entry in the column, or
-    None when all entries are distinct."""
-    first = dict(zip(reversed(column), reversed(range(len(column)))))
-    if len(first) == len(column):
+    None when all entries are distinct: a level's ids count up from its first
+    entry in order of first appearance, so exactly when the last one is
+    ``len(column) - 1`` above the first, and then no dict is built."""
+    if column[-1] - column[0] == len(column) - 1:
         return None
+    first = dict(zip(reversed(column), reversed(range(len(column)))))
     return list(map(first.__getitem__, column))
 
 

@@ -1,13 +1,14 @@
 """Consensus rule synthesis, exhaustive run verification, and the brute-force
 solvability oracle.
 
-The synthesized rule fixes a horizon t, groups all t-round patterns into
-indistinguishability components, and picks one common broadcaster per
-component; every process decides on that broadcaster's input.  Verification
-replays every pattern and checks agreement, validity, and termination, plus
-equal decisions across every indistinguishable pair of runs.  The oracle
-searches for the first level whose components all have a common
-broadcaster, and stops a level as soon as some linked patterns share none.
+The synthesized rule fixes a horizon t and stores, per t-round pattern, the
+smallest common broadcaster of its indistinguishability component (read off
+one ``union_find`` pass with the broadcaster masks); every process decides
+on that broadcaster's input.  Verification replays every pattern and checks
+agreement, validity, and termination, plus equal decisions across every
+indistinguishable pair of runs.  The oracle searches for the first level
+whose components all have a common broadcaster, and stops a level as soon as
+some linked patterns share none.
 """
 from __future__ import annotations
 
@@ -38,23 +39,28 @@ from .procset import procs_of
 
 @dataclass(frozen=True)
 class ConsensusRule:
-    """Decision rule at a fixed horizon: pattern component -> adopted broadcaster.
+    """Decision rule at a fixed horizon: pattern -> adopted broadcaster.
 
-    ``chosen[c]`` is the smallest common broadcaster of component c; a run
-    whose pattern lies in c decides on that process's input.  ``views[p][i]``
-    is process p's final view id in pattern i.
+    ``decided[i]`` is the smallest common broadcaster of pattern i's
+    component; a run with pattern i decides on that process's input.
+    ``views[p][i]`` is process p's final view id in pattern i.
     """
 
     adversary: Adversary
     t: int
-    component_of: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-    chosen: tuple[int, ...]
+    decided: tuple[int, ...]
     broadcast_masks: tuple[int, ...]
     views: tuple[tuple[int, ...], ...]
 
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The pattern components, built from the views on every read."""
+        return tuple(map(tuple, _components(self.views)[1]))
+
     def decision_process(self, sigma: Pattern) -> int:
-        return self.chosen[self.component_of[pattern_index(sigma)]]
+        if len(sigma) != self.t:
+            raise ValueError(f"pattern has {len(sigma)} rounds, rule expects {self.t}")
+        return self.decided[pattern_index(sigma)]
 
 
 @dataclass(frozen=True)
@@ -105,39 +111,28 @@ def build_rule(
     """
     level = _final_level(d, t, budget)
     bmasks = level.broadcaster_masks()
-    comp_of, comps = _components(level.views)
-    components = tuple(map(tuple, comps))
-    chosen = []
-    for comp, common in zip(components, common_masks(components, bmasks)):
-        if common == 0:
-            names = [pattern_at(d, t, i).name for i in comp]
-            raise NonBroadcastableComponentError(t, names)
-        chosen.append((common & -common).bit_length())
-    return ConsensusRule(
-        adversary=d,
-        t=t,
-        component_of=tuple(comp_of),
-        components=components,
-        chosen=tuple(chosen),
-        broadcast_masks=tuple(bmasks),
-        views=tuple(level.views),
-    )
+    commons = union_find(len(bmasks), _view_pairs(level.views), bmasks)
+    if commons is None:
+        _, comps = _components(level.views)
+        comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
+        raise NonBroadcastableComponentError(t, [pattern_at(d, t, i).name for i in comp])
+    low = {common: (common & -common).bit_length() for common in set(commons)}
+    decided = tuple(map(low.__getitem__, commons))
+    return ConsensusRule(d, t, decided, tuple(bmasks), tuple(level.views))
 
 
 def run(rule: ConsensusRule, sigma: Pattern, inputs: Sequence) -> RunReport:
     """Replay one pattern under the rule with concrete inputs.
 
-    All processes adopt the input of the component's chosen broadcaster; the
+    All processes adopt the input of the rule's decided broadcaster; the
     validity flag checks that the decided value is the input of an actual
     broadcaster of this very pattern (recomputed from the pattern, not taken
     from the rule).
     """
     n = rule.adversary.n
-    if len(sigma) != rule.t:
-        raise ValueError(f"pattern has {len(sigma)} rounds, rule expects {rule.t}")
+    b = rule.decision_process(sigma)
     if len(inputs) != n:
         raise ValueError(f"need {n} inputs, got {len(inputs)}")
-    b = rule.decision_process(sigma)
     value = inputs[b - 1]
     bcasters = procs_of(broadcaster_mask(sigma))
     validity_ok = any(inputs[q - 1] == value for q in bcasters)
@@ -171,8 +166,7 @@ def verify_all_runs(
     def name(idx: int) -> str:
         return pattern_at(d, rule.t, idx).name
 
-    decided = list(map(rule.chosen.__getitem__, rule.component_of))
-    total = len(decided)
+    decided = rule.decided
     agreement = validity = termination = 0
     samples: list[str] = []
     for vec in vectors:
@@ -201,7 +195,7 @@ def verify_all_runs(
             )
     return VerificationReport(
         horizon=rule.t,
-        runs=total * len(vectors),
+        runs=len(decided) * len(vectors),
         agreement_violations=agreement,
         validity_violations=validity,
         termination_violations=termination,

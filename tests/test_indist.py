@@ -152,7 +152,8 @@ def test_union_find_with_masks_stops_at_an_empty_and():
     from oblicon.indist import union_find
 
     assert union_find(4, [(1, 0), (3, 2)]) == [0, 0, 2, 2]
-    assert union_find(4, [(1, 0), (3, 2)], [3, 1, 6, 4]) == [0, 0, 2, 2]
+    # with masks, each node gets its component's AND
+    assert union_find(4, [(1, 0), (3, 2)], [3, 1, 6, 4]) == [1, 1, 4, 4]
     # linking 0 and 1 empties their AND, however many links follow
     assert union_find(4, [(1, 0), (3, 2)], [1, 2, 6, 4]) is None
     assert union_find(4, [(0, 1), (1, 2)], [3, 1, 2, 7]) is None

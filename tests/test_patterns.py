@@ -224,3 +224,15 @@ def test_identifying_process_column_is_the_id_range():
     level.views[0] = (0,) * len(level.views[0])  # junk: interning would merge S1's keys
     new = _extend(level, ins_of, m, identifying)
     assert new.views[0] == tuple(range(m * m))
+
+
+def test_first_seen_shortcut_and_dict_path():
+    from oblicon.patterns import _first_seen
+
+    # an identifying process's column is a range: all distinct, no dict
+    assert _first_seen(tuple(range(7, 7 + 9))) is None
+    assert _first_seen((3,)) is None
+    # repeats point at the first pattern with the same entry
+    assert _first_seen((5, 6, 5, 7)) == [0, 1, 0, 3]
+    assert _first_seen((2, 3, 3)) == [0, 1, 1]
+    assert _first_seen((4, 4)) == [0, 0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oblicon.decision import Verdict, decide
+from oblicon.errors import NonBroadcastableComponentError
 from oblicon.families import (
     PartitionSpec,
     gen_chain,
@@ -38,7 +39,7 @@ from oblicon.patterns import (
     pattern_indist_graph,
 )
 from oblicon.procset import is_subset, mask_of, procs_of
-from oblicon.simulate import imposs_witness, oracle_min_horizon
+from oblicon.simulate import build_rule, imposs_witness, oracle_min_horizon
 
 from conftest import (
     interned_levels,
@@ -298,6 +299,49 @@ def test_oracle_matches_component_reference(d, r_max):
     # broadcaster; the answer must be the one whole components give
     r_max = _levels_up_to(d, r_max, 300)
     assert oracle_min_horizon(d, r_max) == _component_min_horizon(d, r_max)
+
+
+@given(
+    st.one_of(adversaries(max_n=4, max_graphs=4), adversaries(rooted=True, max_graphs=4)),
+    st.integers(0, 3),
+)
+@example(lossy_link(2, 1), 2)
+@example(source_broadcast(3, 1), 2)
+@example(rooted_trees(3), 2)
+@settings(max_examples=60, deadline=None)
+def test_rule_matches_component_reference(d, t):
+    # each pattern decides on the smallest common broadcaster of its whole
+    # component; a failing horizon names the first component without one
+    t = _levels_up_to(d, t, 300)
+    comps = naive_components(pattern_indist_graph(d, t))
+    commons = [
+        reduce(and_, (broadcaster_mask(pattern_at(d, t, i)) for i in comp)) for comp in comps
+    ]
+    failing = [comp for comp, common in zip(comps, commons) if not common]
+    if failing:
+        with pytest.raises(NonBroadcastableComponentError) as exc:
+            build_rule(d, t)
+        assert exc.value.pattern_names == [pattern_at(d, t, i).name for i in failing[0]]
+        return
+    expected = {i: min(procs_of(common)) for comp, common in zip(comps, commons) for i in comp}
+    assert build_rule(d, t).decided == tuple(expected[i] for i in range(len(d) ** t))
+
+
+@given(adversaries(max_n=4, max_graphs=4))
+@example(source_broadcast(2, 1))
+@example(source_broadcast(3, 1))
+@example(source_broadcast(4, 1))
+@settings(max_examples=60, deadline=None)
+def test_level_ids_count_up_in_order_of_first_appearance(d):
+    # ``_first_seen`` reads "no repeats" off a column's first and last ids,
+    # which holds only if each new id is one above the largest before it
+    for level in iter_pattern_levels(d, _levels_up_to(d, 4, 500)):
+        for column in level.views:
+            top = column[0]
+            for entry in column:
+                assert entry <= top + 1
+                top = max(top, entry)
+            assert column[0] == min(column)
 
 
 @st.composite

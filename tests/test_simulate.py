@@ -23,7 +23,7 @@ def test_build_rule_single_rooted_graph():
     d = Adversary([g])
     rule = build_rule(d, 2)  # n-1 rounds
     assert rule.components == ((0,),)
-    assert rule.chosen == (1,)  # min(Root(G))
+    assert rule.decided == (1,)  # min(Root(G))
 
 
 def test_build_rule_lossy_link_fails(lossy_link_2):
@@ -56,15 +56,15 @@ def test_build_rule_source_broadcast_singleton_components():
     rule = build_rule(d, 2)
     assert all(len(c) == 1 for c in rule.components)
     # every pattern is its own component and adopts its smallest broadcaster
-    for comp, b in zip(rule.components, rule.chosen):
+    for comp in rule.components:
         sigma = pattern_at(d, 2, comp[0])
-        assert b == min(procs_of(broadcaster_mask(sigma)))
+        assert rule.decided[comp[0]] == min(procs_of(broadcaster_mask(sigma)))
 
 
 def test_verifier_catches_wrong_broadcaster(solvable_pair):
     # only p1 broadcasts in the four 2-round patterns, so each run on
     # distinct inputs decides p2's input, which no broadcaster holds
-    rule = dataclasses.replace(build_rule(solvable_pair, 2), chosen=(2,))
+    rule = dataclasses.replace(build_rule(solvable_pair, 2), decided=(2, 2, 2, 2))
     report = verify_all_runs(rule)
     assert report.validity_violations == 4
     assert report.ok is False
@@ -77,7 +77,7 @@ def test_verifier_catches_wrong_broadcaster(solvable_pair):
 def test_verifier_catches_split_component(solvable_pair):
     rule = build_rule(solvable_pair, 2)
     assert rule.components == ((0, 1, 2, 3),)
-    wrong = dataclasses.replace(rule, component_of=(0, 0, 0, 1), chosen=(1, 3))
+    wrong = dataclasses.replace(rule, decided=(1, 1, 1, 3))
     report = verify_all_runs(wrong)
     assert report.cross_run_violations > 0
     assert report.ok is False
@@ -98,9 +98,7 @@ def test_verifier_samples_keep_order_and_cap():
     # recorded from the row-per-pattern verifier
     d = load_adversary(str(FIXTURES / "random_rooted4_5_0.json"))
     rule = build_rule(d, 3)
-    wrong = dataclasses.replace(
-        rule, component_of=tuple(i % 2 for i in range(len(rule.component_of))), chosen=(1, 2)
-    )
+    wrong = dataclasses.replace(rule, decided=tuple(i % 2 + 1 for i in range(len(rule.decided))))
     report = verify_all_runs(wrong)
     assert (report.runs, report.validity_violations, report.cross_run_violations) == (250, 12, 56)
     assert report.samples == tuple(
@@ -152,6 +150,19 @@ def test_run_solvable_pair_decides_x1(solvable_pair):
         assert report.ok
 
 
+def test_decision_process_rejects_a_pattern_of_another_length():
+    from oblicon.families import source_broadcast
+
+    # S2's index 1 is also a valid index among the 27 three-round patterns
+    d = source_broadcast(3, 1)
+    rule = build_rule(d, 3)
+    with pytest.raises(ValueError, match="^pattern has 1 rounds, rule expects 3$"):
+        rule.decision_process(Pattern.from_names(d, "S2"))
+    with pytest.raises(ValueError, match="^pattern has 4 rounds, rule expects 3$"):
+        rule.decision_process(Pattern(d, (0, 0, 0, 0)))
+    assert rule.decision_process(Pattern(d, (0, 0, 1))) == rule.decided[1]
+
+
 def test_run_validates_lengths(solvable_pair):
     rule = build_rule(solvable_pair, 2)
     with pytest.raises(ValueError):
@@ -194,6 +205,23 @@ def test_oracle_builds_no_component_of_a_failing_level(lossy_link_2, monkeypatch
     monkeypatch.setattr(oblicon.patterns, "group", fail)
     monkeypatch.setattr(oblicon.simulate, "common_masks", fail)
     assert oracle_min_horizon(lossy_link_2, 4) is None
+
+
+def test_solvable_rule_builds_no_component_lists(monkeypatch):
+    import oblicon.patterns
+    import oblicon.simulate
+    from oblicon.families import source_broadcast
+
+    def fail(*args):
+        raise AssertionError("components built")
+
+    monkeypatch.setattr(oblicon.patterns, "group", fail)
+    monkeypatch.setattr(oblicon.simulate, "common_masks", fail)
+    rule = build_rule(source_broadcast(3, 1), 2)
+    assert len(rule.decided) == 9
+    report = verify_all_runs(rule)
+    assert report.ok
+    assert report.runs == 18
 
 
 def test_oracle_budget_error(lossy_link_2):
