@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from typing import Any
 
 from . import families
@@ -58,6 +59,17 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _edges_well_formed(edges: list) -> bool:
+    """True when every edge is a list of two ints, checked one property at a
+    time over the whole list; on False the caller checks edge by edge to
+    name the first malformed one."""
+    return (
+        set(map(type, edges)) <= {list}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, chain.from_iterable(edges))) <= {int}
+    )
+
+
 def adversary_from_doc(doc: Any) -> Adversary:
     if not isinstance(doc, dict):
         raise AdversaryFormatError("document must be a JSON object")
@@ -92,13 +104,12 @@ def adversary_from_doc(doc: Any) -> Adversary:
         raw_edges = entry.get("edges", [])
         if not isinstance(raw_edges, list):
             raise AdversaryFormatError(f"graph {k} edges must be a list")
-        edges = []
-        for e in raw_edges:
-            if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
-                raise AdversaryFormatError(f"graph {k} has a malformed edge: {e!r}")
-            edges.append((e[0], e[1]))
+        if not _edges_well_formed(raw_edges):
+            for e in raw_edges:
+                if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+                    raise AdversaryFormatError(f"graph {k} has a malformed edge: {e!r}")
         try:
-            graphs.append(CommunicationGraph(n, edges, name))
+            graphs.append(CommunicationGraph(n, raw_edges, name))
         except ValueError as exc:
             raise AdversaryFormatError(f"graph {k}: {exc}") from exc
     try:
@@ -119,20 +130,20 @@ def load_adversary(path: str) -> Adversary:
 
 
 def save_adversary(adv: Adversary, path: str) -> None:
-    text = json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n", path)
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout for None or "-"; a
+    file that cannot be written is an input error."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise AdversaryFormatError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

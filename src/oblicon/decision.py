@@ -16,12 +16,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress, count
+from operator import ne
 
 from .errors import PremiseError
 from .indist import (
     Adversary,
     IndistGraph,
-    common_masks,
     group,
     induced_connected,
     induced_edge_labels,
@@ -118,18 +119,28 @@ class RefinementTrace:
 
 
 def _fitting_masks(labels: Iterable[int], root_masks: Sequence[int]) -> dict[int, int]:
-    """For each label, the mask of graph indices whose root lies inside it."""
-    by_root: dict[int, int] = {}
+    """For each label, the mask of graph indices whose root lies inside it.
+
+    A root lies inside a label only if its lowest process does, so the
+    roots are filed under their lowest process and each label looks only at
+    those filed under its own members.
+    """
+    by_low: dict[int, dict[int, int]] = {}
     for g, rm in enumerate(root_masks):
-        by_root[rm] = by_root.get(rm, 0) | (1 << g)
+        graphs = by_low.setdefault(rm & -rm, {})
+        graphs[rm] = graphs.get(rm, 0) | (1 << g)
+    lows = sum(by_low)
     fitting: dict[int, int] = {}
-    for label in labels:
-        if label not in fitting:
-            acc = 0
-            for rm, graphs in by_root.items():
+    for label in set(labels):
+        acc = 0
+        rest = label & lows
+        while rest:
+            low = rest & -rest
+            for rm, graphs in by_low[low].items():
                 if rm & ~label == 0:
                     acc |= graphs
-            fitting[label] = acc
+            rest ^= low
+        fitting[label] = acc
     return fitting
 
 
@@ -159,21 +170,28 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
 
     first = single_round_indist(d)
     size = first.size
-    edges = first.edges()
-    fitting = _fitting_masks((label for _, _, label in edges), root_masks)
-    alive = [(u, v, fitting[label]) for u, v, label in edges]
+    # unsorted: only the removed edges are sorted, and union_find's
+    # representatives do not depend on the edge order
+    labels = first.labels()
+    fitting = _fitting_masks(labels.values(), root_masks)
+    alive = [(u, v, fitting[label]) for (u, v), label in labels.items()]
     removed: list[tuple[Edge, ...]] = [()]
+    bits = [1 << x for x in range(size)]
     iterations = 1
     while True:
         rep = union_find(size, alive)
-        comps = group(rep)[1]
-        compatible = all(common_masks(comps, root_masks))
+        # at each representative: its component's members and the AND of
+        # their roots, folded in from the nodes that are not representatives
+        members = bits[:]
+        common = list(root_masks)
+        for x in compress(count(), map(ne, rep, count())):
+            r = rep[x]
+            members[r] |= bits[x]
+            common[r] &= root_masks[x]
+        compatible = all(common)
         if compatible and not no_early_exit:
             break
         iterations += 1
-        members = [0] * size
-        for x in range(size):
-            members[rep[x]] |= 1 << x
         kept = []
         gone = []
         for edge in alive:
@@ -181,7 +199,7 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
                 kept.append(edge)
             else:
                 gone.append(edge[:2])
-        removed.append(tuple(gone))
+        removed.append(tuple(sorted(gone)))
         if not gone:
             break
         alive = kept
@@ -191,7 +209,7 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
         verdict=Verdict.SOLVABLE if compatible else Verdict.IMPOSSIBLE,
         first_level=first,
         removed=tuple(removed),
-        components_final=tuple(tuple(c) for c in comps),
+        components_final=tuple(map(tuple, group(rep)[1])),
         iterations=iterations,
         early_exit=not no_early_exit,
         fitting=fitting,

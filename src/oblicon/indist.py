@@ -7,6 +7,8 @@ same in-neighborhood in both; the edge label collects all such processes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain, combinations, compress, count, islice, repeat
+from operator import eq
 
 from .errors import NotRootedError
 from .graphs import CommunicationGraph
@@ -114,6 +116,11 @@ class IndistGraph:
         """Edges as (u, v, label) with u < v, sorted for determinism."""
         return [(u, v, self._edges[(u, v)]) for (u, v) in sorted(self._edges)]
 
+    def labels(self) -> Mapping[tuple[int, int], int]:
+        """The label of each edge (u, v), keyed with u < v, in insertion
+        order rather than sorted; the graph's own mapping, only to be read."""
+        return self._edges
+
     @property
     def num_edges(self) -> int:
         return len(self._edges)
@@ -157,26 +164,28 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def bucket_labels(columns: Sequence[Sequence[object]]) -> dict[tuple[int, int], int]:
+def bucket_labels(columns: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
     """Edge labels of the nodes whose entries coincide in some process's column.
 
-    ``columns[p][i]`` is node i's entry for process p.  For each process the
-    nodes are grouped by their entry, and p's bit is ORed into the label of
-    every pair inside a group, so the work is proportional to the
+    ``columns[p][i]`` is node i's entry for process p.  A column's repeated
+    entries are found in C, by sorting it and comparing neighbours; a column
+    without any is skipped.  Only the nodes holding a repeated entry are
+    grouped by it, and p's bit is ORed into the label of every pair inside a
+    group, so the work beyond the sort is proportional to the
     indistinguishable pairs rather than all pairs.
     """
     labels: dict[tuple[int, int], int] = {}
     for p, column in enumerate(columns):
-        buckets: dict[object, list[int]] = {}
-        for i, entry in enumerate(column):
-            buckets.setdefault(entry, []).append(i)
+        ordered = sorted(column)
+        repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+        if not repeated:
+            continue
+        buckets: dict[int, list[int]] = {}
+        for i in compress(count(), map(repeated.__contains__, column)):
+            buckets.setdefault(column[i], []).append(i)
         pbit = 1 << p
-        for members in buckets.values():
-            for a in range(len(members)):
-                ia = members[a]
-                for b in range(a + 1, len(members)):
-                    key = (ia, members[b])
-                    labels[key] = labels.get(key, 0) | pbit
+        for pair in chain.from_iterable(map(combinations, buckets.values(), repeat(2))):
+            labels[pair] = labels.get(pair, 0) | pbit
     return labels
 
 

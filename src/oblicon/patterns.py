@@ -332,12 +332,17 @@ def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
     return level
 
 
+def _all_distinct(column: Column) -> bool:
+    """True when no two patterns share the column's entry: a level's ids
+    count up from its first entry in order of first appearance, so exactly
+    when the last one is ``len(column) - 1`` above the first."""
+    return column[-1] - column[0] == len(column) - 1
+
+
 def _first_seen(column: Column) -> list[int] | None:
     """Each pattern's first pattern with the same entry in the column, or
-    None when all entries are distinct: a level's ids count up from its first
-    entry in order of first appearance, so exactly when the last one is
-    ``len(column) - 1`` above the first, and then no dict is built."""
-    if column[-1] - column[0] == len(column) - 1:
+    None, without building a dict, when all entries are distinct."""
+    if _all_distinct(column):
         return None
     first = dict(zip(reversed(column), reversed(range(len(column)))))
     return list(map(first.__getitem__, column))

@@ -3,7 +3,8 @@ solvability oracle.
 
 The synthesized rule fixes a horizon t and stores, per t-round pattern, the
 smallest common broadcaster of its indistinguishability component (read off
-one ``union_find`` pass with the broadcaster masks); every process decides
+one ``union_find`` pass with the broadcaster masks, or off the masks alone
+when no two patterns share a view); every process decides
 on that broadcaster's input.  Verification replays every pattern and checks
 agreement, validity, and termination, plus equal decisions across every
 indistinguishable pair of runs.  The oracle searches for the first level
@@ -24,6 +25,7 @@ from .indist import Adversary, common_masks, union_find
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
+    _all_distinct,
     _components,
     _final_level,
     _first_seen,
@@ -111,7 +113,11 @@ def build_rule(
     """
     level = _final_level(d, t, budget)
     bmasks = level.broadcaster_masks()
-    commons = union_find(len(bmasks), _view_pairs(level.views), bmasks)
+    if all(map(_all_distinct, level.views)):
+        # no shared view links any two patterns: each is its own component
+        commons = None if 0 in bmasks else bmasks
+    else:
+        commons = union_find(len(bmasks), _view_pairs(level.views), bmasks)
     if commons is None:
         _, comps = _components(level.views)
         comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
@@ -169,11 +175,12 @@ def verify_all_runs(
     decided = rule.decided
     agreement = validity = termination = 0
     samples: list[str] = []
+    # validity depends only on the decided process and the broadcasters
+    pairs = set(zip(decided, rule.broadcast_masks))
     for vec in vectors:
-        # validity depends only on the decided process and the broadcasters
         bad = {
             (b, bmask)
-            for b, bmask in set(zip(decided, rule.broadcast_masks))
+            for b, bmask in pairs
             if not any(vec[q - 1] == vec[b - 1] for q in procs_of(bmask))
         }
         if not bad:

@@ -146,6 +146,23 @@ def naive_path(ig: IndistGraph, start: int, goal: int) -> list[int] | None:
     return None
 
 
+def naive_bucket_labels(columns) -> dict[tuple[int, int], int]:
+    """Labels by comparing every pair of nodes in every column: bit p is set
+    for (i, j), i < j, when ``columns[p][i] == columns[p][j]``; pairs with
+    no equal entry are left out."""
+    size = len(columns[0]) if columns else 0
+    labels = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            label = 0
+            for p, column in enumerate(columns):
+                if column[i] == column[j]:
+                    label |= 1 << p
+            if label:
+                labels[(i, j)] = label
+    return labels
+
+
 def naive_components(ig: IndistGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components by breadth-first search over the edge list, each
     ascending, ordered by smallest node."""

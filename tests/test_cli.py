@@ -356,3 +356,43 @@ def test_export_dot_escapes_names(tmp_path, capsys):
         '  "a\\"b" -- "c\\\\d" [label="{p2}"];\n'
         "}\n"
     )
+
+
+MALFORMED_EDGES = [True, 2.0, "12", None, [1], [1, 2, 3], {"u": 1, "v": 2}, [[1], 2]]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", MALFORMED_EDGES, ids=repr)
+def test_malformed_edge_is_named_wherever_it_sits(tmp_path, capsys, bad, where):
+    good = [[1, 2], [2, 3], [3, 1], [1, 3]]
+    at = {"first": 0, "middle": 2, "last": len(good)}[where]
+    edges = good[:at] + [bad] + good[at:]
+    doc = {"n": 3, "graphs": [{"name": "A", "edges": good}, {"name": "B", "edges": edges}]}
+    assert main(["decide", _write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: graph 1 has a malformed edge: {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export-dot", "{doc}"],
+        ["generate", "chain"],
+        ["decide", "{doc}", "--dot-level", "2"],
+    ],
+    ids=["export-dot", "generate", "decide"],
+)
+def test_unwritable_output_is_an_input_error(chain_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "out.dot")
+    assert main([arg.format(doc=chain_file) for arg in argv] + ["-o", out]) == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(f"input error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    # decide writes the DOT after its report, as it checks --dot-level there too
+    if argv[0] == "decide":
+        assert captured.out.startswith("verdict: SOLVABLE\n")
+    else:
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()

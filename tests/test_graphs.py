@@ -20,6 +20,33 @@ def test_rejects_small_n_and_bad_edges():
         CommunicationGraph(3, [(1, 4)])
 
 
+@pytest.mark.parametrize("bad", [(0, 2), (2, 4), (3, -1), (-5, 1), (2, 10**30), (0.5, 2)])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_first_out_of_range_edge_is_named(bad, at):
+    edges = [(1, 2), (2, 3), (3, 1)]
+    edges.insert(at, bad)
+    edges.append((4, 1))
+    message = f"edge \\({bad[0]},{bad[1]}\\) out of range 1..3"
+    with pytest.raises(ValueError, match=message):
+        CommunicationGraph(3, edges)
+    with pytest.raises(ValueError, match=message):
+        CommunicationGraph(3, iter(edges))
+
+
+def test_non_integer_process_in_range_is_a_type_error():
+    with pytest.raises(TypeError):
+        CommunicationGraph(3, [(1, 2), (1.5, 2)])
+
+
+def test_edge_containers_build_the_same_graph():
+    pairs = [(1, 2), (2, 3), (3, 3), (1, 2)]
+    g = CommunicationGraph(3, pairs)
+    assert CommunicationGraph(3, [list(e) for e in pairs]) == g
+    assert CommunicationGraph(3, set(pairs)) == g
+    assert CommunicationGraph(3, iter(pairs)) == g
+    assert g.edges() == [(1, 2), (2, 3)]
+
+
 def test_root_unique_source():
     g = CommunicationGraph(3, [(1, 2), (2, 3)])
     assert g.root == {1}

@@ -134,6 +134,26 @@ def test_indist_graph_rejects_bad_edges():
         IndistGraph(2, ("a",), {})
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ({(0, 1): 1, (1, 1): 2}, "self-edge at node 1"),
+        ({(0, 1): 1, (1, 3): 2}, r"edge \(1,3\) out of range"),
+        ({(0, 1): 1, (-1, 2): 2}, r"edge \(-1,2\) out of range"),
+        ({(0, 1): 1, (2, 0): 0}, r"edge \(2,0\) has an empty label"),
+        ({(0, 1): 1, (1, 0): 2}, r"conflicting labels for edge \(0, 1\)"),
+    ],
+)
+def test_indist_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        IndistGraph(3, ("a", "b", "c"), edges)
+
+
+def test_indist_graph_normalizes_reversed_keys():
+    ig = IndistGraph(3, ("a", "b", "c"), {(2, 0): 1, (1, 0): 3, (0, 1): 3})
+    assert ig.edges() == [(0, 1, 3), (0, 2, 1)]
+
+
 def test_dot_export_stable(lossy_link_2):
     ig = single_round_indist(lossy_link_2)
     dot = ig.to_dot()

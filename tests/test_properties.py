@@ -23,6 +23,7 @@ from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
 from oblicon.indist import (
     Adversary,
     IndistGraph,
+    bucket_labels,
     common_masks,
     induced_connected,
     single_round_indist,
@@ -43,6 +44,7 @@ from oblicon.simulate import build_rule, imposs_witness, oracle_min_horizon
 
 from conftest import (
     interned_levels,
+    naive_bucket_labels,
     naive_components,
     naive_in_sets,
     naive_indist_procs,
@@ -98,6 +100,25 @@ def test_reaches_all_iff_in_root(g):
 def test_root_matches_naive_reachability(g):
     assert g.root == naive_root(g)
     assert g.root_mask == (mask_of(g.root) if g.root else 0)
+
+
+@st.composite
+def wide_graphs(draw):
+    """Graphs in which one process sends to at least 17 others, so root
+    closures expand frontiers too large to walk bit by bit."""
+    n = draw(st.integers(18, 48))
+    hub = draw(st.integers(1, n))
+    others = [p for p in range(1, n + 1) if p != hub]
+    fan = draw(st.lists(st.sampled_from(others), min_size=17, unique=True))
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    return CommunicationGraph(n, [(hub, v) for v in fan] + extra)
+
+
+@given(wide_graphs())
+def test_root_of_wide_graphs_matches_naive_reachability(g):
+    assert g.root == naive_root(g)
+    root = g.root or frozenset()
+    assert all(reaches_all(g, p) == (p in root) for p in range(1, g.n + 1))
 
 
 @st.composite
@@ -633,3 +654,27 @@ def test_oracle_broadcastability_monotone_on_catalog():
     if findings:
         print(f"broadcastability non-monotone on: {findings}")
     assert not findings
+
+
+@st.composite
+def label_columns(draw):
+    """Int columns of one length, each all-distinct, all-equal or drawn from
+    a few values, so singletons, repeats and skipped columns all occur."""
+    size = draw(st.integers(1, 12))
+    kinds = st.sampled_from(["distinct", "equal", "mixed"])
+    columns = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "distinct":
+            column = draw(st.permutations([v * 7 - 20 for v in range(size)]))
+        elif kind == "equal":
+            column = [draw(st.integers(-(2**70), 2**70))] * size
+        else:
+            column = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        columns.append(tuple(column))
+    return columns
+
+
+@given(label_columns())
+@settings(max_examples=200, deadline=None)
+def test_bucket_labels_match_all_pairs_reference(columns):
+    assert bucket_labels(columns) == naive_bucket_labels(columns)

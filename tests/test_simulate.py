@@ -224,6 +224,28 @@ def test_solvable_rule_builds_no_component_lists(monkeypatch):
     assert report.runs == 18
 
 
+def test_rule_without_shared_views_skips_union_find(monkeypatch):
+    import oblicon.simulate
+    from oblicon.families import source_broadcast
+    from oblicon.patterns import _final_level, _first_seen
+
+    def fail(*args):
+        raise AssertionError("union_find called")
+
+    d = source_broadcast(3, 1)
+    assert all(_first_seen(column) is None for column in _final_level(d, 2, 10**6).views)
+    monkeypatch.setattr(oblicon.simulate, "union_find", fail)
+    rule = build_rule(d, 2)
+    # every pattern is its own component and adopts its lowest broadcaster
+    assert rule.decided == tuple((m & -m).bit_length() for m in rule.broadcast_masks)
+    assert len(rule.decided) == 9
+    assert verify_all_runs(rule).ok
+    # at horizon 0 the one pattern has no broadcaster
+    with pytest.raises(NonBroadcastableComponentError) as exc:
+        build_rule(d, 0)
+    assert exc.value.pattern_names == ["(empty)"]
+
+
 def test_oracle_budget_error(lossy_link_2):
     with pytest.raises(BudgetExceededError) as exc:
         oracle_min_horizon(lossy_link_2, 12, budget=50)
