@@ -158,7 +158,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         "verdict": trace.verdict.value,
         "iterations": trace.iterations,
         "removal_iterations": trace.removal_iterations,
-        "component_count": trace.component_count,
+        "component_count": len(trace.components_final),
         "round_bound": trace.round_bound,
     }
     rooted = trace.first_level is not None
@@ -175,7 +175,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         if rooted:
             print(f"iterations: {trace.iterations}")
             print(f"edge-removing iterations: {trace.removal_iterations}")
-            print(f"final components: {trace.component_count}")
+            print(f"final components: {report['component_count']}")
             print(f"round bound c*(n-1)*(iterations+1): {trace.round_bound}")
             if args.trace:
                 for line in _format_removals(adv, trace):

@@ -50,12 +50,13 @@ class RefinementTrace:
 
     ``removed[k]`` lists the edges dropped while forming level k+1 (level 1
     is the raw indistinguishability graph, so ``removed[0]`` is empty).
-    Levels are kept as this log: ``level_at``, ``levels`` and ``final_level``
-    rebuild an ``IndistGraph`` only when read.  ``iterations`` is the loop
-    counter at exit with level 1 counting as iteration 1;
-    ``removal_iterations`` counts only the levels that actually dropped an
-    edge, so both ways of counting are available.  ``fitting`` maps each
-    level-1 label to the mask of graph indices whose root lies inside it.
+    Levels are kept as this log: ``level_at`` and ``levels`` rebuild an
+    ``IndistGraph`` only when read, and ``components_final`` holds the last
+    level's components.  ``iterations`` is the loop counter at exit with
+    level 1 counting as iteration 1; ``removal_iterations`` counts only the
+    levels that actually dropped an edge, so both ways of counting are
+    available.  ``fitting`` maps each level-1 label to the mask of graph
+    indices whose root lies inside it.
     """
 
     adversary: Adversary
@@ -73,14 +74,6 @@ class RefinementTrace:
         return tuple(self.level_at(i) for i in range(1, len(self.removed) + 1))
 
     @property
-    def final_level(self) -> IndistGraph:
-        return self.level_at(max(1, len(self.removed)))
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components_final)
-
-    @property
     def removal_iterations(self) -> int:
         return sum(1 for r in self.removed if r)
 
@@ -89,7 +82,7 @@ class RefinementTrace:
         """The synthesized algorithm's decision round: c * (n-1) * (iterations+1)."""
         if self.first_level is None:
             return 0
-        return self.component_count * (self.adversary.n - 1) * (self.iterations + 1)
+        return len(self.components_final) * (self.adversary.n - 1) * (self.iterations + 1)
 
     @property
     def reached_fixpoint(self) -> bool:
@@ -114,7 +107,7 @@ class RefinementTrace:
         return IndistGraph(
             first.size,
             first.names,
-            {(u, v): label for u, v, label in first.edges() if (u, v) not in gone},
+            {key: label for key, label in first.labels().items() if key not in gone},
         )
 
 
@@ -265,6 +258,6 @@ def check_protected_chain(
 
     final = trace.level_at(depth)
     for (u, v) in induced_edge_labels(base, sets[0]):
-        if not final.has_edge(u, v):
+        if final.label(u, v) is None:
             return False
     return True

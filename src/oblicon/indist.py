@@ -80,37 +80,35 @@ class Adversary:
 
 
 class IndistGraph:
-    """Undirected graph on node indices with nonempty process-set edge labels."""
+    """Undirected graph on node indices with nonempty process-set edge labels.
+
+    ``edges`` maps each ``(u, v)`` with ``0 <= u < v < size`` to its label, as
+    ``bucket_labels`` returns; any other key or an empty label raises
+    ``ValueError`` naming the first bad edge."""
 
     __slots__ = ("size", "names", "_edges", "_components", "_comp_of")
 
     def __init__(self, size: int, names: Sequence[str], edges: Mapping[tuple[int, int], int]):
         if len(names) != size:
             raise ValueError("one name per node required")
-        normalized: dict[tuple[int, int], int] = {}
         for (u, v), label in edges.items():
-            if u == v:
-                raise ValueError(f"self-edge at node {u}")
-            if not (0 <= u < size and 0 <= v < size):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if label == 0:
+            if not (0 <= u < v < size and label):
+                if u == v:
+                    raise ValueError(f"self-edge at node {u}")
+                if not (0 <= u < size and 0 <= v < size):
+                    raise ValueError(f"edge ({u},{v}) out of range")
+                if u > v:
+                    raise ValueError(f"edge ({u},{v}) is not keyed with u < v")
                 raise ValueError(f"edge ({u},{v}) has an empty label")
-            key = (u, v) if u < v else (v, u)
-            if key in normalized and normalized[key] != label:
-                raise ValueError(f"conflicting labels for edge {key}")
-            normalized[key] = label
         self.size = size
         self.names = tuple(names)
-        self._edges = normalized
+        self._edges = dict(edges)
         self._components: tuple[tuple[int, ...], ...] | None = None
         self._comp_of: tuple[int, ...] | None = None
 
     def label(self, u: int, v: int) -> int | None:
         key = (u, v) if u < v else (v, u)
         return self._edges.get(key)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.label(u, v) is not None
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Edges as (u, v, label) with u < v, sorted for determinism."""
@@ -124,12 +122,6 @@ class IndistGraph:
     @property
     def num_edges(self) -> int:
         return len(self._edges)
-
-    def edge_keys(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._edges)
-
-    def same_edge_set(self, other: "IndistGraph") -> bool:
-        return self.size == other.size and self._edges == other._edges
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, ordered by smallest contained node."""

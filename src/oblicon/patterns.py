@@ -138,14 +138,6 @@ def _advance(steps: Iterable[tuple[Row, Row, InTuples]]) -> tuple[list[Row], lis
     return rows, states
 
 
-def _common(state: Row, n: int) -> int:
-    """Processes in every influence mask of the state: the broadcasters."""
-    common = (1 << n) - 1
-    for m in state:
-        common &= m
-    return common
-
-
 def final_views(patterns: Sequence[Pattern]) -> list[tuple[Row, Row]]:
     """Final view row and influence state of each of a few equal-length patterns.
 
@@ -178,6 +170,10 @@ def indist_label(sigma: Pattern, sigma_prime: Pattern) -> int:
 
 def heard_of(sigma: Pattern, p: int, r_from: int, q: int, r_to: int) -> bool:
     """True iff p's state at time r_from influences q's state at time r_to."""
+    n = sigma.adversary.n
+    for arg, x in (("p", p), ("q", q)):
+        if not 1 <= x <= n:
+            raise ValueError(f"need 1 <= {arg} <= {n}, got {arg}={x}")
     if not (0 <= r_from < r_to <= len(sigma)):
         raise ValueError(
             f"need 0 <= r_from < r_to <= {len(sigma)}, got r_from={r_from}, r_to={r_to}"
@@ -189,7 +185,7 @@ def heard_of(sigma: Pattern, p: int, r_from: int, q: int, r_to: int) -> bool:
 def broadcaster_mask(sigma: Pattern) -> int:
     """Mask of processes whose initial state reaches everyone by the end."""
     [(_, state)] = final_views([sigma])
-    return _common(state, sigma.adversary.n)
+    return reduce(and_, state)
 
 
 def pattern_at(d: Adversary, r: int, index: int) -> Pattern:

@@ -165,6 +165,8 @@ def verify_all_runs(
     """
     d = rule.adversary
     n = d.n
+    if inputs is not None and len(inputs) != n:
+        raise ValueError(f"need {n} inputs, got {len(inputs)}")
     vectors: list[tuple] = (
         [tuple(inputs)] if inputs is not None else [tuple(range(1, n + 1)), (1,) * n]
     )

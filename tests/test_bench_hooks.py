@@ -12,7 +12,10 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import oblicon
 from oblicon.cli import load_adversary, main
+from oblicon.decision import decide
+from oblicon.indist import single_round_indist
 from oblicon.patterns import iter_pattern_levels
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -55,3 +58,22 @@ def test_traced_oracle_counts_patterns_and_final_views():
     assert tracer.counts["patterns.enumerated"] == m + m**2 + m**3
     *_, last = iter_pattern_levels(d, 3)
     assert tracer.counts["patterns.views_final"] == len(set().union(*last.views))
+
+
+def test_traced_decide_counts_level_one_and_removed_edges():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.hooked(tracer) as missing, redirect_stdout(io.StringIO()):
+        assert main(["decide", str(CHAIN8)]) == 0
+    tracer.end_op()
+    assert missing == []
+    d = load_adversary(str(CHAIN8))
+    assert tracer.counts["indist.edges"] == single_round_indist(d).num_edges
+    assert tracer.counts["decision.edges_removed"] == sum(map(len, decide(d).removed))
+
+
+def test_every_exported_name_resolves_once():
+    names = oblicon.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(oblicon, name), f"oblicon.{name} is exported but gone"

@@ -186,7 +186,7 @@ def test_inflated_new_edges_vanish_in_first_removal():
     trace = decide(infl_adv, no_early_exit=True)
     second = trace.levels[1]
     for u, v in new_edges:
-        assert not second.has_edge(u, v)
+        assert second.label(u, v) is None
 
 
 # --- partitioned -------------------------------------------------------------

@@ -140,8 +140,9 @@ def test_indist_graph_rejects_bad_edges():
         ({(0, 1): 1, (1, 1): 2}, "self-edge at node 1"),
         ({(0, 1): 1, (1, 3): 2}, r"edge \(1,3\) out of range"),
         ({(0, 1): 1, (-1, 2): 2}, r"edge \(-1,2\) out of range"),
-        ({(0, 1): 1, (2, 0): 0}, r"edge \(2,0\) has an empty label"),
-        ({(0, 1): 1, (1, 0): 2}, r"conflicting labels for edge \(0, 1\)"),
+        ({(0, 1): 1, (2, 0): 0}, r"edge \(2,0\) is not keyed with u < v"),
+        ({(0, 1): 1, (1, 0): 2}, r"edge \(1,0\) is not keyed with u < v"),
+        ({(0, 1): 1, (0, 2): 0}, r"edge \(0,2\) has an empty label"),
     ],
 )
 def test_indist_graph_names_the_first_bad_edge(edges, message):
@@ -149,9 +150,11 @@ def test_indist_graph_names_the_first_bad_edge(edges, message):
         IndistGraph(3, ("a", "b", "c"), edges)
 
 
-def test_indist_graph_normalizes_reversed_keys():
-    ig = IndistGraph(3, ("a", "b", "c"), {(2, 0): 1, (1, 0): 3, (0, 1): 3})
-    assert ig.edges() == [(0, 1, 3), (0, 2, 1)]
+def test_indist_graph_rejects_reversed_keys():
+    with pytest.raises(ValueError, match=r"edge \(1,0\) is not keyed with u < v"):
+        IndistGraph(3, ("a", "b", "c"), {(1, 0): 1})
+    with pytest.raises(ValueError, match=r"edge \(2,0\)"):
+        IndistGraph(3, ("a", "b", "c"), {(0, 1): 3, (2, 0): 1, (1, 0): 3})
 
 
 def test_dot_export_stable(lossy_link_2):

@@ -83,6 +83,21 @@ def test_heard_of_chain_path_lengths(chain_graph):
         heard_of(sigma, 1, 0, 3, 5)
 
 
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (0, 1, "p=0"),
+        (4, 1, "p=4"),
+        (1, 0, "q=0"),
+        (1, 4, "q=4"),
+    ],
+)
+def test_heard_of_rejects_processes_out_of_range(chain_graph, p, q, message):
+    sigma = Pattern.repeat(Adversary([chain_graph]), 0, 2)
+    with pytest.raises(ValueError, match=message):
+        heard_of(sigma, p, 0, q, 2)
+
+
 def test_broadcasters_repeat_equals_root(chain_graph):
     d = Adversary([chain_graph])
     sigma = Pattern.repeat(d, 0, 2)  # n-1 repetitions

@@ -505,7 +505,7 @@ def test_refinement_monotone_and_bounded(d):
     trace = decide(d, no_early_exit=True)
     assert trace.iterations <= 2 ** d.n
     for earlier, later in zip(trace.levels, trace.levels[1:]):
-        assert later.edge_keys() <= earlier.edge_keys()
+        assert later.labels().keys() <= earlier.labels().keys()
     assert trace.reached_fixpoint
 
 
@@ -593,7 +593,7 @@ def test_separate_components_never_mix_patterns(d):
     # join them (e.g. n=3 with in-masks (5,7,7), (7,2,7), (7,7,7) mixes up to
     # r=3 although its horizon is 8)
     trace = decide(d, no_early_exit=True)
-    comps = trace.final_level.components()
+    comps = trace.components_final
     if len(comps) < 2:
         return
     r = (d.n - 1) * trace.iterations

@@ -180,6 +180,17 @@ def test_verify_all_runs_clean(solvable_pair):
     assert report.runs == 2 * len(solvable_pair) ** horizon
 
 
+@pytest.mark.parametrize("length", [2, 5])
+def test_verify_all_runs_rejects_inputs_of_the_wrong_length(length):
+    from oblicon.families import source_broadcast
+
+    d = source_broadcast(3, 1)
+    rule = build_rule(d, 1)
+    with pytest.raises(ValueError, match=f"need 3 inputs, got {length}"):
+        verify_all_runs(rule, tuple(range(1, length + 1)))
+    assert verify_all_runs(rule, (1, 2, 3)).ok
+
+
 def test_oracle_min_horizon_chain_graph(chain_graph):
     d = Adversary([chain_graph])
     assert oracle_min_horizon(d, 5) == 2
