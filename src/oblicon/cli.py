@@ -314,7 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(inputs) != adv.n:
         raise AdversaryFormatError(f"need {adv.n} inputs, got {len(inputs)}")
     try:
-        rule = build_rule(adv, len(sigma), budget=args.budget)
+        rule = build_rule(adv, len(sigma), budget=args.budget, until=sigma)
     except NonBroadcastableComponentError as exc:
         print(f"cannot build a rule at horizon {exc.horizon}: {exc}")
         return EXIT_IMPOSSIBLE

@@ -20,7 +20,9 @@ Two kernels build the views:
   differs in every graph, is not interned: its views of all patterns differ
   and interning would number them in pattern order, so its column is a range
   of ids.  Components, broadcaster masks and run verification read the
-  columns the same way.
+  columns the same way.  A level can also be pruned to a subset of its
+  patterns, each keeping its lexicographic index, and extended as before;
+  the rule's pattern tree is built so.
 * ``final_views`` replays a few given patterns row by row (``_advance``).  It
   backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
   calls on one or two patterns would pay the column kernel's fixed cost per
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
-from itertools import chain, compress, count
-from operator import and_, ne, or_
+from itertools import chain, compress, count, repeat
+from operator import add, and_, mul, ne, or_
 
 from .errors import BudgetExceededError, PairBudgetExceededError
 from .graphs import CommunicationGraph
@@ -210,13 +212,17 @@ def pattern_index(sigma: Pattern) -> int:
 
 @dataclass
 class PatternLevel:
-    """All patterns of one length in lexicographic order, stored as
-    per-process columns: ``views[p][i]`` is process p's final view id in
-    pattern i and ``influence[p][i]`` is p's influence mask there."""
+    """Patterns of one length in lexicographic order, stored as per-process
+    columns: ``views[p][i]`` is process p's final view id in the level's
+    pattern i, ``influence[p][i]`` is p's influence mask there, and
+    ``index[i]`` is that pattern's lexicographic index among all patterns of
+    the length.  A full level's index is a ``range``; a pruned level, one
+    built from the patterns ``keep`` retained, holds a subset."""
 
     rounds: int
     views: list[tuple[int, ...]]
     influence: list[list[int]]
+    index: Sequence[int]
 
     @property
     def view_rows(self) -> list[Row]:
@@ -229,6 +235,21 @@ class PatternLevel:
         """Per pattern, the processes in every influence mask: its broadcasters."""
         return list(_fold(and_, self.influence))
 
+    def keep(self, flags: Sequence[bool]) -> "PatternLevel":
+        """The patterns whose flag is set, in order, to be extended next.
+
+        The kept view columns are not fresh: a column that skips patterns
+        may hold repeats although its ids still span exactly its length, so
+        ``_all_distinct``, and with it components, must not read them.  Only
+        ``_extend`` does, which interns its keys afresh.
+        """
+        return PatternLevel(
+            self.rounds,
+            [tuple(compress(column, flags)) for column in self.views],
+            [list(compress(column, flags)) for column in self.influence],
+            list(compress(self.index, flags)),
+        )
+
 
 def _fold(op, columns: Sequence[Column]) -> Iterator[int]:
     """``op`` applied across equal-length columns, entry by entry, as nested maps."""
@@ -236,7 +257,7 @@ def _fold(op, columns: Sequence[Column]) -> Iterator[int]:
 
 
 def _level_zero(n: int) -> PatternLevel:
-    return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)])
+    return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)], range(1))
 
 
 def _extend(
@@ -254,9 +275,22 @@ def _extend(
     views of all patterns differ, and interning would number them in pattern
     order.  Its column is that range of ids, built without reading a key.
     p's new influence mask ORs the masks of its in-neighbours.
+
+    The level may be pruned (see ``PatternLevel.keep``): pattern i keeps its
+    position, and its extension by g has lexicographic index
+    ``index[i]*m + g``.  A graph-identifying process still tells every kept
+    pattern apart, so its range of ids stays valid, and the new columns are
+    fresh either way: ids count up in order of first appearance.
     """
     views, influence = level.views, level.influence
     size = len(views[0]) * m
+    if type(level.index) is range:
+        index: Sequence[int] = range(size)
+    else:
+        index = [0] * size
+        scaled = list(map(mul, level.index, repeat(m)))
+        for g in range(m):
+            index[g::m] = map(add, scaled, repeat(g))
     base = 0
     new_views: list[tuple[int, ...]] = []
     new_influence: list[list[int]] = []
@@ -275,7 +309,7 @@ def _extend(
         ids = dict(zip(dict.fromkeys(keys), count(base)))
         base += len(ids)
         new_views.append(tuple(map(ids.__getitem__, keys)))
-    return PatternLevel(level.rounds + 1, new_views, new_influence)
+    return PatternLevel(level.rounds + 1, new_views, new_influence, index)
 
 
 def iter_pattern_levels(
@@ -290,13 +324,19 @@ def iter_pattern_levels(
     if r_max < 0:
         raise ValueError(f"round count must be non-negative, got {r_max}")
     m = len(d)
-    ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
-    identifying = [len(set(ins_p)) == m for ins_p in ins_of]
+    ins_of, identifying = _round_inputs(d)
     level = _level_zero(d.n)
     for k in range(1, r_max + 1):
         _check_budget(d, k, budget)
         level = _extend(level, ins_of, m, identifying)
         yield level
+
+
+def _round_inputs(d: Adversary) -> tuple[list[InTuples], list[bool]]:
+    """What ``_extend`` reads of the adversary: per process, its
+    in-neighbours under each graph, and whether it is graph-identifying."""
+    ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
+    return ins_of, [len(set(ins_p)) == len(d) for ins_p in ins_of]
 
 
 def _check_budget(d: Adversary, r: int, budget: int) -> None:
@@ -329,9 +369,10 @@ def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
 
 
 def _all_distinct(column: Column) -> bool:
-    """True when no two patterns share the column's entry: a level's ids
-    count up from its first entry in order of first appearance, so exactly
-    when the last one is ``len(column) - 1`` above the first."""
+    """True when no two patterns share the column's entry: a fresh column's
+    ids count up from its first entry in order of first appearance, so
+    exactly when the last one is ``len(column) - 1`` above the first.  A
+    pruned column (``PatternLevel.keep``) can break this: (0, 0, 2) passes."""
     return column[-1] - column[0] == len(column) - 1
 
 

@@ -1,23 +1,31 @@
 """Consensus rule synthesis, exhaustive run verification, and the brute-force
 solvability oracle.
 
-The synthesized rule fixes a horizon t and stores, per t-round pattern, the
-smallest common broadcaster of its indistinguishability component (read off
-one ``union_find`` pass with the broadcaster masks, or off the masks alone
-when no two patterns share a view); every process decides
-on that broadcaster's input.  Verification replays every pattern and checks
-agreement, validity, and termination, plus equal decisions across every
-indistinguishable pair of runs.  The oracle searches for the first level
-whose components all have a common broadcaster, and stops a level as soon as
-some linked patterns share none.
+The synthesized rule is a prefix-pruned pattern tree.  Round r holds the
+r-round patterns that no earlier round decides, and a pattern is decided at
+the first round whose indistinguishability component has a common
+broadcaster: its runs adopt the smallest such broadcaster's input.  Only the
+undecided patterns are extended to the next round.  A decided component
+keeps a common broadcaster in every extension, and patterns that are
+indistinguishable at a later round are indistinguishable at every earlier
+one, so the tree decides what the full horizon-t enumeration would, and the
+undecided patterns at t are whole components of that enumeration.
+
+Verification walks the same rounds: a pattern decided at round r stands for
+all its extensions to the horizon, and its decision is checked for validity
+against its round-r broadcasters and for equality across every pair of
+patterns with equal views at round r.  The oracle searches for the first
+level whose components all have a common broadcaster, and stops a level as
+soon as some linked patterns share none.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections import deque
 from collections.abc import Sequence
-from itertools import compress, count, islice
-from operator import ne
+from itertools import compress, count, islice, repeat
+from operator import ne, not_, or_, xor
 
 from .decision import decide
 from .errors import NonBroadcastableComponentError, NotRootedError
@@ -26,9 +34,13 @@ from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     _all_distinct,
+    _check_budget,
     _components,
+    _extend,
     _final_level,
     _first_seen,
+    _level_zero,
+    _round_inputs,
     _view_pairs,
     broadcaster_mask,
     indist_label,
@@ -41,28 +53,60 @@ from .procset import procs_of
 
 @dataclass(frozen=True)
 class ConsensusRule:
-    """Decision rule at a fixed horizon: pattern -> adopted broadcaster.
+    """Decision rule at horizon t, as a prefix-pruned pattern tree.
 
-    ``decided[i]`` is the smallest common broadcaster of pattern i's
-    component; a run with pattern i decides on that process's input.
-    ``views[p][i]`` is process p's final view id in pattern i.
+    Round r, from 0, holds the r-round patterns no earlier round decides:
+    ``index[r][i]`` is the lexicographic index of its i-th pattern,
+    ``decided[r][i]`` the process whose input that pattern's runs adopt at
+    round r, or 0 when round r does not decide it, and
+    ``broadcast_masks[r][i]`` and ``views[r][p][i]`` are that pattern's
+    broadcasters and process p's view id.  Round r + 1 holds the extensions
+    of round r's undecided patterns.  The rounds end at the first that
+    decides all its patterns, or at round t.
     """
 
     adversary: Adversary
     t: int
-    decided: tuple[int, ...]
-    broadcast_masks: tuple[int, ...]
-    views: tuple[tuple[int, ...], ...]
+    index: tuple[Sequence[int], ...]
+    decided: tuple[tuple[int, ...], ...]
+    broadcast_masks: tuple[tuple[int, ...], ...]
+    views: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """The pattern components, built from the views on every read."""
-        return tuple(map(tuple, _components(self.views)[1]))
+        """The components each round decides, as lexicographic indices of
+        that round's patterns, by round and then by smallest index; built
+        from the views on every read."""
+        return tuple(
+            tuple(index[i] for i in comp)
+            for index, decided, views in zip(self.index, self.decided, self.views)
+            for comp in _components(views)[1]
+            if decided[comp[0]]
+        )
 
     def decision_process(self, sigma: Pattern) -> int:
-        if len(sigma) != self.t:
-            raise ValueError(f"pattern has {len(sigma)} rounds, rule expects {self.t}")
-        return self.decided[pattern_index(sigma)]
+        """The process whose input sigma's runs adopt, or 0 when no round decides it."""
+        return _decision(self, sigma)[1]
+
+
+def _decision(rule: ConsensusRule, sigma: Pattern) -> tuple[int, int]:
+    """The round that decides a t-round pattern and the adopted process,
+    found by walking the pattern's prefixes; (last round, 0) when none does."""
+    if len(sigma) != rule.t:
+        raise ValueError(f"pattern has {len(sigma)} rounds, rule expects {rule.t}")
+    for r, index, decided in zip(count(), rule.index, rule.decided):
+        i = _position(index, pattern_index(sigma.prefix(r)))
+        if i is None:
+            break
+        if decided[i]:
+            return r, decided[i]
+    return len(rule.decided) - 1, 0
+
+
+def _position(index: Sequence[int], k: int) -> int | None:
+    """Where the ascending ``index`` holds k, or None."""
+    i = bisect_left(index, k)
+    return i if i < len(index) and index[i] == k else None
 
 
 @dataclass(frozen=True)
@@ -101,67 +145,120 @@ class VerificationReport:
         )
 
 
+def _level_commons(
+    views: Sequence[Sequence[int]], bmasks: list[int], stop: bool
+) -> list[int] | None:
+    """Each pattern's component AND of the broadcaster masks, on a level's
+    fresh columns.
+
+    Without any broadcaster every AND is empty, and with no shared view
+    each pattern is its own component.  Otherwise one ``union_find`` pass
+    carries the masks.  With ``stop`` it returns None at the first component
+    whose AND is empty.  Without, each mask also holds a bit above every
+    process, so that no AND runs empty, and the bit is cleared afterwards.
+    """
+    if not any(bmasks) or all(map(_all_distinct, views)):
+        return bmasks
+    if stop:
+        return union_find(len(bmasks), _view_pairs(views), bmasks)
+    top = 1 << len(views)
+    commons = union_find(len(bmasks), _view_pairs(views), list(map(or_, bmasks, repeat(top))))
+    return list(map(xor, commons, repeat(top)))
+
+
 def build_rule(
-    d: Adversary, t: int, budget: int = DEFAULT_PATTERN_BUDGET
+    d: Adversary,
+    t: int,
+    budget: int = DEFAULT_PATTERN_BUDGET,
+    until: Pattern | None = None,
 ) -> ConsensusRule:
     """Synthesize the decision rule at horizon t.
 
-    Every component of the t-round pattern indistinguishability graph must
-    have a common broadcaster; otherwise the first offending component (by
+    Round by round, each pattern still undecided is decided when its
+    component has a common broadcaster, on the smallest one, and the rest
+    are extended.  Patterns undecided at t form whole components of the
+    t-round pattern indistinguishability graph; the first of them (by
     smallest pattern index) is reported via NonBroadcastableComponentError,
     which signals that t is too small or consensus is unsolvable.
+
+    The m**t patterns of the horizon are checked against the budget before
+    any round is built.  With ``until``, a t-round pattern, the tree stops
+    at the round that decides it, and only the rounds built are checked.
     """
-    level = _final_level(d, t, budget)
-    bmasks = level.broadcaster_masks()
-    if all(map(_all_distinct, level.views)):
-        # no shared view links any two patterns: each is its own component
-        commons = None if 0 in bmasks else bmasks
-    else:
-        commons = union_find(len(bmasks), _view_pairs(level.views), bmasks)
-    if commons is None:
-        _, comps = _components(level.views)
-        comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
-        raise NonBroadcastableComponentError(t, [pattern_at(d, t, i).name for i in comp])
-    low = {common: (common & -common).bit_length() for common in set(commons)}
-    decided = tuple(map(low.__getitem__, commons))
-    return ConsensusRule(d, t, decided, tuple(bmasks), tuple(level.views))
+    if t < 0:
+        raise ValueError(f"round count must be non-negative, got {t}")
+    if until is None:
+        if t > 0:
+            _check_budget(d, t, budget)
+    elif len(until) != t:
+        raise ValueError(f"pattern has {len(until)} rounds, rule expects {t}")
+    m = len(d)
+    ins_of, identifying = _round_inputs(d)
+    level = _level_zero(d.n)
+    rounds: list[tuple] = []
+    for r in range(t + 1):
+        if r:
+            if until is not None:
+                _check_budget(d, r, budget)
+            if any(decided):
+                level = level.keep(list(map(not_, decided)))
+            level = _extend(level, ins_of, m, identifying)
+        bmasks = level.broadcaster_masks()
+        # the last round only has to tell whether every component decides
+        commons = _level_commons(level.views, bmasks, r == t and until is None)
+        if commons is None:
+            break
+        low = {common: (common & -common).bit_length() for common in set(commons)}
+        decided = tuple(map(low.__getitem__, commons))
+        rounds.append((level.index, decided, tuple(bmasks), tuple(level.views)))
+        if 0 not in decided or until is not None and decided[
+            _position(level.index, pattern_index(until.prefix(r)))
+        ]:
+            return ConsensusRule(d, t, *map(tuple, zip(*rounds)))
+    comps = _components(level.views)[1]
+    comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
+    raise NonBroadcastableComponentError(t, [pattern_at(d, t, level.index[i]).name for i in comp])
 
 
 def run(rule: ConsensusRule, sigma: Pattern, inputs: Sequence) -> RunReport:
     """Replay one pattern under the rule with concrete inputs.
 
-    All processes adopt the input of the rule's decided broadcaster; the
-    validity flag checks that the decided value is the input of an actual
-    broadcaster of this very pattern (recomputed from the pattern, not taken
-    from the rule).
+    All processes adopt the input of the process the rule decides on at the
+    first round that decides the pattern; the validity flag checks that the
+    decided value is the input of an actual broadcaster of the pattern's
+    prefix up to that round (recomputed from the pattern, not taken from the
+    rule).  A pattern no round decides fails termination and adopts nothing.
     """
     n = rule.adversary.n
-    b = rule.decision_process(sigma)
+    r, b = _decision(rule, sigma)
     if len(inputs) != n:
         raise ValueError(f"need {n} inputs, got {len(inputs)}")
-    value = inputs[b - 1]
-    bcasters = procs_of(broadcaster_mask(sigma))
-    validity_ok = any(inputs[q - 1] == value for q in bcasters)
+    value = inputs[b - 1] if b else None
+    bcasters = procs_of(broadcaster_mask(sigma.prefix(r))) if b else ()
     return RunReport(
         pattern=sigma,
-        adopted=(b,) * n,
+        adopted=(b,) * n if b else (),
         value=value,
         agreement_ok=True,
-        validity_ok=validity_ok,
-        termination_ok=True,
+        validity_ok=not b or any(inputs[q - 1] == value for q in bcasters),
+        termination_ok=bool(b),
     )
 
 
 def verify_all_runs(
     rule: ConsensusRule, inputs: Sequence | None = None
 ) -> VerificationReport:
-    """Replay every t-round pattern and aggregate correctness violations.
+    """Replay every t-round run on the rule's tree and aggregate correctness
+    violations.
 
     Without explicit inputs, runs the canonical distinct vector (x_p = p) and
     the all-equal vector; with adopt-the-input decisions the distinct vector
-    exercises validity fully.  Additionally asserts that patterns with equal
-    final views for any process (the raw indistinguishability relation) were
-    assigned equal decisions.
+    exercises validity fully.  A pattern decided at round r stands for its
+    m**(t-r) extensions, in every count.  Its decision must be the input of
+    one of its round-r broadcasters.  Patterns with equal round-r views for
+    any process (the raw indistinguishability relation) must be decided
+    alike at round r, where deciding and not deciding differ.  Patterns the
+    last round leaves undecided fail termination.
     """
     d = rule.adversary
     n = d.n
@@ -171,43 +268,59 @@ def verify_all_runs(
         [tuple(inputs)] if inputs is not None else [tuple(range(1, n + 1)), (1,) * n]
     )
 
-    def name(idx: int) -> str:
-        return pattern_at(d, rule.t, idx).name
-
-    decided = rule.decided
-    agreement = validity = termination = 0
+    m, t = len(d), rule.t
+    agreement = validity = cross = runs = 0
     samples: list[str] = []
-    # validity depends only on the decided process and the broadcasters
-    pairs = set(zip(decided, rule.broadcast_masks))
-    for vec in vectors:
-        bad = {
-            (b, bmask)
-            for b, bmask in pairs
-            if not any(vec[q - 1] == vec[b - 1] for q in procs_of(bmask))
-        }
-        if not bad:
-            continue
-        flags = list(map(bad.__contains__, zip(decided, rule.broadcast_masks)))
-        validity += flags.count(True)
-        for idx in islice(compress(count(), flags), 8 - len(samples)):
-            samples.append(f"validity: pattern {name(idx)} decided input of p{decided[idx]}")
-    cross = 0
-    for p, column in enumerate(rule.views):
-        firsts = _first_seen(column)
-        if firsts is None:
-            continue
-        flags = list(map(ne, map(decided.__getitem__, firsts), decided))
-        cross += flags.count(True)
-        for idx in islice(compress(count(), flags), 8 - len(samples)):
-            samples.append(
-                f"cross-run: {name(firsts[idx])} vs {name(idx)} disagree for p{p + 1}"
-            )
+    for r, index, decided, bmasks, views in zip(
+        count(), rule.index, rule.decided, rule.broadcast_masks, rule.views
+    ):
+        weight = m ** (t - r)
+        done = len(decided) - decided.count(0)
+        runs += done * weight
+        if not done:
+            continue  # no decision to check, and none differs
+
+        def name(i: int) -> str:
+            return pattern_at(d, r, index[i]).name
+
+        # validity depends only on the decided process and the broadcasters
+        pairs = set(zip(decided, bmasks))
+        for vec in vectors:
+            bad = {
+                (b, bmask)
+                for b, bmask in pairs
+                if b and not any(vec[q - 1] == vec[b - 1] for q in procs_of(bmask))
+            }
+            if not bad:
+                continue
+            flags = list(map(bad.__contains__, zip(decided, bmasks)))
+            validity += flags.count(True) * weight
+            for i in islice(compress(count(), flags), 8 - len(samples)):
+                samples.append(f"validity: pattern {name(i)} decided input of p{decided[i]}")
+        for p, column in enumerate(views):
+            firsts = _first_seen(column)
+            if firsts is None:
+                continue
+            flags = list(map(ne, map(decided.__getitem__, firsts), decided))
+            cross += flags.count(True) * weight
+            for i in islice(compress(count(), flags), 8 - len(samples)):
+                samples.append(
+                    f"cross-run: {name(firsts[i])} vs {name(i)} disagree for p{p + 1}"
+                )
+    # the last round's undecided patterns stand for runs that never decide
+    r = len(rule.decided) - 1
+    flags = list(map(not_, rule.decided[r]))
+    left = flags.count(True) * m ** (t - r)
+    runs += left
+    for i in islice(compress(count(), flags), 8 - len(samples)):
+        sigma = pattern_at(d, r, rule.index[r][i])
+        samples.append(f"termination: pattern {sigma.name} undecided after round {r}")
     return VerificationReport(
         horizon=rule.t,
-        runs=len(decided) * len(vectors),
+        runs=runs * len(vectors),
         agreement_violations=agreement,
         validity_violations=validity,
-        termination_violations=termination,
+        termination_violations=left * len(vectors),
         cross_run_violations=cross,
         samples=tuple(samples),
     )

@@ -2,13 +2,16 @@
 used as independent oracles."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import pytest
 
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary, IndistGraph
+from oblicon.patterns import _level_zero, iter_pattern_levels
 from oblicon.procset import mask_of
+from oblicon.simulate import ConsensusRule
 
 
 @pytest.fixture
@@ -37,6 +40,22 @@ def solvable_pair() -> Adversary:
 @pytest.fixture
 def chain_graph() -> CommunicationGraph:
     return CommunicationGraph(3, [(1, 2), (2, 3)], "chain")
+
+
+def flat_rule(d: Adversary, t: int, decided: Sequence[int]) -> ConsensusRule:
+    """A rule that decides every t-round pattern at round t, on
+    ``decided[i]`` for the pattern with lexicographic index i: rounds 0 to
+    t - 1 hold every pattern of their length, none decided.  Verifier tests
+    build their wrong rules this way, as the full-horizon rule stored them."""
+    levels = [_level_zero(d.n), *iter_pattern_levels(d, t, len(d) ** t)]
+    return ConsensusRule(
+        d,
+        t,
+        tuple(level.index for level in levels),
+        tuple((0,) * len(level.index) for level in levels[:-1]) + (tuple(decided),),
+        tuple(tuple(level.broadcaster_masks()) for level in levels),
+        tuple(tuple(level.views) for level in levels),
+    )
 
 
 # --- independent oracles -----------------------------------------------------

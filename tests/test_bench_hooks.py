@@ -20,6 +20,7 @@ from oblicon.patterns import iter_pattern_levels
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 CHAIN8 = Path(__file__).parent / "fixtures" / "chain8.json"
+ROOTED4 = Path(__file__).parent / "fixtures" / "random_rooted4_5_0.json"
 
 
 def _load_tracing():
@@ -70,6 +71,19 @@ def test_traced_decide_counts_level_one_and_removed_edges():
     d = load_adversary(str(CHAIN8))
     assert tracer.counts["indist.edges"] == single_round_indist(d).num_edges
     assert tracer.counts["decision.edges_removed"] == sum(map(len, decide(d).removed))
+
+
+def test_traced_verify_counts_every_run():
+    # the rule's tree decides runs at rounds 2 and 3; the tracer reads
+    # ``ConsensusRule.components`` and the report's run count
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.hooked(tracer) as missing, redirect_stdout(io.StringIO()):
+        assert main(["verify", str(ROOTED4), "--horizon", "3"]) == 0
+    tracer.end_op()
+    assert missing == []
+    assert tracer.counts["verify.runs"] == 250
+    assert tracer.counts["rule.components"] > 0
 
 
 def test_every_exported_name_resolves_once():

@@ -139,6 +139,47 @@ def test_simulate_verb(tmp_path, capsys):
     assert "adopt the input of p1" in out and "'x'" in out
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_simulate_stops_at_the_deciding_round(capsys):
+    # lossy_link(3,1) has 7 graphs and a min horizon of 2: seven rounds of
+    # G1 would be 823,543 patterns, but the run is decided at round 2
+    doc = str(FIXTURES / "lossy_link3_1.json")
+    argv = ["simulate", doc, "--format", "json", "--pattern"]
+    assert main(argv + ["G1.G1"]) == 0
+    short = json.loads(capsys.readouterr().out)
+    assert main(argv + [".".join(["G1"] * 7)]) == 0
+    long = json.loads(capsys.readouterr().out)
+    assert long.pop("pattern") == "G1.G1.G1.G1.G1.G1.G1"
+    assert short.pop("pattern") == "G1.G1"
+    assert long == short
+    assert long["adopted_process"] == 1 and long["termination_ok"] is True
+
+
+def test_verify_source_broadcast_extends_one_round(tmp_path, monkeypatch, capsys):
+    # every run of source_broadcast(4,1) is decided at round 1, so horizon 8
+    # builds one level of 4 patterns and still counts 4**8 runs per vector
+    import oblicon.simulate
+    from oblicon.families import source_broadcast
+
+    path = tmp_path / "sb.json"
+    save_adversary(source_broadcast(4, 1), str(path))
+    calls = []
+    extend = oblicon.simulate._extend
+
+    def counting(*args):
+        calls.append(args[0].rounds)
+        return extend(*args)
+
+    monkeypatch.setattr(oblicon.simulate, "_extend", counting)
+    assert main(["verify", str(path), "--horizon", "8", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert calls == [0]
+    assert '"runs": 131072' in out
+    assert json.loads(out)["ok"] is True
+
+
 SEPARATOR = "contains '.' or ','"
 BLANK = "is empty or has leading or trailing whitespace"
 

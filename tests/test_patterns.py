@@ -241,6 +241,23 @@ def test_identifying_process_column_is_the_id_range():
     assert new.views[0] == tuple(range(m * m))
 
 
+def test_all_distinct_misreads_a_pruned_column(lossy_link_2):
+    from oblicon.patterns import _all_distinct, _first_seen, _final_level
+
+    # p2's view of Ga.Ga and Ga.Gc is the same (id 5), and Ga.Gb's sits
+    # between them: dropping Ga.Gb leaves ids 5, 5, 7, which span exactly
+    # three, so the shortcut calls the column distinct.  This is why
+    # components only ever read columns that ``_extend`` has just built.
+    level = _final_level(lossy_link_2, 2, 100)
+    assert level.views[1][:4] == (5, 6, 5, 7)
+    assert not _all_distinct(level.views[1])
+    pruned = level.keep([True, False, True, True] + [False] * 5)
+    assert pruned.views[1] == (5, 5, 7)
+    assert list(pruned.index) == [0, 2, 3]
+    assert _all_distinct(pruned.views[1])  # wrong: the pruned column repeats 5
+    assert _first_seen(pruned.views[1]) is None
+
+
 def test_first_seen_shortcut_and_dict_path():
     from oblicon.patterns import _first_seen
 

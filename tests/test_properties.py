@@ -30,6 +30,11 @@ from oblicon.indist import (
 )
 from oblicon.patterns import (
     Pattern,
+    _extend,
+    _first_seen,
+    _level_zero,
+    _round_inputs,
+    _view_pairs,
     broadcaster_mask,
     final_views,
     indist_label,
@@ -329,11 +334,16 @@ def test_oracle_matches_component_reference(d, r_max):
 @example(lossy_link(2, 1), 2)
 @example(source_broadcast(3, 1), 2)
 @example(rooted_trees(3), 2)
+# decides some runs at round 2 and the rest at round 3
+@example(random_rooted(4, 5, 0), 3)
 @settings(max_examples=60, deadline=None)
 def test_rule_matches_component_reference(d, t):
-    # each pattern decides on the smallest common broadcaster of its whole
-    # component; a failing horizon names the first component without one
+    # each t-round pattern decides on a common broadcaster of its whole
+    # t-component: the smallest common broadcaster of its prefix's component
+    # at the first round where that component has one.  A failing horizon
+    # names the first t-component without one.
     t = _levels_up_to(d, t, 300)
+    m = len(d)
     comps = naive_components(pattern_indist_graph(d, t))
     commons = [
         reduce(and_, (broadcaster_mask(pattern_at(d, t, i)) for i in comp)) for comp in comps
@@ -344,8 +354,63 @@ def test_rule_matches_component_reference(d, t):
             build_rule(d, t)
         assert exc.value.pattern_names == [pattern_at(d, t, i).name for i in failing[0]]
         return
-    expected = {i: min(procs_of(common)) for comp, common in zip(comps, commons) for i in comp}
-    assert build_rule(d, t).decided == tuple(expected[i] for i in range(len(d) ** t))
+    # per round r, each r-round pattern's component AND from raw views
+    level_commons = []
+    for r in range(t + 1):
+        graph, bcast = _naive_level(d, r)
+        level_commons.append(
+            {
+                i: reduce(and_, (bcast[j] for j in comp))
+                for comp in naive_components(graph)
+                for i in comp
+            }
+        )
+    common_of = {i: common for comp, common in zip(comps, commons) for i in comp}
+    rule = build_rule(d, t)
+    for i in range(m**t):
+        first = next(
+            c for c in (level_commons[r][i // m ** (t - r)] for r in range(t + 1)) if c
+        )
+        b = rule.decision_process(pattern_at(d, t, i))
+        assert b == min(procs_of(first))
+        assert common_of[i] >> (b - 1) & 1
+
+
+@given(adversaries(max_n=4, max_graphs=4), st.data())
+@example(source_broadcast(3, 1), None)
+@settings(max_examples=60, deadline=None)
+def test_pruned_levels_stay_fresh(d, data):
+    # extend arbitrary kept subsets, as the rule's tree does: the new columns
+    # must still intern views exactly, count ids up so that ``_first_seen``
+    # and ``_view_pairs`` agree with a dict, and give graph-identifying
+    # processes distinct ids through the range shortcut
+    m = len(d)
+    ins_of, identifying = _round_inputs(d)
+    level = _level_zero(d.n)
+    for r in range(1, _levels_up_to(d, 3, 300) + 1):
+        if data is None:
+            flags = [i % 2 == 0 for i in range(len(level.index))]
+        else:
+            size = len(level.index)
+            flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        if not any(flags):
+            return
+        kept = [k for k, keep in zip(level.index, flags) if keep]
+        level = _extend(level.keep(flags), ins_of, m, identifying)
+        assert list(level.index) == [k * m + g for k in kept for g in range(m)]
+        patterns = [pattern_at(d, r, k) for k in level.index]
+        pairs = []
+        for p, column in enumerate(level.views):
+            naive = [naive_view(sigma, p + 1, r) for sigma in patterns]
+            assert _partition(column) == _partition(naive)
+            first: dict[int, int] = {}
+            reference = [first.setdefault(v, i) for i, v in enumerate(column)]
+            repeats = reference != list(range(len(column)))
+            assert _first_seen(column) == (reference if repeats else None)
+            pairs += [(f, i) for i, f in enumerate(reference) if f != i]
+            if identifying[p]:
+                assert not repeats
+        assert list(_view_pairs(level.views)) == pairs
 
 
 @given(adversaries(max_n=4, max_graphs=4))

@@ -1,8 +1,10 @@
 import dataclasses
+from itertools import compress
 from pathlib import Path
 
 import pytest
 
+from conftest import flat_rule
 from oblicon.cli import load_adversary
 from oblicon.decision import Verdict, decide
 from oblicon.errors import BudgetExceededError, NonBroadcastableComponentError
@@ -23,7 +25,8 @@ def test_build_rule_single_rooted_graph():
     d = Adversary([g])
     rule = build_rule(d, 2)  # n-1 rounds
     assert rule.components == ((0,),)
-    assert rule.decided == (1,)  # min(Root(G))
+    # p1 reaches everyone at round 2, not before
+    assert rule.decided == ((0,), (0,), (1,))  # min(Root(G))
 
 
 def test_build_rule_lossy_link_fails(lossy_link_2):
@@ -54,17 +57,22 @@ def test_build_rule_source_broadcast_singleton_components():
 
     d = source_broadcast(3, 1)
     rule = build_rule(d, 2)
-    assert all(len(c) == 1 for c in rule.components)
-    # every pattern is its own component and adopts its smallest broadcaster
-    for comp in rule.components:
-        sigma = pattern_at(d, 2, comp[0])
-        assert rule.decided[comp[0]] == min(procs_of(broadcaster_mask(sigma)))
+    # every one-round pattern is its own component, decided at round 1
+    assert rule.components == ((0,), (1,), (2,))
+    assert tuple(map(len, rule.decided)) == (1, 3)
+    # so every two-round pattern adopts its prefix's smallest broadcaster,
+    # which still broadcasts in the whole pattern
+    for i in range(9):
+        sigma = pattern_at(d, 2, i)
+        b = rule.decision_process(sigma)
+        assert b == rule.decided[1][i // 3] == min(procs_of(broadcaster_mask(sigma.prefix(1))))
+        assert b in procs_of(broadcaster_mask(sigma))
 
 
 def test_verifier_catches_wrong_broadcaster(solvable_pair):
     # only p1 broadcasts in the four 2-round patterns, so each run on
     # distinct inputs decides p2's input, which no broadcaster holds
-    rule = dataclasses.replace(build_rule(solvable_pair, 2), decided=(2, 2, 2, 2))
+    rule = flat_rule(solvable_pair, 2, (2, 2, 2, 2))
     report = verify_all_runs(rule)
     assert report.validity_violations == 4
     assert report.ok is False
@@ -76,8 +84,11 @@ def test_verifier_catches_wrong_broadcaster(solvable_pair):
 
 def test_verifier_catches_split_component(solvable_pair):
     rule = build_rule(solvable_pair, 2)
+    # p1 alone broadcasts in G1 and nobody in G2, which p1 cannot tell apart,
+    # so the rule decides all four patterns at round 2
     assert rule.components == ((0, 1, 2, 3),)
-    wrong = dataclasses.replace(rule, decided=(1, 1, 1, 3))
+    assert rule.decided == ((0,), (0, 0), (1, 1, 1, 1))
+    wrong = flat_rule(solvable_pair, 2, (1, 1, 1, 3))
     report = verify_all_runs(wrong)
     assert report.cross_run_violations > 0
     assert report.ok is False
@@ -97,8 +108,7 @@ def test_verifier_samples_keep_order_and_cap():
     # far more often than the eight samples kept; counts and samples were
     # recorded from the row-per-pattern verifier
     d = load_adversary(str(FIXTURES / "random_rooted4_5_0.json"))
-    rule = build_rule(d, 3)
-    wrong = dataclasses.replace(rule, decided=tuple(i % 2 + 1 for i in range(len(rule.decided))))
+    wrong = flat_rule(d, 3, tuple(i % 2 + 1 for i in range(len(d) ** 3)))
     report = verify_all_runs(wrong)
     assert (report.runs, report.validity_violations, report.cross_run_violations) == (250, 12, 56)
     assert report.samples == tuple(
@@ -120,6 +130,135 @@ def test_verifier_samples_keep_order_and_cap():
             ("G1.G1.G3", "G1.G4.G3"), ("G1.G4.G1", "G1.G4.G4"), ("G1.G5.G1", "G1.G5.G4"),
         )
     )
+
+
+def _drop_extensions(rule, r, flags):
+    """The rule with the extensions of round r's flagged patterns removed
+    from every later round.  Each shortened view column is renumbered in
+    order of first appearance, so the verifier reads fresh columns."""
+    m = len(rule.adversary)
+    index, decided, masks, views = (
+        list(rounds) for rounds in (rule.index, rule.decided, rule.broadcast_masks, rule.views)
+    )
+    gone = set(compress(index[r], flags))
+    for k in range(r + 1, len(index)):
+        gone = {x * m + g for x in gone for g in range(m)}
+        keep = [x not in gone for x in index[k]]
+        index[k] = list(compress(index[k], keep))
+        decided[k] = tuple(compress(decided[k], keep))
+        masks[k] = tuple(compress(masks[k], keep))
+        views[k] = tuple(_renumbered(tuple(compress(column, keep))) for column in views[k])
+    return dataclasses.replace(
+        rule,
+        index=tuple(index),
+        decided=tuple(decided),
+        broadcast_masks=tuple(masks),
+        views=tuple(views),
+    )
+
+
+def _renumbered(column):
+    ids = {v: k for k, v in enumerate(dict.fromkeys(column))}
+    return tuple(map(ids.__getitem__, column))
+
+
+@pytest.fixture
+def rooted4_tree():
+    # rounds 1 to 3 keep 5, 25 and 75 patterns: round 1 decides none,
+    # round 2 decides 10 and round 3 the 75 extensions of the other 15
+    rule = build_rule(load_adversary(str(FIXTURES / "random_rooted4_5_0.json")), 3)
+    assert tuple(map(len, rule.decided)) == (1, 5, 25, 75)
+    assert tuple(x.count(0) for x in rule.decided) == (1, 5, 15, 0)
+    assert verify_all_runs(rule).ok
+    return rule
+
+
+def test_verifier_catches_a_decision_one_round_early(rooted4_tree):
+    # decide round 2's first undecided component at once, on the smallest
+    # broadcaster of its first pattern, and drop its extensions: the tree
+    # still covers every run, but the component has no common broadcaster
+    from oblicon.patterns import _components
+
+    rule = rooted4_tree
+    comp_of, comps = _components(rule.views[2])
+    comp = next(c for c in comps if not rule.decided[2][c[0]])
+    first = rule.broadcast_masks[2][comp[0]]
+    b = (first & -first).bit_length()
+    assert b and any(not rule.broadcast_masks[2][i] >> (b - 1) & 1 for i in comp)
+    flags = [i in comp for i in range(len(rule.decided[2]))]
+    decided = tuple(b if f else x for f, x in zip(flags, rule.decided[2]))
+    early = _drop_extensions(rule, 2, flags)
+    early = dataclasses.replace(early, decided=early.decided[:2] + (decided,) + early.decided[3:])
+    report = verify_all_runs(early)
+    assert report.runs == 250
+    # five of the ten patterns lack p3, each standing for five runs
+    assert (report.validity_violations, report.cross_run_violations) == (25, 0)
+    assert report.termination_violations == 0
+    assert report.samples[0] == "validity: pattern G1.G3 decided input of p3"
+
+
+def test_verifier_weighs_a_wrong_broadcaster_by_its_round():
+    from oblicon.families import source_broadcast
+
+    # S1 is decided at round 1 and stands for its nine 3-round extensions;
+    # p2 does not broadcast in it, so the distinct-input runs fail validity
+    d = source_broadcast(3, 1)
+    rule = build_rule(d, 3)
+    assert rule.decided == ((0,), (1, 2, 3))
+    wrong = dataclasses.replace(rule, decided=((0,), (2, 2, 3)))
+    report = verify_all_runs(wrong)
+    assert (report.runs, report.validity_violations, report.cross_run_violations) == (54, 9, 0)
+    assert report.samples == ("validity: pattern S1 decided input of p2",)
+    # p2 broadcasts in S1.S2.S1 by round 3, but the run decided at round 1
+    result = run(wrong, Pattern(d, (0, 1, 0)), [1, 2, 3])
+    assert result.adopted == (2, 2, 2)
+    assert not result.validity_ok
+
+
+def test_verifier_catches_merged_components(rooted4_tree):
+    # give one of round 2's decided patterns a process's view from another
+    # component decided differently: the views now link them, and the
+    # cross-run check at round 2, not only at the horizon, must see it
+    rule = rooted4_tree
+    decided = rule.decided[2]
+    i = next(k for k, b in enumerate(decided) if b)
+    j = next(k for k, b in enumerate(decided) if b and b != decided[i])
+    column = list(rule.views[2][0])
+    column[j] = column[i]
+    views = (tuple(column),) + rule.views[2][1:]
+    merged = dataclasses.replace(rule, views=rule.views[:2] + (views,) + rule.views[3:])
+    report = verify_all_runs(merged)
+    # G2.G1 (decided on p1) and G5.G1 (on p4) each stand for five runs
+    assert (report.cross_run_violations, report.validity_violations) == (5, 0)
+    assert report.termination_violations == 0
+    assert report.samples == ("cross-run: G2.G1 vs G5.G1 disagree for p1",)
+
+
+def test_verifier_counts_runs_a_truncated_rule_leaves_undecided(rooted4_tree):
+    # cut the tree after round 2 and keep the horizon at 3: round 2's 15
+    # undecided patterns stand for 75 runs per input vector
+    rule = rooted4_tree
+    truncated = dataclasses.replace(
+        rule,
+        index=rule.index[:3],
+        decided=rule.decided[:3],
+        broadcast_masks=rule.broadcast_masks[:3],
+        views=rule.views[:3],
+    )
+    report = verify_all_runs(truncated)
+    assert report.runs == 250
+    assert report.termination_violations == 150
+    assert (report.validity_violations, report.cross_run_violations) == (0, 0)
+    assert report.samples[0].startswith("termination: pattern ")
+    assert report.samples[0].endswith(" undecided after round 2")
+    # run sees the same: an extension of an undecided pattern adopts nothing
+    from oblicon.patterns import pattern_at
+
+    k = rule.index[2][rule.decided[2].index(0)]
+    result = run(truncated, pattern_at(rule.adversary, 3, k * 5 + 4), [1, 2, 3, 4])
+    assert (result.adopted, result.value, result.termination_ok) == ((), None, False)
+    assert not result.ok
+    assert run(rule, pattern_at(rule.adversary, 3, k * 5 + 4), [1, 2, 3, 4]).ok
 
 
 def test_run_all_equal_inputs_forces_validity(solvable_pair):
@@ -160,7 +299,8 @@ def test_decision_process_rejects_a_pattern_of_another_length():
         rule.decision_process(Pattern.from_names(d, "S2"))
     with pytest.raises(ValueError, match="^pattern has 4 rounds, rule expects 3$"):
         rule.decision_process(Pattern(d, (0, 0, 0, 0)))
-    assert rule.decision_process(Pattern(d, (0, 0, 1))) == rule.decided[1]
+    # S1.S1.S2 is decided with its prefix S1, at round 1
+    assert rule.decision_process(Pattern(d, (0, 0, 1))) == rule.decided[1][0] == 1
 
 
 def test_run_validates_lengths(solvable_pair):
@@ -229,7 +369,7 @@ def test_solvable_rule_builds_no_component_lists(monkeypatch):
     monkeypatch.setattr(oblicon.patterns, "group", fail)
     monkeypatch.setattr(oblicon.simulate, "common_masks", fail)
     rule = build_rule(source_broadcast(3, 1), 2)
-    assert len(rule.decided) == 9
+    assert tuple(map(len, rule.decided)) == (1, 3)
     report = verify_all_runs(rule)
     assert report.ok
     assert report.runs == 18
@@ -247,9 +387,13 @@ def test_rule_without_shared_views_skips_union_find(monkeypatch):
     assert all(_first_seen(column) is None for column in _final_level(d, 2, 10**6).views)
     monkeypatch.setattr(oblicon.simulate, "union_find", fail)
     rule = build_rule(d, 2)
-    # every pattern is its own component and adopts its lowest broadcaster
-    assert rule.decided == tuple((m & -m).bit_length() for m in rule.broadcast_masks)
-    assert len(rule.decided) == 9
+    assert all(_first_seen(column) is None for views in rule.views for column in views)
+    # every pattern is its own component and adopts its lowest broadcaster,
+    # or none: the empty pattern at round 0
+    assert rule.decided == tuple(
+        tuple((m & -m).bit_length() for m in masks) for masks in rule.broadcast_masks
+    )
+    assert rule.decided == ((0,), (1, 2, 3))
     assert verify_all_runs(rule).ok
     # at horizon 0 the one pattern has no broadcaster
     with pytest.raises(NonBroadcastableComponentError) as exc:
