@@ -20,9 +20,9 @@ Two kernels build the views:
   differs in every graph, is not interned: its views of all patterns differ
   and interning would number them in pattern order, so its column is a range
   of ids.  Components, broadcaster masks and run verification read the
-  columns the same way.  A level can also be pruned to a subset of its
-  patterns, each keeping its lexicographic index, and extended as before;
-  the rule's pattern tree is built so.
+  columns the same way.  A caller may prune a level it was handed
+  (``PatternLevel.keep``) before the generator extends it; the rule's
+  pattern tree is built so.
 * ``final_views`` replays a few given patterns row by row (``_advance``).  It
   backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
   calls on one or two patterns would pay the column kernel's fixed cost per
@@ -35,7 +35,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, mul, ne, or_
+from operator import add, and_, mul, ne, or_, xor
 
 from .errors import BudgetExceededError, PairBudgetExceededError
 from .graphs import CommunicationGraph
@@ -216,8 +216,8 @@ class PatternLevel:
     columns: ``views[p][i]`` is process p's final view id in the level's
     pattern i, ``influence[p][i]`` is p's influence mask there, and
     ``index[i]`` is that pattern's lexicographic index among all patterns of
-    the length.  A full level's index is a ``range``; a pruned level, one
-    built from the patterns ``keep`` retained, holds a subset."""
+    the length.  A full level's index is a ``range``; a level pruned by
+    ``keep``, or extended from one, holds a subset."""
 
     rounds: int
     views: list[tuple[int, ...]]
@@ -235,20 +235,16 @@ class PatternLevel:
         """Per pattern, the processes in every influence mask: its broadcasters."""
         return list(_fold(and_, self.influence))
 
-    def keep(self, flags: Sequence[bool]) -> "PatternLevel":
-        """The patterns whose flag is set, in order, to be extended next.
-
-        The kept view columns are not fresh: a column that skips patterns
-        may hold repeats although its ids still span exactly its length, so
-        ``_all_distinct``, and with it components, must not read them.  Only
-        ``_extend`` does, which interns its keys afresh.
+    def keep(self, flags: Sequence[bool]) -> None:
+        """Prune the level in place to the patterns whose flag is set, in
+        order.  The attributes are rebound, so columns stored earlier stay
+        whole.  Kept view columns are not fresh: one that skips patterns may
+        repeat ids yet span exactly its length, so ``_all_distinct`` and
+        components must not read them; ``_extend`` interns afresh.
         """
-        return PatternLevel(
-            self.rounds,
-            [tuple(compress(column, flags)) for column in self.views],
-            [list(compress(column, flags)) for column in self.influence],
-            list(compress(self.index, flags)),
-        )
+        self.views = [tuple(compress(column, flags)) for column in self.views]
+        self.influence = [list(compress(column, flags)) for column in self.influence]
+        self.index = list(compress(self.index, flags))
 
 
 def _fold(op, columns: Sequence[Column]) -> Iterator[int]:
@@ -317,6 +313,7 @@ def iter_pattern_levels(
 ) -> Iterator[PatternLevel]:
     """Yield levels 1..r_max of the pattern enumeration, extending round by round.
 
+    A level pruned by ``PatternLevel.keep`` is extended as pruned.
     Raises ValueError for a negative r_max, and BudgetExceededError before
     materializing a level whose pattern count exceeds the budget; the error
     names the offending length, and the count when it is at most 2**64.
@@ -394,6 +391,26 @@ def _view_pairs(views: Sequence[Column]) -> Iterator[tuple[int, int]]:
         for firsts in map(_first_seen, views)
         if firsts is not None
     )
+
+
+def _level_commons(views: Sequence[Column], bmasks: list[int], stop: bool) -> list[int] | None:
+    """Each pattern's component AND of the broadcaster masks, on a level's
+    fresh columns.
+
+    Without any broadcaster every AND is empty, and with no shared view
+    each pattern is its own component.  Otherwise one ``union_find`` pass
+    carries the masks.  With ``stop`` it returns None as soon as some
+    component's AND is empty.  Without, each mask also holds a bit above
+    every process, so that no AND runs empty, and the bit is cleared
+    afterwards.
+    """
+    if not any(bmasks) or all(map(_all_distinct, views)):
+        return None if stop and 0 in bmasks else bmasks
+    if stop:
+        return union_find(len(bmasks), _view_pairs(views), bmasks)
+    top = 1 << len(views)
+    commons = union_find(len(bmasks), _view_pairs(views), list(map(or_, bmasks, repeat(top))))
+    return list(map(xor, commons, repeat(top)))
 
 
 def _components(views: Sequence[Column]) -> tuple[list[int], list[list[int]]]:

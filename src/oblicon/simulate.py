@@ -14,9 +14,10 @@ undecided patterns at t are whole components of that enumeration.
 Verification walks the same rounds: a pattern decided at round r stands for
 all its extensions to the horizon, and its decision is checked for validity
 against its round-r broadcasters and for equality across every pair of
-patterns with equal views at round r.  The oracle searches for the first
-level whose components all have a common broadcaster, and stops a level as
-soon as some linked patterns share none.
+patterns with equal views at round r.  The oracle asks the rule's
+question (``_level_commons``) of full, unpruned levels: it searches for the
+first level whose components all have a common broadcaster, and stops a
+level as soon as some linked patterns share none.
 """
 from __future__ import annotations
 
@@ -24,24 +25,21 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from collections import deque
 from collections.abc import Sequence
-from itertools import compress, count, islice, repeat
-from operator import ne, not_, or_, xor
+from itertools import chain, compress, count, islice
+from operator import ne, not_
 
 from .decision import decide
 from .errors import NonBroadcastableComponentError, NotRootedError
-from .indist import Adversary, common_masks, union_find
+from .indist import Adversary, common_masks
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
-    _all_distinct,
     _check_budget,
     _components,
-    _extend,
     _final_level,
     _first_seen,
+    _level_commons,
     _level_zero,
-    _round_inputs,
-    _view_pairs,
     broadcaster_mask,
     indist_label,
     iter_pattern_levels,
@@ -145,27 +143,6 @@ class VerificationReport:
         )
 
 
-def _level_commons(
-    views: Sequence[Sequence[int]], bmasks: list[int], stop: bool
-) -> list[int] | None:
-    """Each pattern's component AND of the broadcaster masks, on a level's
-    fresh columns.
-
-    Without any broadcaster every AND is empty, and with no shared view
-    each pattern is its own component.  Otherwise one ``union_find`` pass
-    carries the masks.  With ``stop`` it returns None at the first component
-    whose AND is empty.  Without, each mask also holds a bit above every
-    process, so that no AND runs empty, and the bit is cleared afterwards.
-    """
-    if not any(bmasks) or all(map(_all_distinct, views)):
-        return bmasks
-    if stop:
-        return union_find(len(bmasks), _view_pairs(views), bmasks)
-    top = 1 << len(views)
-    commons = union_find(len(bmasks), _view_pairs(views), list(map(or_, bmasks, repeat(top))))
-    return list(map(xor, commons, repeat(top)))
-
-
 def build_rule(
     d: Adversary,
     t: int,
@@ -192,17 +169,9 @@ def build_rule(
             _check_budget(d, t, budget)
     elif len(until) != t:
         raise ValueError(f"pattern has {len(until)} rounds, rule expects {t}")
-    m = len(d)
-    ins_of, identifying = _round_inputs(d)
-    level = _level_zero(d.n)
     rounds: list[tuple] = []
-    for r in range(t + 1):
-        if r:
-            if until is not None:
-                _check_budget(d, r, budget)
-            if any(decided):
-                level = level.keep(list(map(not_, decided)))
-            level = _extend(level, ins_of, m, identifying)
+    for level in chain([_level_zero(d.n)], iter_pattern_levels(d, t, budget)):
+        r = level.rounds
         bmasks = level.broadcaster_masks()
         # the last round only has to tell whether every component decides
         commons = _level_commons(level.views, bmasks, r == t and until is None)
@@ -215,6 +184,10 @@ def build_rule(
             _position(level.index, pattern_index(until.prefix(r)))
         ]:
             return ConsensusRule(d, t, *map(tuple, zip(*rounds)))
+        if r < t and any(decided):
+            # the generator extends only what is left; round t stays whole
+            # for the error below
+            level.keep(list(map(not_, decided)))
     comps = _components(level.views)[1]
     comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
     raise NonBroadcastableComponentError(t, [pattern_at(d, t, level.index[i]).name for i in comp])
@@ -339,8 +312,7 @@ def oracle_min_horizon(
     components are never finished.
     """
     for level in iter_pattern_levels(d, r_max, budget):
-        views = level.views
-        if union_find(len(views[0]), _view_pairs(views), level.broadcaster_masks()) is not None:
+        if _level_commons(level.views, level.broadcaster_masks(), stop=True) is not None:
             return level.rounds
     return None
 

@@ -75,7 +75,8 @@ def test_traced_decide_counts_level_one_and_removed_edges():
 
 def test_traced_verify_counts_every_run():
     # the rule's tree decides runs at rounds 2 and 3; the tracer reads
-    # ``ConsensusRule.components`` and the report's run count
+    # ``ConsensusRule.components`` and the report's run count, and sees the
+    # tree's rounds 1 to 3 (5, 25 and 75 patterns) through the level generator
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.hooked(tracer) as missing, redirect_stdout(io.StringIO()):
@@ -84,6 +85,8 @@ def test_traced_verify_counts_every_run():
     assert missing == []
     assert tracer.counts["verify.runs"] == 250
     assert tracer.counts["rule.components"] > 0
+    assert tracer.counts["patterns.rounds"] == 3
+    assert tracer.counts["patterns.enumerated"] == 5 + 25 + 75
 
 
 def test_every_exported_name_resolves_once():

@@ -160,19 +160,19 @@ def test_simulate_stops_at_the_deciding_round(capsys):
 def test_verify_source_broadcast_extends_one_round(tmp_path, monkeypatch, capsys):
     # every run of source_broadcast(4,1) is decided at round 1, so horizon 8
     # builds one level of 4 patterns and still counts 4**8 runs per vector
-    import oblicon.simulate
+    import oblicon.patterns
     from oblicon.families import source_broadcast
 
     path = tmp_path / "sb.json"
     save_adversary(source_broadcast(4, 1), str(path))
     calls = []
-    extend = oblicon.simulate._extend
+    extend = oblicon.patterns._extend
 
     def counting(*args):
         calls.append(args[0].rounds)
         return extend(*args)
 
-    monkeypatch.setattr(oblicon.simulate, "_extend", counting)
+    monkeypatch.setattr(oblicon.patterns, "_extend", counting)
     assert main(["verify", str(path), "--horizon", "8", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert calls == [0]
@@ -229,6 +229,49 @@ def test_generate_random_requires_seed(tmp_path, capsys):
     assert main(
         ["generate", "random-rooted", "--n", "3", "--count", "2", "--seed", "5", "-o", str(out)]
     ) == 0
+
+
+@pytest.mark.parametrize(
+    "family", ["canonical-chain", "rooted-trees", "source-broadcast", "lossy-link", "random-rooted"]
+)
+def test_generate_without_n_is_an_input_error(family, capsys):
+    assert main(["generate", family, "--seed", "1", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {family} requires --n\n"
+
+
+def test_generate_rejects_n_above_the_process_limit(monkeypatch, capsys):
+    # decide would refuse the document, so none is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for an oversized --n")
+
+    monkeypatch.setattr(cli.families, "random_rooted", refuse)
+    n = MAX_PROCESSES + 4
+    argv = ["generate", "random-rooted", "--n", str(n), "--count", "1", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: 'n' is {n}; at most {MAX_PROCESSES} processes are supported\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle"], ["verify"], ["simulate", "--pattern", "G1"], ["export-dot", "--rounds", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_budget_is_an_input_error(argv, capsys):
+    doc = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+    verb, *options = argv
+    assert main([verb, doc, *options, "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be non-negative, got -1\n"
+    # a zero budget is a budget every pattern level exceeds
+    assert main([verb, doc, *options, "--budget", "0"]) == 3
+    assert capsys.readouterr().err.startswith("budget error: ")
 
 
 def test_export_dot_levels(ll_file, capsys):

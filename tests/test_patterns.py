@@ -251,11 +251,11 @@ def test_all_distinct_misreads_a_pruned_column(lossy_link_2):
     level = _final_level(lossy_link_2, 2, 100)
     assert level.views[1][:4] == (5, 6, 5, 7)
     assert not _all_distinct(level.views[1])
-    pruned = level.keep([True, False, True, True] + [False] * 5)
-    assert pruned.views[1] == (5, 5, 7)
-    assert list(pruned.index) == [0, 2, 3]
-    assert _all_distinct(pruned.views[1])  # wrong: the pruned column repeats 5
-    assert _first_seen(pruned.views[1]) is None
+    level.keep([True, False, True, True] + [False] * 5)
+    assert level.views[1] == (5, 5, 7)
+    assert list(level.index) == [0, 2, 3]
+    assert _all_distinct(level.views[1])  # wrong: the pruned column repeats 5
+    assert _first_seen(level.views[1]) is None
 
 
 def test_first_seen_shortcut_and_dict_path():

@@ -396,7 +396,8 @@ def test_pruned_levels_stay_fresh(d, data):
         if not any(flags):
             return
         kept = [k for k, keep in zip(level.index, flags) if keep]
-        level = _extend(level.keep(flags), ins_of, m, identifying)
+        level.keep(flags)
+        level = _extend(level, ins_of, m, identifying)
         assert list(level.index) == [k * m + g for k in kept for g in range(m)]
         patterns = [pattern_at(d, r, k) for k in level.index]
         pairs = []
@@ -686,6 +687,57 @@ def test_separate_components_never_mix_patterns(d):
             for rest in itertools.product(range(len(d)), repeat=r - 1)
         }
         assert not (inside & outside_first)
+
+
+@given(
+    st.one_of(adversaries(max_n=4, max_graphs=4), adversaries(rooted=True, max_graphs=4)),
+    st.integers(0, 3),
+)
+@example(lossy_link(2, 1), 2)
+@example(source_broadcast(3, 1), 3)
+@example(rooted_trees(3), 2)
+@example(random_rooted(4, 5, 0), 3)
+@settings(max_examples=60, deadline=None)
+def test_rule_ends_at_the_oracle_horizon(d, r):
+    # verify takes its horizon from the oracle's full levels and builds the
+    # pruned tree to it: the tree must end at the oracle's round h (every
+    # process count here is at least 2, so round 0 never decides), and fail
+    # where the oracle finds no horizon
+    r = _levels_up_to(d, r, 300)
+    h = oracle_min_horizon(d, r)
+    if h is None:
+        with pytest.raises(NonBroadcastableComponentError):
+            build_rule(d, r)
+    else:
+        assert len(build_rule(d, r).decided) - 1 == h
+
+
+@given(
+    st.one_of(adversaries(max_n=4, max_graphs=4), adversaries(rooted=True, max_graphs=4)),
+    st.integers(0, 3),
+)
+@example(lossy_link(2, 1), 2)
+@example(random_rooted(4, 5, 0), 3)
+@settings(max_examples=60, deadline=None)
+def test_rule_until_a_pattern_matches_the_whole_tree(d, t):
+    # simulate's tree stops at the round that decides its pattern; it must
+    # decide the pattern as verify's tree does, and a pattern that no round
+    # decides must name the same failing component
+    t = _levels_up_to(d, t, 100)
+    try:
+        whole, failing = build_rule(d, t), None
+    except NonBroadcastableComponentError as exc:
+        whole, failing = None, exc.pattern_names
+    for i in range(len(d) ** t):
+        sigma = pattern_at(d, t, i)
+        try:
+            rule = build_rule(d, t, until=sigma)
+        except NonBroadcastableComponentError as exc:
+            assert exc.pattern_names == failing
+            continue
+        assert rule.decision_process(sigma)
+        if whole is not None:
+            assert rule.decision_process(sigma) == whole.decision_process(sigma)
 
 
 def test_oracle_broadcastability_monotone_on_catalog():

@@ -376,7 +376,7 @@ def test_solvable_rule_builds_no_component_lists(monkeypatch):
 
 
 def test_rule_without_shared_views_skips_union_find(monkeypatch):
-    import oblicon.simulate
+    import oblicon.patterns
     from oblicon.families import source_broadcast
     from oblicon.patterns import _final_level, _first_seen
 
@@ -385,7 +385,7 @@ def test_rule_without_shared_views_skips_union_find(monkeypatch):
 
     d = source_broadcast(3, 1)
     assert all(_first_seen(column) is None for column in _final_level(d, 2, 10**6).views)
-    monkeypatch.setattr(oblicon.simulate, "union_find", fail)
+    monkeypatch.setattr(oblicon.patterns, "union_find", fail)
     rule = build_rule(d, 2)
     assert all(_first_seen(column) is None for views in rule.views for column in views)
     # every pattern is its own component and adopts its lowest broadcaster,
@@ -395,7 +395,9 @@ def test_rule_without_shared_views_skips_union_find(monkeypatch):
     )
     assert rule.decided == ((0,), (1, 2, 3))
     assert verify_all_runs(rule).ok
-    # at horizon 0 the one pattern has no broadcaster
+    # at horizon 0 the one pattern has no broadcaster; naming its component
+    # builds the components, which goes through union_find
+    monkeypatch.undo()
     with pytest.raises(NonBroadcastableComponentError) as exc:
         build_rule(d, 0)
     assert exc.value.pattern_names == ["(empty)"]
