@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from typing import Any
 
@@ -23,7 +24,7 @@ from .errors import (
     NonBroadcastableComponentError,
     NotRootedError,
 )
-from .graphs import CommunicationGraph
+from .graphs import MAX_PROCESSES, CommunicationGraph, check_process_count  # noqa: F401
 from .indist import Adversary, single_round_indist
 from .patterns import DEFAULT_PATTERN_BUDGET, Pattern, pattern_indist_graph
 from .procset import procs_of
@@ -33,10 +34,6 @@ EXIT_OK = 0
 EXIT_IMPOSSIBLE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-# Each graph holds 2n masks of up to n bits, so a document's memory grows as
-# n squared per graph; larger declared process counts are rejected unread.
-MAX_PROCESSES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +67,6 @@ def _edges_well_formed(edges: list) -> bool:
     )
 
 
-def _check_process_count(n: int) -> None:
-    if n > MAX_PROCESSES:
-        raise AdversaryFormatError(f"'n' is {n}; at most {MAX_PROCESSES} processes are supported")
-
-
 def adversary_from_doc(doc: Any) -> Adversary:
     if not isinstance(doc, dict):
         raise AdversaryFormatError("document must be a JSON object")
@@ -86,7 +78,7 @@ def adversary_from_doc(doc: Any) -> Adversary:
     n = doc["n"]
     if not _is_int(n):
         raise AdversaryFormatError("'n' must be an integer")
-    _check_process_count(n)
+    check_process_count(n)
     if not isinstance(doc["graphs"], list) or not doc["graphs"]:
         raise AdversaryFormatError("'graphs' must be a non-empty list")
     graphs = []
@@ -155,6 +147,21 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _report(args: argparse.Namespace, report: dict, text: Callable[[], Iterable[str]]) -> None:
+    """Print ``report`` as JSON under ``--format json``, else the lines that
+    ``text()`` gives; the text is only formatted when it is printed."""
+    if args.format == "json":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(*text(), sep="\n")
+
+
+def _default_depth(adv: Adversary, trace) -> int:
+    """Rounds searched when none are given: the decision's round bound for a
+    solvable adversary, else n-1 (at least 1)."""
+    return trace.round_bound if trace.verdict is Verdict.SOLVABLE else max(1, adv.n - 1)
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
     adv = load_adversary(args.file)
     trace = decide(adv, no_early_exit=args.no_early_exit)
@@ -167,26 +174,24 @@ def cmd_decide(args: argparse.Namespace) -> int:
     }
     rooted = trace.first_level is not None
     if rooted:
-        report["components"] = [
-            [adv.names[u] for u in comp] for comp in trace.components_final
-        ]
+        report["components"] = [[adv.names[u] for u in c] for c in trace.components_final]
     if args.trace and rooted:
         report["removed"] = _removal_table(adv, trace)
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"verdict: {report['verdict']}")
-        if rooted:
-            print(f"iterations: {trace.iterations}")
-            print(f"edge-removing iterations: {trace.removal_iterations}")
-            print(f"final components: {report['component_count']}")
-            print(f"round bound c*(n-1)*(iterations+1): {trace.round_bound}")
-            if args.trace:
-                for line in _format_removals(adv, trace):
-                    print(line)
-        else:
+
+    def text() -> Iterator[str]:
+        yield f"verdict: {report['verdict']}"
+        if not rooted:
             bad = [g.name for g in adv.graphs if not g.is_rooted]
-            print(f"graphs without a unique root component: {', '.join(bad)}")
+            yield f"graphs without a unique root component: {', '.join(bad)}"
+            return
+        yield f"iterations: {trace.iterations}"
+        yield f"edge-removing iterations: {trace.removal_iterations}"
+        yield f"final components: {report['component_count']}"
+        yield f"round bound c*(n-1)*(iterations+1): {trace.round_bound}"
+        if args.trace:
+            yield from _format_removals(report["removed"])
+
+    _report(args, report, text)
     if args.dot_level is not None and rooted:
         _emit(trace.level_at(args.dot_level).to_dot(), args.output)
     return EXIT_OK if trace.verdict is Verdict.SOLVABLE else EXIT_IMPOSSIBLE
@@ -212,47 +217,48 @@ def _removal_table(adv: Adversary, trace) -> list[dict]:
     return table
 
 
-def _format_removals(adv: Adversary, trace) -> list[str]:
-    lines = []
-    for entry in _removal_table(adv, trace):
+def _format_removals(table: list[dict]) -> Iterator[str]:
+    for entry in table:
         u, v = entry["edge"]
         label = "{" + ",".join(f"p{p}" for p in entry["label"]) + "}"
         guards = ", ".join(entry["out_of_component_guards"]) or "none"
-        lines.append(
+        yield (
             f"iteration {entry['iteration']}: removed ({u},{v}) label={label} "
             f"(guards elsewhere: {guards})"
         )
-    return lines
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     adv = load_adversary(args.file)
     trace = decide(adv)
-    if args.rmax is not None:
-        rmax = args.rmax
-    elif trace.verdict is Verdict.SOLVABLE:
-        rmax = trace.round_bound
-    else:
-        rmax = max(1, adv.n - 1)
+    rmax = args.rmax if args.rmax is not None else _default_depth(adv, trace)
     found = oracle_min_horizon(adv, rmax, budget=args.budget)
-    decided_solvable = trace.verdict is Verdict.SOLVABLE
-    agrees = (found is not None) == decided_solvable
+    agrees = (found is not None) == (trace.verdict is Verdict.SOLVABLE)
     report = {
         "min_horizon": found,
         "searched_up_to": rmax,
         "decision_verdict": trace.verdict.value,
         "agrees": agrees,
     }
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        if found is not None:
-            print(f"min horizon: {found}")
-        else:
-            print(f"no broadcastable horizon up to {rmax}")
-        print(f"decision verdict: {trace.verdict.value}")
-        print(f"agreement: {'yes' if agrees else 'NO'}")
+    _report(args, report, lambda: (
+        f"min horizon: {found}" if found is not None
+        else f"no broadcastable horizon up to {rmax}",
+        f"decision verdict: {trace.verdict.value}",
+        f"agreement: {'yes' if agrees else 'NO'}",
+    ))
     return EXIT_OK if agrees else EXIT_IMPOSSIBLE
+
+
+def _no_rule(args: argparse.Namespace, exc: NonBroadcastableComponentError, lead: str) -> int:
+    """Report the component that keeps a rule from being built, its text
+    line led by ``lead``; exit 1."""
+    report = {
+        "horizon": exc.horizon,
+        "non_broadcastable_component_size": exc.size,
+        "witness_patterns": exc.pattern_names,
+    }
+    _report(args, report, lambda: (f"{lead} {exc.horizon}: {exc}",))
+    return EXIT_IMPOSSIBLE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -261,29 +267,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         horizon = args.horizon
     else:
         trace = decide(adv)
+        horizon = _default_depth(adv, trace)
         # The oracle enumerates full levels 1..h and the rule then grows its
         # own pruned tree, so those levels are built twice.  Kept on purpose:
         # the oracle is independent of the tree, so a tree that leaves a run
         # undecided at the oracle's horizon is reported here, and answering
         # the oracle from the pruned tree made rooted_trees(3) at r=5 slower.
         if trace.verdict is Verdict.SOLVABLE:
-            found = oracle_min_horizon(adv, trace.round_bound, budget=args.budget)
-            horizon = found if found is not None else trace.round_bound
-        else:
-            horizon = max(1, adv.n - 1)
+            found = oracle_min_horizon(adv, horizon, budget=args.budget)
+            horizon = found if found is not None else horizon
     try:
         rule = build_rule(adv, horizon, budget=args.budget)
     except NonBroadcastableComponentError as exc:
-        report = {
-            "horizon": exc.horizon,
-            "non_broadcastable_component_size": exc.size,
-            "witness_patterns": exc.pattern_names,
-        }
-        if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(f"horizon {exc.horizon}: {exc}")
-        return EXIT_IMPOSSIBLE
+        return _no_rule(args, exc, "horizon")
     result = verify_all_runs(rule)
     report = {
         "horizon": result.horizon,
@@ -294,20 +290,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "cross_run_violations": result.cross_run_violations,
         "ok": result.ok,
     }
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"horizon: {result.horizon}")
-        print(f"runs verified: {result.runs}")
-        print(
-            "violations: "
-            f"agreement={result.agreement_violations} "
-            f"validity={result.validity_violations} "
-            f"termination={result.termination_violations} "
-            f"cross-run={result.cross_run_violations}"
-        )
-        for s in result.samples:
-            print(f"  {s}")
+    _report(args, report, lambda: (
+        f"horizon: {result.horizon}",
+        f"runs verified: {result.runs}",
+        "violations: "
+        f"agreement={result.agreement_violations} "
+        f"validity={result.validity_violations} "
+        f"termination={result.termination_violations} "
+        f"cross-run={result.cross_run_violations}",
+        *(f"  {s}" for s in result.samples),
+    ))
     return EXIT_OK if result.ok else EXIT_IMPOSSIBLE
 
 
@@ -325,75 +317,56 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         rule = build_rule(adv, len(sigma), budget=args.budget, until=sigma)
     except NonBroadcastableComponentError as exc:
-        print(f"cannot build a rule at horizon {exc.horizon}: {exc}")
-        return EXIT_IMPOSSIBLE
-    report = run_pattern(rule, sigma, inputs)
-    doc = {
+        return _no_rule(args, exc, "cannot build a rule at horizon")
+    run = run_pattern(rule, sigma, inputs)
+    report = {
         "pattern": sigma.name,
-        "adopted_process": report.adopted[0],
-        "decision_value": report.value,
-        "agreement_ok": report.agreement_ok,
-        "validity_ok": report.validity_ok,
-        "termination_ok": report.termination_ok,
+        "adopted_process": run.adopted[0],
+        "decision_value": run.value,
+        "agreement_ok": run.agreement_ok,
+        "validity_ok": run.validity_ok,
+        "termination_ok": run.termination_ok,
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"pattern: {sigma.name}")
-        print(f"all processes adopt the input of p{report.adopted[0]}: {report.value!r}")
-        print(
-            f"agreement={'ok' if report.agreement_ok else 'VIOLATED'} "
-            f"validity={'ok' if report.validity_ok else 'VIOLATED'} "
-            f"termination={'ok' if report.termination_ok else 'VIOLATED'}"
-        )
-    return EXIT_OK if report.ok else EXIT_IMPOSSIBLE
+    ok = {True: "ok", False: "VIOLATED"}
+    _report(args, report, lambda: (
+        f"pattern: {sigma.name}",
+        f"all processes adopt the input of p{run.adopted[0]}: {run.value!r}",
+        f"agreement={ok[run.agreement_ok]} validity={ok[run.validity_ok]} "
+        f"termination={ok[run.termination_ok]}",
+    ))
+    return EXIT_OK if run.ok else EXIT_IMPOSSIBLE
 
 
-# families whose process count has no default
-_NEEDS_N = {"canonical-chain", "rooted-trees", "source-broadcast", "lossy-link", "random-rooted"}
+def _random_rooted(args: argparse.Namespace) -> Adversary:
+    if args.seed is None:
+        raise AdversaryFormatError(f"{args.family} requires an explicit --seed")
+    return families.random_rooted(args.n, args.count, args.seed)
+
+
+# family -> (whether it needs --n, builder of its adversary from the parsed
+# arguments); builders look their generators up on ``families`` when called
+_FAMILIES = {
+    "chain": (False, lambda a: families.gen_chain(families.simple_chain_spec(a.chain_len, a.n))),
+    "canonical-chain": (True, lambda a: families.gen_chain(
+        families.gen_canonical_chain(a.n, a.max_len))),
+    "inflated": (False, lambda a: families.gen_inflated(
+        families.inflated_spec(a.chain_len, a.path_len, a.n))),
+    "partitioned": (False, lambda a: families.gen_partitioned(
+        families.PartitionSpec.standard(a.blocks, a.root_size, a.n)).adversary),
+    "rooted-trees": (True, lambda a: families.rooted_trees(a.n)),
+    "source-broadcast": (True, lambda a: families.source_broadcast(a.n, a.clique_size)),
+    "lossy-link": (True, lambda a: families.lossy_link(a.n, a.f)),
+    "random-rooted": (True, _random_rooted),
+}
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    family = args.family
-    if args.n is None:
-        if family in _NEEDS_N:
-            raise AdversaryFormatError(f"{family} requires --n")
-    else:
-        _check_process_count(args.n)
-    if family == "chain":
-        spec = families.simple_chain_spec(args.chain_len, args.n)
-        adv = families.gen_chain(spec)
-    elif family == "canonical-chain":
-        spec = families.gen_canonical_chain(args.n, args.max_len)
-        adv = families.gen_chain(spec)
-    elif family == "inflated":
-        base_n = args.n - args.path_len if args.n is not None else None
-        base = families.simple_chain_spec(args.chain_len, base_n)
-        first = base.n + 1
-        path = tuple(range(first, first + args.path_len))
-        spec = families.InflateSpec(
-            base=families.ChainSpec(
-                n=base.n + args.path_len, roots=base.roots, encoders=base.encoders
-            ),
-            path=path,
-        )
-        adv = families.gen_inflated(spec)
-    elif family == "partitioned":
-        spec = families.PartitionSpec.standard(args.blocks, args.root_size, args.n)
-        adv = families.gen_partitioned(spec).adversary
-    elif family == "rooted-trees":
-        adv = families.rooted_trees(args.n)
-    elif family == "source-broadcast":
-        adv = families.source_broadcast(args.n, args.clique_size)
-    elif family == "lossy-link":
-        adv = families.lossy_link(args.n, args.f)
-    elif family == "random-rooted":
-        if args.seed is None:
-            raise AdversaryFormatError("random-rooted requires an explicit --seed")
-        adv = families.random_rooted(args.n, args.count, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AdversaryFormatError(f"unknown family {family}")
-    save_adversary(adv, args.output)
+    needs_n, build = _FAMILIES[args.family]
+    if args.n is not None:
+        check_process_count(args.n)
+    elif needs_n:
+        raise AdversaryFormatError(f"{args.family} requires --n")
+    save_adversary(build(args), args.output)
     return EXIT_OK
 
 
@@ -417,6 +390,24 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call's arguments, to be made later."""
+    return flags, kwargs
+
+
+_BUDGET = _opt("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
+_FORMAT = _opt("--format", choices=["text", "json"], default="text")
+
+
+def _verb(sub, name: str, func, help: str, *options, doc=_opt("file")) -> None:
+    """Add the sub-command ``name``: its document argument, then ``options``
+    in order, which is the order its help lists them in."""
+    p = sub.add_parser(name, help=help)
+    for flags, kwargs in (doc, *options):
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(func=func)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``oblicon`` argument parser, built on the first call and shared
@@ -438,75 +429,39 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decide", help="run the refinement and print the verdict")
-    p.add_argument("file")
-    p.add_argument("--trace", action="store_true", help="print removed edges per iteration")
-    p.add_argument("--no-early-exit", action="store_true", help="refine to the fixpoint")
-    p.add_argument("--dot-level", type=int, default=None, metavar="K",
-                   help="also export refinement level K as DOT")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None, help="DOT output path (default stdout)")
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("oracle", help="brute-force the smallest broadcastable horizon")
-    p.add_argument("file")
-    p.add_argument("--rmax", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("verify", help="synthesize the rule and verify every run")
-    p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="run one pattern with explicit inputs")
-    p.add_argument("file")
-    p.add_argument("--pattern", required=True, help="dot-separated graph names, e.g. Ga.Gc")
-    p.add_argument("--inputs", default=None, help="comma-separated inputs, one per process")
-    p.add_argument("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("generate", help="emit an adversary family as a JSON document")
-    p.add_argument(
-        "family",
-        choices=[
-            "chain",
-            "canonical-chain",
-            "inflated",
-            "partitioned",
-            "rooted-trees",
-            "source-broadcast",
-            "lossy-link",
-            "random-rooted",
-        ],
-    )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--chain-len", type=int, default=4, help="graphs in the chain")
-    p.add_argument("--max-len", type=int, default=4, help="cap for canonical-chain length")
-    p.add_argument("--path-len", type=int, default=2, help="relay path length (inflated)")
-    p.add_argument("--blocks", type=int, default=1, help="block count t (partitioned)")
-    p.add_argument("--root-size", type=int, default=1, help="root size m (partitioned)")
-    p.add_argument("--clique-size", type=int, default=1)
-    p.add_argument("--f", type=int, default=1, help="max dropped edges (lossy-link)")
-    p.add_argument("--count", type=int, default=3, help="graphs to sample (random-rooted)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("export-dot", help="export an indistinguishability graph as DOT")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, default=1, help="refinement level (1 = unrefined)")
-    p.add_argument("--rounds", type=int, default=None,
-                   help="export the r-round pattern graph instead")
-    p.add_argument("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_export_dot)
-
+    _verb(sub, "decide", cmd_decide, "run the refinement and print the verdict",
+          _opt("--trace", action="store_true", help="print removed edges per iteration"),
+          _opt("--no-early-exit", action="store_true", help="refine to the fixpoint"),
+          _opt("--dot-level", type=int, default=None, metavar="K",
+               help="also export refinement level K as DOT"),
+          _FORMAT,
+          _opt("-o", "--output", default=None, help="DOT output path (default stdout)"))
+    _verb(sub, "oracle", cmd_oracle, "brute-force the smallest broadcastable horizon",
+          _opt("--rmax", type=int, default=None), _BUDGET, _FORMAT)
+    _verb(sub, "verify", cmd_verify, "synthesize the rule and verify every run",
+          _opt("--horizon", type=int, default=None), _BUDGET, _FORMAT)
+    _verb(sub, "simulate", cmd_simulate, "run one pattern with explicit inputs",
+          _opt("--pattern", required=True, help="dot-separated graph names, e.g. Ga.Gc"),
+          _opt("--inputs", default=None, help="comma-separated inputs, one per process"),
+          _BUDGET, _FORMAT)
+    _verb(sub, "generate", cmd_generate, "emit an adversary family as a JSON document",
+          _opt("--n", type=int, default=None),
+          _opt("--chain-len", type=int, default=4, help="graphs in the chain"),
+          _opt("--max-len", type=int, default=4, help="cap for canonical-chain length"),
+          _opt("--path-len", type=int, default=2, help="relay path length (inflated)"),
+          _opt("--blocks", type=int, default=1, help="block count t (partitioned)"),
+          _opt("--root-size", type=int, default=1, help="root size m (partitioned)"),
+          _opt("--clique-size", type=int, default=1),
+          _opt("--f", type=int, default=1, help="max dropped edges (lossy-link)"),
+          _opt("--count", type=int, default=3, help="graphs to sample (random-rooted)"),
+          _opt("--seed", type=int, default=None),
+          _opt("-o", "--output", default="-"),
+          doc=_opt("family", choices=list(_FAMILIES)))
+    _verb(sub, "export-dot", cmd_export_dot, "export an indistinguishability graph as DOT",
+          _opt("--level", type=int, default=1, help="refinement level (1 = unrefined)"),
+          _opt("--rounds", type=int, default=None,
+               help="export the r-round pattern graph instead"),
+          _BUDGET, _opt("-o", "--output", default=None))
     return parser
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from collections.abc import Iterator, Sequence
 
 from .errors import FamilyValidationError
-from .graphs import CommunicationGraph
+from .graphs import CommunicationGraph, check_process_count
 from .indist import (
     Adversary,
     induced_connected,
@@ -123,6 +123,7 @@ def simple_chain_spec(num_graphs: int, n: int | None = None) -> ChainSpec:
         n = least
     if n < least:
         raise FamilyValidationError(f"chain with {num_graphs} graphs needs n >= {least}")
+    check_process_count(n)
     roots = tuple(frozenset({k}) for k in range(1, num_graphs + 2))
     encoders = frozenset(range(num_graphs + 2, num_graphs + 2 + bits))
     return ChainSpec(n, roots, encoders)
@@ -219,6 +220,8 @@ def gen_canonical_chain(n: int, max_len: int) -> ChainSpec:
     distinct.  The chain length is capped by ``max_len`` instead of growing
     with the partition count.
     """
+    if n < 12:
+        raise FamilyValidationError(f"canonical chain needs n >= 12, got {n}")
     if n % 12 != 0:
         raise FamilyValidationError(f"n must be divisible by 12, got {n}")
     if max_len < 1:
@@ -273,6 +276,17 @@ class InflateSpec:
         for k, r in enumerate(self.base.roots, start=1):
             if set(p) & r:
                 raise FamilyValidationError(f"relay path intersects root set R_{k}")
+
+
+def inflated_spec(num_graphs: int, path_len: int, n: int | None = None) -> InflateSpec:
+    """Singleton-root chain widened by a relay path of ``path_len`` processes
+    numbered after the chain's own, at the smallest process count (or a
+    given total n)."""
+    base = simple_chain_spec(num_graphs, None if n is None else n - path_len)
+    total = base.n + path_len
+    check_process_count(total)
+    path = tuple(range(base.n + 1, total + 1))
+    return InflateSpec(ChainSpec(total, base.roots, base.encoders), path)
 
 
 def gen_inflated(spec: InflateSpec) -> Adversary:
@@ -458,6 +472,7 @@ class PartitionSpec:
             n = least
         if n < least:
             raise FamilyValidationError(f"partitioned family with t={t}, m={m} needs n >= {least}")
+        check_process_count(n)
         low = list(range(1, 2 * m + 1))
         mid = list(range(2 * m + 1, 4 * m + 1))
         top = frozenset(range(4 * m + 1, 5 * m + 1))
@@ -586,6 +601,8 @@ def _validate_partitioned(
 
 def rooted_trees(n: int) -> Adversary:
     """All labeled rooted trees on n <= 4 processes, edges oriented away from the root."""
+    if n < 2:
+        raise FamilyValidationError(f"rooted trees need n >= 2, got {n}")
     if n > 4:
         raise FamilyValidationError(f"rooted trees supported up to n=4, got {n}")
     graphs = []
@@ -662,6 +679,11 @@ def lossy_link(n: int, f: int = 1) -> Adversary:
 def random_rooted(n: int, count: int, seed: int) -> Adversary:
     """Seeded sample of distinct rooted graphs (each non-loop edge kept with
     probability 1/2, retried until rooted)."""
+    most = 1 << n * (n - 1)  # one graph per subset of the non-loop edges
+    if count > most:
+        raise FamilyValidationError(
+            f"cannot sample {count} distinct graphs on n={n}: at most {most} exist"
+        )
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     seen: set[tuple] = set()

@@ -11,8 +11,18 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
 
-from .errors import NotRootedError
+from .errors import AdversaryFormatError, NotRootedError
 from .procset import bit, full_mask, procs_of
+
+# Each graph holds 2n masks of up to n bits, so a document's memory grows as
+# n squared per graph; larger process counts are refused before any graph is
+# built, whether a document declares them or a family derives them.
+MAX_PROCESSES = 4096
+
+
+def check_process_count(n: int) -> None:
+    if n > MAX_PROCESSES:
+        raise AdversaryFormatError(f"'n' is {n}; at most {MAX_PROCESSES} processes are supported")
 
 
 class CommunicationGraph:

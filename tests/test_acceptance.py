@@ -17,13 +17,12 @@ import pytest
 from oblicon.cli import main, save_adversary
 from oblicon.decision import Verdict, decide
 from oblicon.families import (
-    ChainSpec,
-    InflateSpec,
     PartitionSpec,
     check_inflation_preserved,
     gen_chain,
     gen_inflated,
     gen_partitioned,
+    inflated_spec,
     lossy_link,
     random_rooted,
     rooted_trees,
@@ -377,11 +376,9 @@ def test_criterion_5_construction_validators():
 
     # inflated chain (embedded checks: roots, delay property, relay-only new labels)
     try:
-        base = simple_chain_spec(2)
-        widened = ChainSpec(base.n + 2, base.roots, base.encoders)
-        spec = InflateSpec(base=widened, path=(base.n + 1, base.n + 2))
+        spec = inflated_spec(2, 2)
         inflated = gen_inflated(spec)
-        base_adv = gen_chain(widened)
+        base_adv = gen_chain(spec.base)
         check_inflation_preserved(base_adv, spec, inflated, 1, budget=BUDGET)
         check_inflation_preserved(base_adv, spec, inflated, 2, budget=BUDGET)
     except Exception as exc:  # noqa: BLE001

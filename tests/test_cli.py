@@ -257,6 +257,71 @@ def test_generate_rejects_n_above_the_process_limit(monkeypatch, capsys):
     )
 
 
+def _refuse_graphs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for a refused family")
+
+    monkeypatch.setattr(cli.families, "CommunicationGraph", refuse)
+
+
+@pytest.mark.parametrize(
+    "options,n",
+    [
+        (["chain", "--chain-len", "5000"], 5014),
+        (["partitioned", "--root-size", "900"], 4501),
+        (["inflated", "--chain-len", "2", "--path-len", "4200"], 4206),
+    ],
+    ids=["chain", "partitioned", "inflated"],
+)
+def test_generate_rejects_a_derived_n_above_the_process_limit(monkeypatch, capsys, options, n):
+    # the family derives n from its other options; it is checked before any graph is built
+    _refuse_graphs(monkeypatch)
+    assert main(["generate", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: 'n' is {n}; at most {MAX_PROCESSES} processes are supported\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family,n,message",
+    [
+        ("canonical-chain", 0, "canonical chain needs n >= 12, got 0"),
+        ("canonical-chain", -12, "canonical chain needs n >= 12, got -12"),
+        ("rooted-trees", 1, "rooted trees need n >= 2, got 1"),
+    ],
+    ids=["canonical-chain-0", "canonical-chain-negative", "rooted-trees-1"],
+)
+def test_generate_rejects_a_degenerate_n(family, n, message, capsys):
+    assert main(["generate", family, "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_generate_refuses_more_random_graphs_than_exist(monkeypatch, capsys):
+    # 3 processes have 6 possible edges, so at most 2**6 distinct graphs
+    _refuse_graphs(monkeypatch)
+    argv = ["generate", "random-rooted", "--n", "3", "--count", "100", "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot sample 100 distinct graphs on n=3: at most 64 exist\n"
+
+
+def test_simulate_json_reports_a_missing_rule_as_verify_does(capsys):
+    # chain(8) is not broadcastable within two rounds, so no rule exists for G1.G2
+    doc = str(Path(__file__).parent / "fixtures" / "chain8.json")
+    assert main(["simulate", doc, "--pattern", "G1.G2", "--format", "json"]) == 1
+    simulated = capsys.readouterr()
+    assert main(["verify", doc, "--horizon", "2", "--format", "json"]) == 1
+    verified = capsys.readouterr()
+    assert simulated.err == verified.err == ""
+    assert simulated.out == verified.out
+    assert json.loads(simulated.out)["non_broadcastable_component_size"] == 56
+
+
 @pytest.mark.parametrize(
     "argv",
     [["oracle"], ["verify"], ["simulate", "--pattern", "G1"], ["export-dot", "--rounds", "1"]],

@@ -15,6 +15,9 @@ The ``usage.*`` fixtures pin argparse's own output (help and a usage error)
 as recorded before ``main`` began reusing one parser per process.  Their
 layout follows the terminal width, so those tests set ``COLUMNS=80``, and it
 differs between Python minor versions; they were recorded with Python 3.11.
+The ``oracle``, ``verify``, ``simulate``, ``generate`` and ``export-dot``
+help texts were recorded while each sub-command still added its options one
+``add_argument`` call at a time, before they were built from shared specs.
 Every call must give the same bytes whether it builds the parser or reuses
 it after other calls.
 """
@@ -66,6 +69,11 @@ CASES = [
 USAGE_CASES = [
     ("help", ["--help"], 0, "out"),
     ("decide_help", ["decide", "--help"], 0, "out"),
+    ("oracle_help", ["oracle", "--help"], 0, "out"),
+    ("verify_help", ["verify", "--help"], 0, "out"),
+    ("simulate_help", ["simulate", "--help"], 0, "out"),
+    ("generate_help", ["generate", "--help"], 0, "out"),
+    ("export_dot_help", ["export-dot", "--help"], 0, "out"),
     ("verify_no_file", ["verify"], 2, "err"),
 ]
 

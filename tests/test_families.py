@@ -12,6 +12,7 @@ from oblicon.families import (
     gen_canonical_chain,
     gen_partitioned,
     inflate_pattern,
+    inflated_spec,
     interconnect_variant_count,
     lossy_link,
     random_rooted,
@@ -111,12 +112,17 @@ def test_canonical_chain_exhaustion():
 
 
 def _inflated_pair(num_graphs=2, path_len=2):
-    base = simple_chain_spec(num_graphs)
-    n = base.n + path_len
-    spec_base = ChainSpec(n, base.roots, base.encoders)
-    path = tuple(range(base.n + 1, base.n + 1 + path_len))
-    infl = InflateSpec(base=spec_base, path=path)
-    return gen_chain(spec_base), infl, gen_inflated(infl)
+    infl = inflated_spec(num_graphs, path_len)
+    return gen_chain(infl.base), infl, gen_inflated(infl)
+
+
+def test_inflated_spec_widens_the_chain_by_its_path():
+    # at a given n the chain takes the low processes and the path the top ones
+    base = simple_chain_spec(3, 9)
+    spec = inflated_spec(3, 2, 11)
+    assert spec.base == ChainSpec(11, base.roots, base.encoders)
+    assert spec.path == (10, 11)
+    assert inflated_spec(3, 2).path == (8, 9)  # 3 graphs need 7 processes
 
 
 def test_inflated_delay_holds_then_breaks():
