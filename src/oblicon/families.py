@@ -676,13 +676,24 @@ def lossy_link(n: int, f: int = 1) -> Adversary:
     return Adversary(graphs)
 
 
+# rooted graphs on n processes, counted by enumerating all 2**(n(n-1)) graphs
+_ROOTED_GRAPHS = {2: 3, 3: 51, 4: 3614}
+
+
 def random_rooted(n: int, count: int, seed: int) -> Adversary:
     """Seeded sample of distinct rooted graphs (each non-loop edge kept with
-    probability 1/2, retried until rooted)."""
+    probability 1/2, retried until rooted).  A count above the graphs that
+    exist, or above the rooted ones where their total is known, is refused
+    before sampling."""
     most = 1 << n * (n - 1)  # one graph per subset of the non-loop edges
     if count > most:
         raise FamilyValidationError(
             f"cannot sample {count} distinct graphs on n={n}: at most {most} exist"
+        )
+    rooted = _ROOTED_GRAPHS.get(n, most)
+    if count > rooted:
+        raise FamilyValidationError(
+            f"cannot sample {count} distinct rooted graphs on n={n}: only {rooted} exist"
         )
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]

@@ -182,7 +182,10 @@ def bucket_labels(columns: Sequence[Sequence[int]]) -> dict[tuple[int, int], int
 
 
 def union_find(
-    size: int, edges: Iterable[Sequence[int]], masks: Sequence[int] | None = None
+    size: int,
+    edges: Iterable[Sequence[int]],
+    masks: Sequence[int] | None = None,
+    forest: list[int] | None = None,
 ) -> list[int] | None:
     """Each node's component representative, the smallest node of its component.
 
@@ -197,8 +200,12 @@ def union_find(
     empty, a node's own mask included: the components need not be finished
     to know that one of them has no member common to all its masks.
     Without ``masks`` the result is never None.
+
+    ``forest`` is a starting forest of parent pointers, none larger than its
+    node, which the call links on in place; its roots' masks must already
+    hold their trees' ANDs.  Without it every node starts as its own root.
     """
-    parent = list(range(size))
+    parent = list(range(size)) if forest is None else forest
     acc = None if masks is None else list(masks)
     if acc is not None and 0 in acc:
         return None

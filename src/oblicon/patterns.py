@@ -2,7 +2,7 @@
 indistinguishability graphs.
 
 A view is identified by its process and the previous-round views of its
-in-neighbours (process identity at round 0), and views are interned as small
+in-neighbours (process identity at round 0), and views are interned as
 integer ids.  Ids of different processes never coincide, so two patterns
 leave a process with equal ids exactly when its views are equal under the
 recursive definition.  Inputs stay symbolic since indistinguishability
@@ -16,13 +16,17 @@ Two kernels build the views:
   process p's view id and influence mask in the pattern with lexicographic
   index i.  One round extends each column by every graph with a few
   ``zip``/``map``/``dict`` calls per (process, graph) pair, so no Python code
-  runs per pattern.  A graph-identifying process, one whose in-neighbourhood
-  differs in every graph, is not interned: its views of all patterns differ
-  and interning would number them in pattern order, so its column is a range
-  of ids.  Components, broadcaster masks and run verification read the
-  columns the same way.  A caller may prune a level it was handed
-  (``PatternLevel.keep``) before the generator extends it; the rule's
-  pattern tree is built so.
+  runs per pattern.  A view's id in a level is its process's base plus the
+  position of the first pattern that has the view, so a column minus its
+  first entry maps each pattern to the first with its view, in C.  That map
+  is already a union-find forest, and the first column with a repeat seeds
+  the linking of each level's components (``_link``).  A graph-identifying
+  process, one whose in-neighbourhood differs in every graph, is not
+  interned: its views of all patterns differ, so each is first at its own
+  position and its column is a range of ids.  Components, broadcaster masks
+  and run verification read the columns the same way.  A caller may prune a
+  level it was handed (``PatternLevel.keep``) before the generator extends
+  it; the rule's pattern tree is built so.
 * ``final_views`` replays a few given patterns row by row (``_advance``).  It
   backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
   calls on one or two patterns would pay the column kernel's fixed cost per
@@ -35,7 +39,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, mul, ne, or_, xor
+from operator import add, and_, eq, mul, ne, or_, sub, xor
 
 from .errors import BudgetExceededError, PairBudgetExceededError
 from .graphs import CommunicationGraph
@@ -238,9 +242,9 @@ class PatternLevel:
     def keep(self, flags: Sequence[bool]) -> None:
         """Prune the level in place to the patterns whose flag is set, in
         order.  The attributes are rebound, so columns stored earlier stay
-        whole.  Kept view columns are not fresh: one that skips patterns may
-        repeat ids yet span exactly its length, so ``_all_distinct`` and
-        components must not read them; ``_extend`` interns afresh.
+        whole.  Kept view columns are not fresh: their ids are first
+        positions in the unpruned column, so ``_first_seen`` and components
+        must not read them; ``_extend`` interns afresh.
         """
         self.views = [tuple(compress(column, flags)) for column in self.views]
         self.influence = [list(compress(column, flags)) for column in self.influence]
@@ -263,20 +267,22 @@ def _extend(
     so graph g fills the slots ``g::m`` of every new column.
 
     Process p's new view key under g is the tuple of its in-neighbours' view
-    ids, or p's own view id when it hears only itself; the keys are interned
-    per process, with ids counted on from the previous process's so that ids
-    of different processes never coincide.  A graph-identifying process
+    ids, or p's own view id when it hears only itself.  The keys are interned
+    per process in one hashing pass, and a view's id is p's base plus the
+    position of the first pattern with that view.  Each process's base is
+    the previous one's plus the column length, so ids of different
+    processes never coincide.  A graph-identifying process
     (``identifying[p]``: its in-neighbourhood differs in every graph) is not
     interned: its new view holds its old one and names the new graph, so its
-    views of all patterns differ, and interning would number them in pattern
-    order.  Its column is that range of ids, built without reading a key.
-    p's new influence mask ORs the masks of its in-neighbours.
+    views of all patterns differ and each is first at its own position.  Its
+    column is that range of ids, built without reading a key.  p's new
+    influence mask ORs the masks of its in-neighbours.
 
     The level may be pruned (see ``PatternLevel.keep``): pattern i keeps its
     position, and its extension by g has lexicographic index
     ``index[i]*m + g``.  A graph-identifying process still tells every kept
     pattern apart, so its range of ids stays valid, and the new columns are
-    fresh either way: ids count up in order of first appearance.
+    fresh either way: each id is a base plus a first position in the column.
     """
     views, influence = level.views, level.influence
     size = len(views[0]) * m
@@ -302,9 +308,9 @@ def _extend(
         keys: list[object] = [None] * size
         for g, qs in enumerate(ins_p):
             keys[g::m] = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
-        ids = dict(zip(dict.fromkeys(keys), count(base)))
-        base += len(ids)
-        new_views.append(tuple(map(ids.__getitem__, keys)))
+        ids: dict[object, int] = {}
+        new_views.append(tuple(map(ids.setdefault, keys, count(base))))
+        base += size
     return PatternLevel(level.rounds + 1, new_views, new_influence, index)
 
 
@@ -366,57 +372,88 @@ def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
 
 
 def _all_distinct(column: Column) -> bool:
-    """True when no two patterns share the column's entry: a fresh column's
-    ids count up from its first entry in order of first appearance, so
-    exactly when the last one is ``len(column) - 1`` above the first.  A
-    pruned column (``PatternLevel.keep``) can break this: (0, 0, 2) passes."""
-    return column[-1] - column[0] == len(column) - 1
+    """True when no two patterns share the column's entry.  A fresh column's
+    entries are its base plus first positions, so it is all distinct exactly
+    when every entry is its first entry plus its position; the last entry
+    tests that in O(1) for most columns that repeat.  On a column pruned by
+    ``PatternLevel.keep`` a True is still right, though a False may not be."""
+    return column[-1] - column[0] == len(column) - 1 and all(
+        map(eq, column, count(column[0]))
+    )
 
 
 def _first_seen(column: Column) -> list[int] | None:
-    """Each pattern's first pattern with the same entry in the column, or
-    None, without building a dict, when all entries are distinct."""
+    """Each pattern's first pattern with the same entry in a fresh column,
+    its id less the column's base, or None when all entries are distinct.
+    On a pruned column the positions are those of the column it was pruned
+    from."""
     if _all_distinct(column):
         return None
-    first = dict(zip(reversed(column), reversed(range(len(column)))))
-    return list(map(first.__getitem__, column))
+    return list(map(sub, column, repeat(column[0])))
 
 
-def _view_pairs(views: Sequence[Column]) -> Iterator[tuple[int, int]]:
-    """(first pattern with this view, pattern) for every process's final view
-    that an earlier pattern shares: patterns sharing any process's view are
-    indistinguishable."""
+def _view_pairs(views: Iterable[Column]) -> Iterator[tuple[int, int]]:
+    """(first pattern with this view, pattern), built lazily, for every
+    process's final view that an earlier pattern shares: patterns sharing
+    any process's view are indistinguishable."""
     return chain.from_iterable(
-        compress(zip(firsts, count()), map(ne, firsts, count()))
-        for firsts in map(_first_seen, views)
-        if firsts is not None
+        compress(
+            zip(map(sub, column, repeat(column[0])), count()), map(ne, column, count(column[0]))
+        )
+        for column in views
     )
+
+
+def _link(views: Sequence[Column], masks: Sequence[int] | None = None) -> list[int] | None:
+    """``union_find`` over every ``_view_pairs`` pair of a level's fresh
+    columns, with the same result.
+
+    Columns without a repeat give no pairs, and the first column with one
+    is already a finished forest (``_first_seen``): each pattern points at
+    the first with its view, its bucket's root.  So that forest seeds the
+    linking, each bucket's masks are ANDed into its root, and only the
+    later columns' pairs are linked.
+    """
+    if masks is not None and 0 in masks:
+        return None
+    later = iter(views)
+    forest = next(filter(None, map(_first_seen, later)), None)
+    if forest is None:  # every pattern is its own component
+        return list(range(len(views[0]))) if masks is None else list(masks)
+    if masks is not None:
+        masks = list(masks)
+        # only roots are written, and a member whose mask equals its root's
+        # AND so far (a root itself, say) would change nothing
+        for root, mask in compress(
+            zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
+        ):
+            masks[root] &= mask
+    return union_find(len(forest), _view_pairs(later), masks, forest)
 
 
 def _level_commons(views: Sequence[Column], bmasks: list[int], stop: bool) -> list[int] | None:
     """Each pattern's component AND of the broadcaster masks, on a level's
     fresh columns.
 
-    Without any broadcaster every AND is empty, and with no shared view
-    each pattern is its own component.  Otherwise one ``union_find`` pass
-    carries the masks.  With ``stop`` it returns None as soon as some
-    component's AND is empty.  Without, each mask also holds a bit above
-    every process, so that no AND runs empty, and the bit is cleared
-    afterwards.
+    Without any broadcaster every AND is empty.  Otherwise one seeded
+    ``union_find`` pass (``_link``) carries the masks.  With ``stop`` it
+    returns None as soon as some component's AND is empty.  Without, each
+    mask also holds a bit above every process, so that no AND runs empty,
+    and the bit is cleared afterwards.
     """
-    if not any(bmasks) or all(map(_all_distinct, views)):
-        return None if stop and 0 in bmasks else bmasks
+    if not any(bmasks):
+        return None if stop else bmasks
     if stop:
-        return union_find(len(bmasks), _view_pairs(views), bmasks)
+        return _link(views, bmasks)
     top = 1 << len(views)
-    commons = union_find(len(bmasks), _view_pairs(views), list(map(or_, bmasks, repeat(top))))
+    commons = _link(views, list(map(or_, bmasks, repeat(top))))
     return list(map(xor, commons, repeat(top)))
 
 
 def _components(views: Sequence[Column]) -> tuple[list[int], list[list[int]]]:
     """Each pattern's component index and the components of the pattern
     indistinguishability graph, each ascending and ordered by smallest index."""
-    return group(union_find(len(views[0]), _view_pairs(views)))
+    return group(_link(views))
 
 
 def pattern_components(

@@ -81,8 +81,9 @@ def interned_levels(d: Adversary, r_max: int) -> list[list[tuple[int, ...]]]:
     """Per-process view-id columns of levels 1..r_max, every process
     interned pattern by pattern: p's key in pattern i*m + g is its own
     previous id when it hears only itself under graph g, else the tuple of
-    its in-neighbours' previous ids; ids are numbered by first appearance in
-    pattern order, counted on from the previous process's ids."""
+    its in-neighbours' previous ids; a view's id is the process's base plus
+    the position of the first pattern with that view, and each process's
+    base is the previous one's plus the column length."""
     m = len(d)
     ins = [g.in_indices() for g in d.graphs]
     views = [(p,) for p in range(d.n)]
@@ -97,8 +98,8 @@ def interned_levels(d: Adversary, r_max: int) -> list[list[tuple[int, ...]]]:
                 prev, g = divmod(i, m)
                 qs = ins[g][p]
                 key = views[p][prev] if len(qs) == 1 else tuple(views[q][prev] for q in qs)
-                column.append(ids.setdefault(key, base + len(ids)))
-            base += len(ids)
+                column.append(ids.setdefault(key, base + i))
+            base += len(column)
             new.append(tuple(column))
         views = new
         levels.append(views)

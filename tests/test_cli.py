@@ -310,6 +310,49 @@ def test_generate_refuses_more_random_graphs_than_exist(monkeypatch, capsys):
     assert captured.err == "error: cannot sample 100 distinct graphs on n=3: at most 64 exist\n"
 
 
+def test_generate_refuses_more_rooted_graphs_than_exist(monkeypatch, capsys):
+    # 60 of the 64 graphs on 3 processes fit, but only 51 are rooted: the
+    # count is refused before sampling instead of retrying until it gives up
+    _refuse_graphs(monkeypatch)
+    argv = ["generate", "random-rooted", "--n", "3", "--count", "60", "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot sample 60 distinct rooted graphs on n=3: only 51 exist\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_state(monkeypatch, ll_file, chain_file, capsys, enabled):
+    # the collector is paused while a verb runs, and main leaves it as the
+    # caller had it on every exit code
+    import gc
+
+    calls = {
+        0: ["decide", chain_file],
+        1: ["decide", ll_file],
+        2: ["generate", "random-rooted", "--n", "3", "--count", "2"],
+        3: ["oracle", ll_file, "--rmax", "12", "--budget", "50"],
+    }
+    during = []
+
+    def decide(*args, **kwargs):
+        during.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    real = cli.decide
+    monkeypatch.setattr(cli, "decide", decide)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for code, argv in calls.items():
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert during and not any(during)
+
+
 def test_simulate_json_reports_a_missing_rule_as_verify_does(capsys):
     # chain(8) is not broadcastable within two rounds, so no rule exists for G1.G2
     doc = str(Path(__file__).parent / "fixtures" / "chain8.json")

@@ -1,6 +1,7 @@
 import pytest
 
 from oblicon.decision import Verdict, decide
+from oblicon.graphs import CommunicationGraph
 from oblicon.errors import FamilyValidationError
 from oblicon.families import (
     ChainSpec,
@@ -303,6 +304,26 @@ def test_random_rooted_deterministic():
     assert all(g.is_rooted for g in a.graphs)
     c = random_rooted(3, 3, seed=43)
     assert [g.edges() for g in c.graphs] != [g.edges() for g in a.graphs]
+
+
+def test_rooted_graph_totals_match_enumeration():
+    # random_rooted refuses a count above these totals before sampling
+    from itertools import combinations
+
+    from oblicon.families import _ROOTED_GRAPHS
+
+    totals = {}
+    for n in (2, 3, 4):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        totals[n] = sum(
+            CommunicationGraph(n, edges).is_rooted
+            for k in range(len(pairs) + 1)
+            for edges in combinations(pairs, k)
+        )
+    assert totals == _ROOTED_GRAPHS == {2: 3, 3: 51, 4: 3614}
+    assert len(random_rooted(3, 51, seed=0)) == 51
+    with pytest.raises(FamilyValidationError, match="only 51 exist"):
+        random_rooted(3, 52, seed=0)
 
 
 def test_catalog_family_sizes():

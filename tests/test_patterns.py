@@ -241,30 +241,37 @@ def test_identifying_process_column_is_the_id_range():
     assert new.views[0] == tuple(range(m * m))
 
 
-def test_all_distinct_misreads_a_pruned_column(lossy_link_2):
+def test_all_distinct_reads_a_pruned_column_first_seen_points_outside(lossy_link_2):
     from oblicon.patterns import _all_distinct, _first_seen, _final_level
 
-    # p2's view of Ga.Ga and Ga.Gc is the same (id 5), and Ga.Gb's sits
-    # between them: dropping Ga.Gb leaves ids 5, 5, 7, which span exactly
-    # three, so the shortcut calls the column distinct.  This is why
-    # components only ever read columns that ``_extend`` has just built.
+    # p2's column starts at base 9 (p1 holds 0..8); its view of Ga.Ga and
+    # Ga.Gc is the same, first seen at position 0, and Ga.Gb's sits between
+    # them.  Dropping Ga.Gb leaves ids 9, 9, 12, which span three entries
+    # but repeat: ``_all_distinct`` compares every entry with its position,
+    # so it reads the pruned column right.  ``_first_seen`` still answers in
+    # the positions of the unpruned column: 12 - 9 = 3 lies outside the
+    # three kept patterns.  This is why components only ever read columns
+    # that ``_extend`` has just built.
     level = _final_level(lossy_link_2, 2, 100)
-    assert level.views[1][:4] == (5, 6, 5, 7)
+    assert level.views[1][:4] == (9, 10, 9, 12)
     assert not _all_distinct(level.views[1])
     level.keep([True, False, True, True] + [False] * 5)
-    assert level.views[1] == (5, 5, 7)
+    assert level.views[1] == (9, 9, 12)
     assert list(level.index) == [0, 2, 3]
-    assert _all_distinct(level.views[1])  # wrong: the pruned column repeats 5
-    assert _first_seen(level.views[1]) is None
+    assert not _all_distinct(level.views[1])
+    assert _first_seen(level.views[1]) == [0, 0, 3]  # 3: outside the pruned column
 
 
-def test_first_seen_shortcut_and_dict_path():
+def test_first_seen_shortcut_and_offset_path():
     from oblicon.patterns import _first_seen
 
-    # an identifying process's column is a range: all distinct, no dict
+    # an identifying process's column is a range: all distinct, no list
     assert _first_seen(tuple(range(7, 7 + 9))) is None
     assert _first_seen((3,)) is None
-    # repeats point at the first pattern with the same entry
-    assert _first_seen((5, 6, 5, 7)) == [0, 1, 0, 3]
+    # repeats point at the first pattern with the same entry: each id less
+    # the column's base, its first entry
+    assert _first_seen((5, 6, 5, 8)) == [0, 1, 0, 3]
     assert _first_seen((2, 3, 3)) == [0, 1, 1]
     assert _first_seen((4, 4)) == [0, 0]
+    # last minus first spans the length, yet a middle entry repeats
+    assert _first_seen((2, 2, 4)) == [0, 0, 2]

@@ -25,13 +25,17 @@ from oblicon.indist import (
     IndistGraph,
     bucket_labels,
     common_masks,
+    group,
     induced_connected,
     single_round_indist,
+    union_find,
 )
 from oblicon.patterns import (
     Pattern,
+    _components,
     _extend,
     _first_seen,
+    _level_commons,
     _level_zero,
     _round_inputs,
     _view_pairs,
@@ -245,7 +249,7 @@ def _levels_up_to(d: Adversary, r_max: int, limit: int) -> int:
 @settings(max_examples=60, deadline=None)
 def test_column_levels_equal_interned_ids(d):
     # graph-identifying processes get their ids without interning; every id
-    # must still be the one interning assigns
+    # must still be the one first-position interning assigns
     r_max = _levels_up_to(d, 4, 500)
     levels = [level.views for level in iter_pattern_levels(d, r_max)]
     assert levels == interned_levels(d, r_max)
@@ -414,21 +418,69 @@ def test_pruned_levels_stay_fresh(d, data):
         assert list(_view_pairs(level.views)) == pairs
 
 
+def _unseeded_commons(views, masks: list[int]) -> list[int]:
+    """Each pattern's component AND of the masks, from an unseeded
+    ``union_find`` over every ``_view_pairs`` pair."""
+    comp_of, comps = group(union_find(len(masks), list(_view_pairs(views))))
+    commons = common_masks(comps, masks)
+    return [commons[c] for c in comp_of]
+
+
+@given(adversaries(max_n=4, max_graphs=4), st.data())
+@example(lossy_link(2, 1), None)
+@example(rooted_trees(3), None)
+@example(source_broadcast(3, 1), None)
+@settings(max_examples=60, deadline=None)
+def test_seeded_linking_equals_unseeded_union_find(d, data):
+    # the seed is the first repeating column's forest with its buckets'
+    # masks ANDed in; components and ANDs must be those of linking every
+    # pair from scratch, on full levels and on levels extended from a
+    # pruned one, for the broadcaster masks and for arbitrary ones
+    m = len(d)
+    ins_of, identifying = _round_inputs(d)
+    level = _level_zero(d.n)
+    for r in range(1, _levels_up_to(d, 3, 300) + 1):
+        if r > 1:
+            size = len(level.index)
+            if data is None:
+                flags = [i % 3 != 1 for i in range(size)]
+            else:
+                flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            if not any(flags):
+                return
+            level.keep(flags)
+        level = _extend(level, ins_of, m, identifying)
+        views, size = level.views, len(level.index)
+        rep = union_find(size, list(_view_pairs(views)))
+        assert _components(views) == group(rep)
+        masks = level.broadcaster_masks()
+        drawn = [(7 * i + r) % (1 << d.n) for i in range(size)] if data is None else data.draw(
+            st.lists(st.integers(0, (1 << d.n) - 1), min_size=size, max_size=size)
+        )
+        for bmasks in (masks, drawn):
+            commons = _unseeded_commons(views, bmasks)
+            assert _level_commons(views, bmasks, False) == commons
+            stopped = _level_commons(views, bmasks, True)
+            assert stopped == (None if 0 in commons else commons)
+            assert stopped == union_find(size, list(_view_pairs(views)), bmasks)
+
+
 @given(adversaries(max_n=4, max_graphs=4))
 @example(source_broadcast(2, 1))
 @example(source_broadcast(3, 1))
 @example(source_broadcast(4, 1))
 @settings(max_examples=60, deadline=None)
 def test_level_ids_count_up_in_order_of_first_appearance(d):
-    # ``_first_seen`` reads "no repeats" off a column's first and last ids,
-    # which holds only if each new id is one above the largest before it
+    # ``_first_seen`` and the seeded linking read each pattern's first
+    # pattern with the same view off its id less the column's first, which
+    # holds only if a view new at position i gets the id base + i and a
+    # repeated view an earlier id
     for level in iter_pattern_levels(d, _levels_up_to(d, 4, 500)):
         for column in level.views:
-            top = column[0]
-            for entry in column:
-                assert entry <= top + 1
-                top = max(top, entry)
-            assert column[0] == min(column)
+            base = column[0]
+            for i, entry in enumerate(column):
+                assert entry == base + i or base <= entry < base + i
+                assert column[entry - base] == entry
 
 
 @st.composite
