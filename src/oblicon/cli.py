@@ -353,7 +353,7 @@ _FAMILIES = {
     "inflated": (False, lambda a: families.gen_inflated(
         families.inflated_spec(a.chain_len, a.path_len, a.n))),
     "partitioned": (False, lambda a: families.gen_partitioned(
-        families.PartitionSpec.standard(a.blocks, a.root_size, a.n)).adversary),
+        a.blocks, a.root_size, a.n).adversary),
     "rooted-trees": (True, lambda a: families.rooted_trees(a.n)),
     "source-broadcast": (True, lambda a: families.source_broadcast(a.n, a.clique_size)),
     "lossy-link": (True, lambda a: families.lossy_link(a.n, a.f)),

@@ -9,11 +9,12 @@ explicit so that tiny instances can be verified exhaustively.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, product
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import FamilyValidationError
 from .graphs import CommunicationGraph, check_process_count
@@ -157,11 +158,13 @@ def _build_chain(spec: ChainSpec, path: Sequence[int] = ()) -> Adversary:
     return Adversary(graphs)
 
 
-def _check_roots(roots: Sequence[frozenset[int]], adv: Adversary) -> None:
-    """Root(G_i) = R_i for every graph of a chain."""
-    for i, g in enumerate(adv.graphs, start=1):
-        if g.root != roots[i - 1]:
-            raise FamilyValidationError(f"Root(G{i}) = {g.root}, expected {set(roots[i - 1])}")
+def _check_roots(
+    roots: Sequence[frozenset[int]], graphs: Sequence[CommunicationGraph]
+) -> None:
+    """Root(G) = R_k for the k-th of the graphs, which are named in the error."""
+    for g, root in zip(graphs, roots):
+        if g.root != root:
+            raise FamilyValidationError(f"Root({g.name}) = {g.root}, expected {set(root)}")
 
 
 def gen_chain(spec: ChainSpec) -> Adversary:
@@ -174,14 +177,7 @@ def gen_chain(spec: ChainSpec) -> Adversary:
 
 
 def _validate_chain(spec: ChainSpec, adv: Adversary) -> None:
-    enc_sorted = sorted(spec.encoders)
-    codes = [frozenset(_encode(enc_sorted, i)) for i in range(1, spec.num_graphs + 2)]
-    for k, code in enumerate(codes, start=1):
-        if not code:
-            raise FamilyValidationError(f"encoding of index {k} is empty")
-    if len(set(codes)) != len(codes):
-        raise FamilyValidationError("encoder set too small: index encodings collide")
-    _check_roots(spec.roots, adv)
+    _check_roots(spec.roots, adv.graphs)
     ig = single_round_indist(adv)
     expected = {
         (i - 1, i): mask_of(spec.roots[i + 1]) for i in range(1, spec.num_graphs)
@@ -301,7 +297,7 @@ def gen_inflated(spec: InflateSpec) -> Adversary:
 
 def _validate_inflated(spec: InflateSpec, adv: Adversary) -> None:
     base = spec.base
-    _check_roots(base.roots, adv)
+    _check_roots(base.roots, adv.graphs)
     relay_mask = mask_of(base.encoders) | mask_of(spec.path)
     ig = single_round_indist(adv)
     base_edges = {(i - 1, i) for i in range(1, base.num_graphs)}
@@ -397,124 +393,6 @@ def interconnect_variant_count(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    """Parameters of the partitioned family with t blocks and root size m.
-
-    ``roots`` holds R_1..R_{2t+1}; ``carriers``/``alt_carriers`` hold
-    U_1..U_t and U'_1..U'_t.  The layout follows the inductive scheme: low
-    range [1,2m] hosts R_2 and the U' sets, mid range [2m+1,4m] hosts R_3 and
-    the U sets, R_1 = [4m+1,5m], encoders B = [5m+1,n]; each step promotes
-    U'_i and U_i to the next two root sets and draws fresh replacements.
-    """
-
-    n: int
-    t: int
-    m: int
-    roots: tuple[frozenset[int], ...]
-    carriers: tuple[frozenset[int], ...]
-    alt_carriers: tuple[frozenset[int], ...]
-    encoders: frozenset[int]
-
-    def __post_init__(self) -> None:
-        n, t, m = self.n, self.t, self.m
-        if t < 1 or m < 1:
-            raise FamilyValidationError("need t >= 1 blocks and root size m >= 1")
-        low = frozenset(range(1, 2 * m + 1))
-        mid = frozenset(range(2 * m + 1, 4 * m + 1))
-        top = frozenset(range(4 * m + 1, 5 * m + 1))
-        if len(self.roots) != 2 * t + 1:
-            raise FamilyValidationError(f"need {2 * t + 1} root sets, got {len(self.roots)}")
-        if len(self.carriers) != t or len(self.alt_carriers) != t:
-            raise FamilyValidationError(f"need {t} carrier sets of each kind")
-        if self.encoders != frozenset(range(5 * m + 1, n + 1)):
-            raise FamilyValidationError("encoder set must be exactly [5m+1, n]")
-        need_bits = t.bit_length()
-        if len(self.encoders) < need_bits:
-            raise FamilyValidationError(
-                f"encoder set needs at least {need_bits} members for t={t}"
-            )
-        if interconnect_variant_count(m) < t:
-            raise FamilyValidationError(
-                f"only {interconnect_variant_count(m)} distinct root interconnects "
-                f"exist for m={m}, need t={t}"
-            )
-        # base conditions
-        if self.roots[0] != top:
-            raise FamilyValidationError("R_1 must be exactly [4m+1, 5m]")
-        if not (self.roots[1] <= low and len(self.roots[1]) == m):
-            raise FamilyValidationError("R_2 must be an m-subset of [1, 2m]")
-        if not (self.roots[2] <= mid and len(self.roots[2]) == m):
-            raise FamilyValidationError("R_3 must be an m-subset of [2m+1, 4m]")
-        for i in range(t):
-            if not (self.carriers[i] <= mid and len(self.carriers[i]) == m):
-                raise FamilyValidationError(f"U_{i + 1} must be an m-subset of [2m+1, 4m]")
-            if not (self.alt_carriers[i] <= low and len(self.alt_carriers[i]) == m):
-                raise FamilyValidationError(f"U'_{i + 1} must be an m-subset of [1, 2m]")
-        # step conditions: promoted carriers become the next roots
-        for i in range(1, t):
-            if self.roots[2 * i + 1] != self.alt_carriers[i - 1]:
-                raise FamilyValidationError(f"R_{2 * i + 2} must equal U'_{i}")
-            if self.roots[2 * i + 2] != self.carriers[i - 1]:
-                raise FamilyValidationError(f"R_{2 * i + 3} must equal U_{i}")
-        # freshness within each range
-        mid_used = [self.roots[2]] + list(self.carriers)
-        if len(set(mid_used)) != len(mid_used):
-            raise FamilyValidationError("U sets must be fresh among the mid-range root sets")
-        low_used = [self.roots[1]] + list(self.alt_carriers)
-        if len(set(low_used)) != len(low_used):
-            raise FamilyValidationError("U' sets must be fresh among the low-range root sets")
-
-    @classmethod
-    def standard(cls, t: int, m: int, n: int | None = None) -> "PartitionSpec":
-        """Lexicographically-first valid choice of all the 'arbitrary' sets."""
-        least = 5 * m + max(1, t.bit_length())
-        if n is None:
-            n = least
-        if n < least:
-            raise FamilyValidationError(f"partitioned family with t={t}, m={m} needs n >= {least}")
-        check_process_count(n)
-        low = list(range(1, 2 * m + 1))
-        mid = list(range(2 * m + 1, 4 * m + 1))
-        top = frozenset(range(4 * m + 1, 5 * m + 1))
-
-        def fresh(pool: list[int], used: set[frozenset[int]]) -> frozenset[int]:
-            for combo in combinations(pool, m):
-                cand = frozenset(combo)
-                if cand not in used:
-                    return cand
-            raise FamilyValidationError(
-                f"not enough distinct {m}-subsets in a 2m-range for t={t} blocks"
-            )
-
-        r2 = frozenset(low[:m])
-        r3 = frozenset(mid[:m])
-        mid_used = {r3}
-        low_used = {r2}
-        carriers = []
-        alt_carriers = []
-        for _ in range(t):
-            u = fresh(mid, mid_used)
-            mid_used.add(u)
-            carriers.append(u)
-            u_alt = fresh(low, low_used)
-            low_used.add(u_alt)
-            alt_carriers.append(u_alt)
-        roots = [top, r2, r3]
-        for i in range(1, t):
-            roots.append(alt_carriers[i - 1])
-            roots.append(carriers[i - 1])
-        return cls(
-            n=n,
-            t=t,
-            m=m,
-            roots=tuple(roots),
-            carriers=tuple(carriers),
-            alt_carriers=tuple(alt_carriers),
-            encoders=frozenset(range(5 * m + 1, n + 1)),
-        )
-
-
-@dataclass(frozen=True)
 class PartitionedFamily:
     """A partitioned adversary plus its block structure."""
 
@@ -522,81 +400,103 @@ class PartitionedFamily:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def gen_partitioned(spec: PartitionSpec) -> PartitionedFamily:
-    """Build the blocks S_1..S_t of 2i+1 graphs each and verify the partition
-    properties: per-block connectivity, cross-block protection of all earlier
-    induced edges, and no common broadcaster across the two witness patterns
-    (G_{i,2})_i and (G_{i,3})_i."""
-    n, t, m = spec.n, spec.t, spec.m
-    enc_sorted = sorted(spec.encoders)
+def gen_partitioned(t: int, m: int, n: int | None = None) -> PartitionedFamily:
+    """Build the blocks S_1..S_t of the partitioned family with root size m,
+    at the smallest process count (or a given n), and verify the partition
+    properties.
+
+    The layout: R_1 = [4m+1, 5m]; R_2, U'_1..U'_t are the first t+1
+    m-subsets of [1, 2m] and R_3, U_1..U_t those of [2m+1, 4m], in
+    ``combinations`` order; the encoders are B = [5m+1, n].  Block S_i holds
+    G_{i,1}..G_{i,2i+1}, whose roots are R_1..R_{2i+1}, and promotes U'_i and
+    U_i to R_{2i+2} and R_{2i+3}.  Each block is checked as it is built:
+    Root(G_{i,j}) = R_j, S_i is connected in the indistinguishability graph,
+    and S_i protects every induced edge of S_1..S_{i-1}.  Last, the witness
+    patterns (G_{i,2})_i and (G_{i,3})_i must share no broadcaster.
+    """
+    least = 5 * m + max(1, t.bit_length())
+    if n is None:
+        n = least
+    if n < least:
+        raise FamilyValidationError(f"partitioned family with t={t}, m={m} needs n >= {least}")
+    check_process_count(n)
+    if t < 1 or m < 1:
+        raise FamilyValidationError("need t >= 1 blocks and root size m >= 1")
+    if math.comb(2 * m, m) <= t:
+        raise FamilyValidationError(
+            f"not enough distinct {m}-subsets in a 2m-range for t={t} blocks"
+        )
+    if interconnect_variant_count(m) < t:
+        raise FamilyValidationError(
+            f"only {interconnect_variant_count(m)} distinct root interconnects "
+            f"exist for m={m}, need t={t}"
+        )
+    enc_sorted = list(range(5 * m + 1, n + 1))
     extras = _interconnect_extras(m)
-    universe = set(range(1, n + 1))
+    low = map(frozenset, combinations(range(1, 2 * m + 1), m))
+    mid = map(frozenset, combinations(range(2 * m + 1, 4 * m + 1), m))
+    roots = [frozenset(range(4 * m + 1, 5 * m + 1))]
+    alt, carrier = next(low), next(mid)
     graphs: list[CommunicationGraph] = []
     blocks: list[tuple[int, ...]] = []
     for i in range(1, t + 1):
+        roots += [alt, carrier]
+        alt, carrier = next(low), next(mid)
         chosen = [extras[h] for h in range(len(extras)) if (i - 1) >> h & 1]
-        block: list[int] = []
-        for j in range(1, 2 * i + 1 + 1):
-            r_j = sorted(spec.roots[j - 1])
-            if j == 1:
-                carried = spec.carriers[i - 1] | spec.alt_carriers[i - 1]
-            elif j % 2 == 0:
-                carried = spec.carriers[i - 1]
-            else:
-                carried = spec.alt_carriers[i - 1]
-            leftover = universe - spec.encoders - set(r_j) - carried
-            edges: list[tuple[int, int]] = []
-            if m >= 2:
-                edges += [(r_j[k], r_j[(k + 1) % m]) for k in range(m)]
+        start = len(graphs)
+        for j, root in enumerate(roots, start=1):
+            r_j = sorted(root)
+            carried = carrier | alt if j == 1 else carrier if j % 2 == 0 else alt
+            leftover = set(range(1, 5 * m + 1)) - root - carried
+            edges = [(r_j[k], r_j[(k + 1) % m]) for k in range(m)]
             edges += [(r_j[a], r_j[b]) for a, b in chosen]
             edges += _fan(r_j, enc_sorted + sorted(leftover))
             edges += _fan(_encode(enc_sorted, i), sorted(carried | leftover))
-            block.append(len(graphs))
             graphs.append(CommunicationGraph(n, edges, name=f"G{i}_{j}"))
-        blocks.append(tuple(block))
-    adv = Adversary(graphs)
-    _validate_partitioned(spec, adv, tuple(blocks))
-    return PartitionedFamily(adversary=adv, blocks=tuple(blocks))
-
-
-def _validate_partitioned(
-    spec: PartitionSpec, adv: Adversary, blocks: tuple[tuple[int, ...], ...]
-) -> None:
-    for i, block in enumerate(blocks, start=1):
-        for j, gi in enumerate(block, start=1):
-            expected = spec.roots[j - 1]
-            if adv.graphs[gi].root != expected:
-                raise FamilyValidationError(
-                    f"Root(G{i}_{j}) = {adv.graphs[gi].root}, expected {set(expected)}"
-                )
-    ig = single_round_indist(adv)
-    # (i) every block induces a connected subgraph
-    for i, block in enumerate(blocks, start=1):
-        if not induced_connected(ig, block):
+        blocks.append(tuple(range(start, len(graphs))))
+        _check_roots(roots, graphs[start:])
+        adv = Adversary(graphs)
+        ig = single_round_indist(adv)
+        if not induced_connected(ig, blocks[-1]):
             raise FamilyValidationError(f"block S_{i} is not connected in the indist graph")
-    # (ii) induced edges of the earlier blocks are protected by the current block
-    for i in range(2, len(blocks) + 1):
-        earlier = [u for block in blocks[: i - 1] for u in block]
-        labels = induced_edge_labels(ig, earlier)
-        guards = [adv.graphs[u] for u in blocks[i - 1]]
-        ok, witnesses = is_protected(labels, guards)
+        ok, witnesses = is_protected(induced_edge_labels(ig, range(start)), graphs[start:])
         if not ok:
             bad = sorted(k for k, w in witnesses.items() if w is None)
             raise FamilyValidationError(
                 f"edges {bad} of blocks S_1..S_{i - 1} are not protected by S_{i}"
             )
-    # (iii) the two witness patterns must have no common broadcaster
     witness_a = Pattern(adv, tuple(block[1] for block in blocks))
     witness_b = Pattern(adv, tuple(block[2] for block in blocks))
     if broadcaster_mask(witness_a) & broadcaster_mask(witness_b):
         raise FamilyValidationError(
             "witness patterns share a broadcaster; the block product would be broadcastable"
         )
+    return PartitionedFamily(adversary=adv, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
 # Catalog families
 # ---------------------------------------------------------------------------
+
+# The most graphs a catalog family builds.  At 48,620 graphs,
+# source_broadcast(18, 9) takes 2.4 s (Python 3.11, one core); counts such as
+# C(40, 20) = 1.4e11 would run for days.
+MAX_FAMILY_GRAPHS = 1 << 16
+
+
+def _check_graph_count(family: str, counts: Iterable[int]) -> None:
+    """Refuse a family whose graph count, the sum of ``counts``, is over the
+    cap.  The sum stops once it passes the cap, so the count named is a
+    lower bound: summing every term of a large lossy-link f would itself
+    take minutes."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > MAX_FAMILY_GRAPHS:
+            raise FamilyValidationError(
+                f"{family} would build at least {total} graphs; "
+                f"at most {MAX_FAMILY_GRAPHS} are built"
+            )
 
 
 def rooted_trees(n: int) -> Adversary:
@@ -649,6 +549,7 @@ def source_broadcast(n: int, clique_size: int = 1) -> Adversary:
     """Every graph is one clique of the given size with edges to all others."""
     if not (1 <= clique_size < n):
         raise FamilyValidationError(f"clique size must be in 1..{n - 1}")
+    _check_graph_count(f"source-broadcast on n={n}", [math.comb(n, clique_size)])
     graphs = []
     for members in combinations(range(1, n + 1), clique_size):
         rest = [v for v in range(1, n + 1) if v not in members]
@@ -662,9 +563,11 @@ def source_broadcast(n: int, clique_size: int = 1) -> Adversary:
 def lossy_link(n: int, f: int = 1) -> Adversary:
     """All graphs obtained from the complete graph by deleting at most f
     non-loop edges per round (the classic link-failure model)."""
+    pairs = max(n, 1) * (max(n, 1) - 1)  # counted without listing them
+    if not (0 <= f <= pairs):
+        raise FamilyValidationError(f"f must be in 0..{pairs}")
+    _check_graph_count(f"lossy-link on n={n}, f={f}", (math.comb(pairs, k) for k in range(f + 1)))
     all_edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    if not (0 <= f <= len(all_edges)):
-        raise FamilyValidationError(f"f must be in 0..{len(all_edges)}")
     graphs = []
     idx = 1
     for k in range(f + 1):
@@ -695,6 +598,7 @@ def random_rooted(n: int, count: int, seed: int) -> Adversary:
         raise FamilyValidationError(
             f"cannot sample {count} distinct rooted graphs on n={n}: only {rooted} exist"
         )
+    _check_graph_count(f"random-rooted on n={n}", [count])
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     seen: set[tuple] = set()

@@ -17,7 +17,6 @@ import pytest
 from oblicon.cli import main, save_adversary
 from oblicon.decision import Verdict, decide
 from oblicon.families import (
-    PartitionSpec,
     check_inflation_preserved,
     gen_chain,
     gen_inflated,
@@ -386,8 +385,8 @@ def test_criterion_5_construction_validators():
 
     # partitioned family at the smallest feasible parameters, including t=2
     try:
-        gen_partitioned(PartitionSpec.standard(1, 1))
-        fam = gen_partitioned(PartitionSpec.standard(2, 3))
+        gen_partitioned(1, 1)
+        fam = gen_partitioned(2, 3)
         comps = pattern_components(fam.adversary, 2, budget=BUDGET)
         comp_of = {}
         for ci, comp in enumerate(comps):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,38 @@ def test_generate_refuses_more_rooted_graphs_than_exist(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot sample 60 distinct rooted graphs on n=3: only 51 exist\n"
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (["source-broadcast", "--n", "40", "--clique-size", "20"],
+         "source-broadcast on n=40 would build at least 137846528820 graphs"),
+        (["lossy-link", "--n", "8", "--f", "6"],
+         "lossy-link on n=8, f=6 would build at least 396607 graphs"),
+        (["random-rooted", "--n", "5", "--count", "1000000", "--seed", "0"],
+         "random-rooted on n=5 would build at least 1000000 graphs"),
+    ],
+    ids=["source-broadcast", "lossy-link", "random-rooted"],
+)
+def test_generate_refuses_a_family_over_the_graph_cap(monkeypatch, capsys, options, message):
+    # the graphs are counted before any is built; building them would run for minutes
+    _refuse_graphs(monkeypatch)
+    t0 = time.perf_counter()
+    assert main(["generate", *options, "-o", "-"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; at most 65536 are built\n"
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_generate_partitioned_rejects_a_root_size_below_one(monkeypatch, capsys, m):
+    _refuse_graphs(monkeypatch)
+    assert main(["generate", "partitioned", "--root-size", m, "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need t >= 1 blocks and root size m >= 1\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -4,7 +4,7 @@ from oblicon.decision import Verdict, check_protected_chain, decide
 from oblicon.errors import PremiseError
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary
-from oblicon.families import gen_chain, gen_partitioned, rooted_trees, simple_chain_spec, source_broadcast, PartitionSpec
+from oblicon.families import gen_chain, gen_partitioned, rooted_trees, simple_chain_spec, source_broadcast
 from oblicon.procset import procs_of
 
 from conftest import naive_refine_once
@@ -152,7 +152,7 @@ def test_check_protected_chain_singletons_vacuous():
 
 
 def test_check_protected_chain_partitioned_blocks():
-    fam = gen_partitioned(PartitionSpec.standard(2, 3))
+    fam = gen_partitioned(2, 3)
     trace = decide(fam.adversary, no_early_exit=True)
     assert check_protected_chain([fam.blocks[0], fam.blocks[1]], trace) is True
 

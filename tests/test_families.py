@@ -1,12 +1,16 @@
+import hashlib
+import json
+import time
+
 import pytest
 
+from oblicon.cli import adversary_to_doc
 from oblicon.decision import Verdict, decide
 from oblicon.graphs import CommunicationGraph
 from oblicon.errors import FamilyValidationError
 from oblicon.families import (
     ChainSpec,
     InflateSpec,
-    PartitionSpec,
     check_inflation_preserved,
     gen_chain,
     gen_inflated,
@@ -204,13 +208,13 @@ def test_partition_feasibility_bounds():
     assert interconnect_variant_count(2) == 1
     assert interconnect_variant_count(3) == 8
     with pytest.raises(FamilyValidationError):
-        PartitionSpec.standard(2, 1)
+        gen_partitioned(2, 1)
     with pytest.raises(FamilyValidationError):
-        PartitionSpec.standard(2, 2)
+        gen_partitioned(2, 2)
 
 
 def test_partitioned_t1_smallest():
-    fam = gen_partitioned(PartitionSpec.standard(1, 1))
+    fam = gen_partitioned(1, 1)
     assert fam.adversary.n == 6
     assert len(fam.adversary) == 3
     assert fam.blocks == ((0, 1, 2),)
@@ -218,7 +222,7 @@ def test_partitioned_t1_smallest():
 
 
 def test_partitioned_t2_blocks_and_verdict():
-    fam = gen_partitioned(PartitionSpec.standard(2, 3))
+    fam = gen_partitioned(2, 3)
     assert fam.adversary.n == 17
     assert [len(b) for b in fam.blocks] == [3, 5]
     trace = decide(fam.adversary)
@@ -228,7 +232,7 @@ def test_partitioned_t2_blocks_and_verdict():
 
 
 def test_partitioned_block_product_connected():
-    fam = gen_partitioned(PartitionSpec.standard(2, 3))
+    fam = gen_partitioned(2, 3)
     comps = pattern_components(fam.adversary, 2)
     comp_of = {}
     for ci, comp in enumerate(comps):
@@ -245,10 +249,33 @@ def test_partitioned_block_product_connected():
 def test_partitioned_witness_patterns_disjoint_broadcasters():
     from oblicon.patterns import broadcaster_mask
 
-    fam = gen_partitioned(PartitionSpec.standard(2, 3))
+    fam = gen_partitioned(2, 3)
     wa = Pattern(fam.adversary, tuple(b[1] for b in fam.blocks))
     wb = Pattern(fam.adversary, tuple(b[2] for b in fam.blocks))
     assert broadcaster_mask(wa) & broadcaster_mask(wb) == 0
+
+
+def test_partitioned_layout_is_pinned():
+    # digest of the document and blocks as built by the explicit-layout
+    # generator this one replaced, so the derived layout cannot drift
+    fam = gen_partitioned(2, 3)
+    doc = json.dumps([adversary_to_doc(fam.adversary), fam.blocks], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "1d4377f12777239d9067ca0bcf5d0e8d85701fe6673b3e700ea5c7ece0f5886f"
+    )
+
+
+def test_partitioned_fails_at_the_first_bad_block():
+    # each block is checked as it is built, so S_4..S_30 are never built;
+    # all 960 graphs and their level-1 graph would take seconds
+    t0 = time.perf_counter()
+    with pytest.raises(FamilyValidationError) as err:
+        gen_partitioned(30, 10)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(err.value) == (
+        "edges [(0, 3), (1, 4), (1, 6), (2, 5), (2, 7)] of blocks S_1..S_2 "
+        "are not protected by S_3"
+    )
 
 
 # --- catalog -----------------------------------------------------------------

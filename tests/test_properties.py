@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from oblicon.decision import Verdict, decide
 from oblicon.errors import NonBroadcastableComponentError
 from oblicon.families import (
-    PartitionSpec,
     gen_chain,
     gen_partitioned,
     lossy_link,
@@ -641,7 +640,7 @@ def assert_matches_naive_refinement(d):
 
 FAMILY_CASES = {
     "chain12": lambda: gen_chain(simple_chain_spec(12)),
-    "partitioned2x3": lambda: gen_partitioned(PartitionSpec.standard(2, 3)).adversary,
+    "partitioned2x3": lambda: gen_partitioned(2, 3).adversary,
     "rooted_trees3": lambda: rooted_trees(3),
     "lossy_link3-1": lambda: lossy_link(3, 1),
     "lossy_link3-2": lambda: lossy_link(3, 2),
