@@ -43,10 +43,15 @@ EXIT_BUDGET = 3
 
 
 def adversary_to_doc(adv: Adversary) -> dict:
+    # each graph's edges(), built as lists straight off its out-masks
     return {
         "n": adv.n,
         "graphs": [
-            {"name": g.name, "edges": [[u, v] for u, v in g.edges()]}
+            {"name": g.name, "edges": [
+                [u, v]
+                for u, out in enumerate(g._out, 1) if out != 1 << (u - 1)
+                for v in procs_of(out) if u != v
+            ]}
             for g in adv.graphs
         ],
     }

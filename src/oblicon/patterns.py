@@ -14,19 +14,14 @@ Two kernels build the views:
 * ``iter_pattern_levels`` enumerates every pattern of each length and stores
   a level as per-process columns: ``views[p][i]`` and ``influence[p][i]`` are
   process p's view id and influence mask in the pattern with lexicographic
-  index i.  One round extends each column by every graph with a few
-  ``zip``/``map``/``dict`` calls per (process, graph) pair, so no Python code
-  runs per pattern.  A view's id in a level is its process's base plus the
-  position of the first pattern that has the view, so a column minus its
-  first entry maps each pattern to the first with its view, in C.  That map
-  is already a union-find forest, and the first column with a repeat seeds
-  the linking of each level's components (``_link``).  A graph-identifying
-  process, one whose in-neighbourhood differs in every graph, is not
-  interned: its views of all patterns differ, so each is first at its own
-  position and its column is a range of ids.  Components, broadcaster masks
-  and run verification read the columns the same way.  A caller may prune a
-  level it was handed (``PatternLevel.keep``) before the generator extends
-  it; the rule's pattern tree is built so.
+  index i.  A round (``_extend``) builds the columns with a few
+  ``zip``/``map``/``dict`` calls per process and in-neighbourhood, so no
+  Python code runs per pattern.  A view's id is its process's base plus the
+  position of the first pattern with the view, so a column minus its first
+  entry is a union-find forest, which seeds the linking of each level's
+  components (``_link``).  A caller may prune a level it was handed
+  (``PatternLevel.keep``) before the generator extends it; the rule's
+  pattern tree is built so.
 * ``final_views`` replays a few given patterns row by row (``_advance``).  It
   backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
   calls on one or two patterns would pay the column kernel's fixed cost per
@@ -53,6 +48,8 @@ _EXACT_COUNT_LIMIT = 1 << 64
 Row = tuple[int, ...]
 Column = Sequence[int]
 InTuples = tuple[tuple[int, ...], ...]
+# one process's distinct in-neighbourhoods, each with the graphs that give it
+Groups = dict[tuple[int, ...], list[int]]
 
 
 @dataclass(frozen=True)
@@ -260,23 +257,24 @@ def _level_zero(n: int) -> PatternLevel:
     return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)], range(1))
 
 
-def _extend(
-    level: PatternLevel, ins_of: Sequence[InTuples], m: int, identifying: Sequence[bool]
-) -> PatternLevel:
+def _extend(level: PatternLevel, groups_of: Sequence[Groups], m: int) -> PatternLevel:
     """The next level: pattern i extended by graph g is pattern ``i*m + g``,
     so graph g fills the slots ``g::m`` of every new column.
 
     Process p's new view key under g is the tuple of its in-neighbours' view
-    ids, or p's own view id when it hears only itself.  The keys are interned
-    per process in one hashing pass, and a view's id is p's base plus the
-    position of the first pattern with that view.  Each process's base is
-    the previous one's plus the column length, so ids of different
-    processes never coincide.  A graph-identifying process
-    (``identifying[p]``: its in-neighbourhood differs in every graph) is not
-    interned: its new view holds its old one and names the new graph, so its
-    views of all patterns differ and each is first at its own position.  Its
-    column is that range of ids, built without reading a key.  p's new
-    influence mask ORs the masks of its in-neighbours.
+    ids, or p's own view id when it hears only itself.  Graphs with the same
+    in-neighbours of p, one group of ``groups_of[p]``, give it the same key
+    sequence, so each group's keys are built and interned, and its influence
+    masks ORed, once, and fill the slots of every graph in the group.  A
+    view's id is p's base plus the position of the first pattern with that
+    view; each base is the previous process's plus the column length, so ids
+    of different processes, and so keys of different groups, never coincide.
+    The first pattern with a view in group C is then ``i*m + min(C)``, i its
+    key's first position in the previous level, so each group's ids count up
+    from ``base + min(C)`` in steps of m.  A graph-identifying process, one
+    with m groups, is not interned: its new view holds its old one and names
+    the new graph, so its views of all patterns differ and each is first at
+    its own position.  Its column is that range of ids, built without a key.
 
     The level may be pruned (see ``PatternLevel.keep``): pattern i keeps its
     position, and its extension by g has lexicographic index
@@ -296,20 +294,24 @@ def _extend(
     base = 0
     new_views: list[tuple[int, ...]] = []
     new_influence: list[list[int]] = []
-    for p, ins_p in enumerate(ins_of):
+    for p, groups in enumerate(groups_of):
         masks = [0] * size
-        for g, qs in enumerate(ins_p):
-            masks[g::m] = _fold(or_, [influence[q] for q in qs])
+        for qs, gs in groups.items():
+            ored = list(_fold(or_, [influence[q] for q in qs]))
+            for g in gs:
+                masks[g::m] = ored
         new_influence.append(masks)
-        if identifying[p]:
+        if len(groups) == m:
             new_views.append(tuple(range(base, base + size)))
             base += size
             continue
-        keys: list[object] = [None] * size
-        for g, qs in enumerate(ins_p):
-            keys[g::m] = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
-        ids: dict[object, int] = {}
-        new_views.append(tuple(map(ids.setdefault, keys, count(base))))
+        column = [0] * size
+        for qs, gs in groups.items():
+            keys = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
+            ids = list(map({}.setdefault, keys, count(base + gs[0], m)))
+            for g in gs:
+                column[g::m] = ids
+        new_views.append(tuple(column))
         base += size
     return PatternLevel(level.rounds + 1, new_views, new_influence, index)
 
@@ -327,19 +329,22 @@ def iter_pattern_levels(
     if r_max < 0:
         raise ValueError(f"round count must be non-negative, got {r_max}")
     m = len(d)
-    ins_of, identifying = _round_inputs(d)
+    groups_of = _round_inputs(d)
     level = _level_zero(d.n)
     for k in range(1, r_max + 1):
         _check_budget(d, k, budget)
-        level = _extend(level, ins_of, m, identifying)
+        level = _extend(level, groups_of, m)
         yield level
 
 
-def _round_inputs(d: Adversary) -> tuple[list[InTuples], list[bool]]:
-    """What ``_extend`` reads of the adversary: per process, its
-    in-neighbours under each graph, and whether it is graph-identifying."""
-    ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
-    return ins_of, [len(set(ins_p)) == len(d) for ins_p in ins_of]
+def _round_inputs(d: Adversary) -> list[Groups]:
+    """What ``_extend`` reads of the adversary: per process, its distinct
+    in-neighbourhoods, each with the graphs that give it, in graph order."""
+    groups_of: list[Groups] = [{} for _ in range(d.n)]
+    for g, ins in enumerate(graph.in_indices() for graph in d.graphs):
+        for groups, qs in zip(groups_of, ins):
+            groups.setdefault(qs, []).append(g)
+    return groups_of
 
 
 def _check_budget(d: Adversary, r: int, budget: int) -> None:

@@ -14,7 +14,7 @@ from oblicon.cli import (
     save_adversary,
 )
 from oblicon.errors import AdversaryFormatError
-from oblicon.families import lossy_link, simple_chain_spec, gen_chain
+from oblicon.families import gen_chain, lossy_link, random_rooted, simple_chain_spec
 
 
 @pytest.fixture
@@ -48,6 +48,24 @@ def test_roundtrip_normalizes_self_loops():
     # loops are implicit on reload; saved form has only the real edge
     assert adversary_to_doc(adv) == {"n": 2, "graphs": [{"name": "G", "edges": [[1, 2]]}]}
     assert adversary_from_doc(adversary_to_doc(adv)) == adv
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_chain(simple_chain_spec(200)),
+        lambda: lossy_link(4, 3),
+        lambda: random_rooted(5, 40, 3),
+    ],
+    ids=["chain200", "lossy_link4-3", "random_rooted5x40"],
+)
+def test_document_edges_are_the_graph_edges(make):
+    adv = make()
+    doc = adversary_to_doc(adv)
+    assert doc["n"] == adv.n
+    assert doc["graphs"] == [
+        {"name": g.name, "edges": [[u, v] for u, v in g.edges()]} for g in adv.graphs
+    ]
 
 
 def test_document_rejects_unknown_fields():

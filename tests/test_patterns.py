@@ -225,20 +225,48 @@ def test_prefix_and_extend(lossy_link_2):
 
 def test_identifying_process_column_is_the_id_range():
     from oblicon.families import source_broadcast
-    from oblicon.patterns import _extend, iter_pattern_levels
+    from oblicon.patterns import _extend, _round_inputs, iter_pattern_levels
 
     # p1 hears itself alone in S1 and also p2 in S2, p3 in S3: it tells the
     # three graphs apart, so its next column is the id range without
     # reading its previous one
     d = source_broadcast(3, 1)
     m = len(d)
-    ins_of = list(zip(*(g.in_indices() for g in d.graphs)))
-    identifying = [len(set(ins_p)) == m for ins_p in ins_of]
-    assert identifying == [True, True, True]
+    groups_of = _round_inputs(d)
+    assert [len(groups) for groups in groups_of] == [m, m, m]
     level = next(iter_pattern_levels(d, 1))
     level.views[0] = (0,) * len(level.views[0])  # junk: interning would merge S1's keys
-    new = _extend(level, ins_of, m, identifying)
+    new = _extend(level, groups_of, m)
     assert new.views[0] == tuple(range(m * m))
+
+
+def test_graphs_with_one_in_neighbourhood_share_their_slots():
+    from oblicon.families import rooted_trees
+    from oblicon.patterns import _extend, _round_inputs, iter_pattern_levels
+
+    # in rooted_trees(3) each process has three in-neighbourhoods, each
+    # given by three of the nine graphs: the graphs of one group fill their
+    # slots with equal ids and masks, and a new view's id is the base plus
+    # m*i + min(group), i the first previous pattern with its key
+    d = rooted_trees(3)
+    m = len(d)
+    groups_of = _round_inputs(d)
+    assert [sorted(map(len, groups.values())) for groups in groups_of] == [[3, 3, 3]] * 3
+    level = next(iter_pattern_levels(d, 1))
+    new = _extend(level, groups_of, m)
+    assert new.rounds == 2
+    base = 0
+    for p, groups in enumerate(groups_of):
+        column, masks = new.views[p], new.influence[p]
+        for qs, gs in groups.items():
+            for g in gs[1:]:
+                assert column[g::m] == column[gs[0]::m]
+                assert masks[g::m] == masks[gs[0]::m]
+            keys = [tuple(level.views[q][i] for q in qs) for i in range(len(level.index))]
+            assert list(column[gs[0]::m]) == [
+                base + m * keys.index(key) + gs[0] for key in keys
+            ]
+        base += len(column)
 
 
 def test_all_distinct_reads_a_pruned_column_first_seen_points_outside(lossy_link_2):

@@ -245,9 +245,12 @@ def _levels_up_to(d: Adversary, r_max: int, limit: int) -> int:
 @example(source_broadcast(2, 1))
 @example(source_broadcast(3, 1))
 @example(source_broadcast(4, 1))
+@example(rooted_trees(3))
+@example(lossy_link(3, 1))
 @settings(max_examples=60, deadline=None)
 def test_column_levels_equal_interned_ids(d):
-    # graph-identifying processes get their ids without interning; every id
+    # graph-identifying processes get their ids without interning, and
+    # graphs with one in-neighbourhood share one interning pass; every id
     # must still be the one first-position interning assigns
     r_max = _levels_up_to(d, 4, 500)
     levels = [level.views for level in iter_pattern_levels(d, r_max)]
@@ -381,6 +384,8 @@ def test_rule_matches_component_reference(d, t):
 
 @given(adversaries(max_n=4, max_graphs=4), st.data())
 @example(source_broadcast(3, 1), None)
+@example(rooted_trees(3), None)
+@example(lossy_link(3, 1), None)
 @settings(max_examples=60, deadline=None)
 def test_pruned_levels_stay_fresh(d, data):
     # extend arbitrary kept subsets, as the rule's tree does: the new columns
@@ -388,7 +393,7 @@ def test_pruned_levels_stay_fresh(d, data):
     # and ``_view_pairs`` agree with a dict, and give graph-identifying
     # processes distinct ids through the range shortcut
     m = len(d)
-    ins_of, identifying = _round_inputs(d)
+    groups_of = _round_inputs(d)
     level = _level_zero(d.n)
     for r in range(1, _levels_up_to(d, 3, 300) + 1):
         if data is None:
@@ -400,7 +405,7 @@ def test_pruned_levels_stay_fresh(d, data):
             return
         kept = [k for k, keep in zip(level.index, flags) if keep]
         level.keep(flags)
-        level = _extend(level, ins_of, m, identifying)
+        level = _extend(level, groups_of, m)
         assert list(level.index) == [k * m + g for k in kept for g in range(m)]
         patterns = [pattern_at(d, r, k) for k in level.index]
         pairs = []
@@ -412,7 +417,7 @@ def test_pruned_levels_stay_fresh(d, data):
             repeats = reference != list(range(len(column)))
             assert _first_seen(column) == (reference if repeats else None)
             pairs += [(f, i) for i, f in enumerate(reference) if f != i]
-            if identifying[p]:
+            if len(groups_of[p]) == m:
                 assert not repeats
         assert list(_view_pairs(level.views)) == pairs
 
@@ -436,7 +441,7 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
     # pair from scratch, on full levels and on levels extended from a
     # pruned one, for the broadcaster masks and for arbitrary ones
     m = len(d)
-    ins_of, identifying = _round_inputs(d)
+    groups_of = _round_inputs(d)
     level = _level_zero(d.n)
     for r in range(1, _levels_up_to(d, 3, 300) + 1):
         if r > 1:
@@ -448,7 +453,7 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
             if not any(flags):
                 return
             level.keep(flags)
-        level = _extend(level, ins_of, m, identifying)
+        level = _extend(level, groups_of, m)
         views, size = level.views, len(level.index)
         rep = union_find(size, list(_view_pairs(views)))
         assert _components(views) == group(rep)

@@ -10,7 +10,7 @@ from oblicon.decision import Verdict, decide
 from oblicon.errors import BudgetExceededError, NonBroadcastableComponentError
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary
-from oblicon.patterns import Pattern, indist_label, pattern_index
+from oblicon.patterns import Pattern, broadcaster_mask, indist_label, pattern_index
 from oblicon.simulate import (
     build_rule,
     imposs_witness,
@@ -438,6 +438,25 @@ def test_imposs_witness_chain_prefix():
     w = imposs_witness(d, 1)
     assert w is not None
     assert w.root_a.isdisjoint(w.root_b)
+
+
+def test_imposs_witness_falls_back_to_overlapping_roots():
+    # no two graphs of the root-incompatible component have disjoint roots,
+    # so the witness names the least-overlapping pair, A and B; the claim
+    # holds only because their one-round broadcasters {2} and {3} are disjoint
+    d = Adversary(
+        [
+            CommunicationGraph(3, [(1, 2), (2, 1), (2, 3)], "A"),
+            CommunicationGraph(3, [(2, 3), (3, 2), (3, 1)], "B"),
+            CommunicationGraph(3, [(1, 3), (3, 1), (1, 2)], "C"),
+        ]
+    )
+    w = imposs_witness(d, 1)
+    assert w is not None
+    assert (w.graph_a, w.graph_b) == ("A", "B")
+    assert (w.root_a, w.root_b) == (frozenset({1, 2}), frozenset({2, 3}))
+    a, b = (Pattern.from_names(d, name) for name in ("A", "B"))
+    assert broadcaster_mask(a) & broadcaster_mask(b) == 0
 
 
 def test_imposs_witness_builds_no_pattern_graph(monkeypatch):
