@@ -132,7 +132,23 @@ def load_adversary(path: str) -> Adversary:
 
 
 def save_adversary(adv: Adversary, path: str) -> None:
-    _emit(json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n", path)
+    with _CollectorPaused():
+        _emit(json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n", path)
+
+
+class _CollectorPaused:
+    """Pause the cyclic garbage collector for a ``with`` block and restore
+    the caller's state on leaving it, by error too.  The verbs and document
+    writing build many containers but almost no cycles, so a collection
+    walks live data and frees next to nothing."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -473,33 +489,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI call and return its exit code; callable repeatedly in one
-    process.
-
-    The cyclic garbage collector is paused for the verb: the verbs build
-    many containers but almost no cycles, so a collection during one walks
-    live data and frees next to nothing.  The caller's collector state is
-    restored on return, so a caller that disabled it keeps it disabled.
-    """
+    process.  The verb runs with the cyclic garbage collector paused
+    (``_CollectorPaused``)."""
     args = build_parser().parse_args(argv)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        budget = getattr(args, "budget", 0)
-        if budget < 0:
-            raise ValueError(f"budget must be non-negative, got {budget}")
-        return args.func(args)
-    except AdversaryFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceededError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (FamilyValidationError, NotRootedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    finally:
-        if enabled:
-            gc.enable()
+    with _CollectorPaused():
+        try:
+            budget = getattr(args, "budget", 0)
+            if budget < 0:
+                raise ValueError(f"budget must be non-negative, got {budget}")
+            return args.func(args)
+        except AdversaryFormatError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except BudgetExceededError as exc:
+            print(f"budget error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except (FamilyValidationError, NotRootedError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

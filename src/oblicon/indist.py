@@ -10,7 +10,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, combinations, compress, count, islice, repeat
 from operator import eq
 
-from .errors import NotRootedError
+from .errors import NotRootedError, PairBudgetExceededError
 from .graphs import CommunicationGraph
 from .procset import fmt, is_subset
 
@@ -156,7 +156,9 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def bucket_labels(columns: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
+def bucket_labels(
+    columns: Sequence[Sequence[int]], cap: int | None = None, rounds: int = 1
+) -> dict[tuple[int, int], int]:
     """Edge labels of the nodes whose entries coincide in some process's column.
 
     ``columns[p][i]`` is node i's entry for process p.  A column's repeated
@@ -164,9 +166,11 @@ def bucket_labels(columns: Sequence[Sequence[int]]) -> dict[tuple[int, int], int
     without any is skipped.  Only the nodes holding a repeated entry are
     grouped by it, and p's bit is ORed into the label of every pair inside a
     group, so the work beyond the sort is proportional to the
-    indistinguishable pairs rather than all pairs.
+    indistinguishable pairs rather than all pairs.  The pairs are counted
+    from the groups, once per process, before any is built: a count above
+    ``cap`` raises PairBudgetExceededError, which names it and ``rounds``.
     """
-    labels: dict[tuple[int, int], int] = {}
+    grouped = []
     for p, column in enumerate(columns):
         ordered = sorted(column)
         repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
@@ -175,8 +179,15 @@ def bucket_labels(columns: Sequence[Sequence[int]]) -> dict[tuple[int, int], int
         buckets: dict[int, list[int]] = {}
         for i in compress(count(), map(repeated.__contains__, column)):
             buckets.setdefault(column[i], []).append(i)
-        pbit = 1 << p
-        for pair in chain.from_iterable(map(combinations, buckets.values(), repeat(2))):
+        grouped.append((1 << p, buckets.values()))
+    # a count is needed only where all pairs of every column could pass the cap
+    if cap is not None and len(columns) * len(columns[0]) ** 2 > 2 * cap:
+        pairs = sum(len(b) * (len(b) - 1) // 2 for _, buckets in grouped for b in buckets)
+        if pairs > cap:
+            raise PairBudgetExceededError(pairs, cap, rounds)
+    labels: dict[tuple[int, int], int] = {}
+    for pbit, buckets in grouped:
+        for pair in chain.from_iterable(map(combinations, buckets, repeat(2))):
             labels[pair] = labels.get(pair, 0) | pbit
     return labels
 
@@ -260,14 +271,25 @@ def common_masks(comps: Iterable[Sequence[int]], masks: Sequence[int]) -> list[i
     return out
 
 
+# level-1 pairs above which single_round_indist refuses to build the graph:
+# its labels take memory quadratic in the graphs
+MAX_LEVEL1_PAIRS = 1 << 20
+
+
 def single_round_indist(d: Adversary) -> IndistGraph:
     """The indistinguishability graph of the adversary's graphs viewed as one-round patterns.
 
     Two graphs are joined iff some process has identical in-neighborhoods in
-    both; the label is the set of all such processes.
+    both; the label is the set of all such processes.  Raises
+    PairBudgetExceededError, before building any edge, when the graphs have
+    more than ``MAX_LEVEL1_PAIRS`` pairs and the pairs sharing some
+    process's in-neighbourhood, counted once per process, exceed it too:
+    the labels hold at most all pairs, so the cap bounds their memory.
     """
+    m = len(d)
+    cap = MAX_LEVEL1_PAIRS if m * (m - 1) // 2 > MAX_LEVEL1_PAIRS else None
     in_masks = list(zip(*(g._in for g in d.graphs)))
-    return IndistGraph(len(d), d.names, bucket_labels(in_masks))
+    return IndistGraph(m, d.names, bucket_labels(in_masks, cap))
 
 
 def is_protected(

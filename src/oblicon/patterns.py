@@ -9,37 +9,24 @@ recursive definition.  Inputs stay symbolic since indistinguishability
 compares patterns under identical inputs; concrete inputs only matter when
 runs are verified.
 
-Two kernels build the views:
-
-* ``iter_pattern_levels`` enumerates every pattern of each length and stores
-  a level as per-process columns: ``views[p][i]`` and ``influence[p][i]`` are
-  process p's view id and influence mask in the pattern with lexicographic
-  index i.  A round (``_extend``) builds the columns with a few
-  ``zip``/``map``/``dict`` calls per process and in-neighbourhood, so no
-  Python code runs per pattern.  A view's id is its process's base plus the
-  position of the first pattern with the view, so a column minus its first
-  entry is a union-find forest, which seeds the linking of each level's
-  components (``_link``).  A caller may prune a level it was handed
-  (``PatternLevel.keep``) before the generator extends it; the rule's
-  pattern tree is built so.
-* ``final_views`` replays a few given patterns row by row (``_advance``).  It
-  backs ``indist_label``, ``heard_of`` and ``broadcaster_mask``, whose many
-  calls on one or two patterns would pay the column kernel's fixed cost per
-  process and graph on every call.
+``iter_pattern_levels`` enumerates whole levels as per-process columns
+(``_extend``) and ``_link`` links each on its parent level, one node per
+(parent pattern, one-round component); ``final_views`` replays a few given
+patterns row by row, where the column kernel's fixed costs would dominate.
+README describes the design; each function's docstring states its contract.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, eq, mul, ne, or_, sub, xor
+from operator import add, and_, eq, floordiv, mul, ne, or_, sub, xor
 
-from .errors import BudgetExceededError, PairBudgetExceededError
+from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
 from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
-from .procset import bit
+from .procset import bit, procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
 # pattern counts above this are not computed exactly (see _check_budget)
@@ -50,6 +37,8 @@ Column = Sequence[int]
 InTuples = tuple[tuple[int, ...], ...]
 # one process's distinct in-neighbourhoods, each with the graphs that give it
 Groups = dict[tuple[int, ...], list[int]]
+# m, each process's groups and the parts (see _round_inputs)
+RoundInputs = tuple[int, list[Groups], list[tuple[list[int], list, list]]]
 
 
 @dataclass(frozen=True)
@@ -218,12 +207,14 @@ class PatternLevel:
     pattern i, ``influence[p][i]`` is p's influence mask there, and
     ``index[i]`` is that pattern's lexicographic index among all patterns of
     the length.  A full level's index is a ``range``; a level pruned by
-    ``keep``, or extended from one, holds a subset."""
+    ``keep``, or extended from one, holds a subset.  ``inputs`` is what the
+    level was extended with (``_round_inputs``); level 0 has none."""
 
     rounds: int
     views: list[tuple[int, ...]]
     influence: list[list[int]]
     index: Sequence[int]
+    inputs: RoundInputs | None = None
 
     @property
     def view_rows(self) -> list[Row]:
@@ -257,31 +248,28 @@ def _level_zero(n: int) -> PatternLevel:
     return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)], range(1))
 
 
-def _extend(level: PatternLevel, groups_of: Sequence[Groups], m: int) -> PatternLevel:
+def _extend(level: PatternLevel, inputs: RoundInputs) -> PatternLevel:
     """The next level: pattern i extended by graph g is pattern ``i*m + g``,
     so graph g fills the slots ``g::m`` of every new column.
 
     Process p's new view key under g is the tuple of its in-neighbours' view
-    ids, or p's own view id when it hears only itself.  Graphs with the same
-    in-neighbours of p, one group of ``groups_of[p]``, give it the same key
-    sequence, so each group's keys are built and interned, and its influence
-    masks ORed, once, and fill the slots of every graph in the group.  A
-    view's id is p's base plus the position of the first pattern with that
-    view; each base is the previous process's plus the column length, so ids
-    of different processes, and so keys of different groups, never coincide.
-    The first pattern with a view in group C is then ``i*m + min(C)``, i its
-    key's first position in the previous level, so each group's ids count up
-    from ``base + min(C)`` in steps of m.  A graph-identifying process, one
-    with m groups, is not interned: its new view holds its old one and names
-    the new graph, so its views of all patterns differ and each is first at
-    its own position.  Its column is that range of ids, built without a key.
+    ids, or p's own view id when it hears only itself.  The graphs of one
+    group of p (``_round_inputs``) give it the same key sequence, so each
+    group's keys are interned, and its influence masks ORed, once, and fill
+    the slots of every graph in the group.  A view's id is p's base plus the
+    position of the first pattern with that view; each base is the previous
+    process's plus the column length, so ids of different processes, and so
+    keys of different groups, never coincide.  The first pattern with a view
+    in group C is then ``i*m + min(C)``, i its key's first position in the
+    previous level, so C's ids count up from ``base + min(C)`` in steps of m.
+    A graph-identifying process, one with m groups, tells all patterns
+    apart, so its column is the range of ids, built without a key.
 
-    The level may be pruned (see ``PatternLevel.keep``): pattern i keeps its
-    position, and its extension by g has lexicographic index
-    ``index[i]*m + g``.  A graph-identifying process still tells every kept
-    pattern apart, so its range of ids stays valid, and the new columns are
-    fresh either way: each id is a base plus a first position in the column.
+    A level pruned by ``PatternLevel.keep`` keeps its positions: pattern i
+    extended by g has lexicographic index ``index[i]*m + g``, and the new
+    columns are fresh either way.
     """
+    m, groups_of, _ = inputs
     views, influence = level.views, level.influence
     size = len(views[0]) * m
     if type(level.index) is range:
@@ -313,7 +301,7 @@ def _extend(level: PatternLevel, groups_of: Sequence[Groups], m: int) -> Pattern
                 column[g::m] = ids
         new_views.append(tuple(column))
         base += size
-    return PatternLevel(level.rounds + 1, new_views, new_influence, index)
+    return PatternLevel(level.rounds + 1, new_views, new_influence, index, inputs)
 
 
 def iter_pattern_levels(
@@ -328,23 +316,48 @@ def iter_pattern_levels(
     """
     if r_max < 0:
         raise ValueError(f"round count must be non-negative, got {r_max}")
-    m = len(d)
-    groups_of = _round_inputs(d)
+    inputs = _round_inputs(d)
     level = _level_zero(d.n)
     for k in range(1, r_max + 1):
         _check_budget(d, k, budget)
-        level = _extend(level, groups_of, m)
+        level = _extend(level, inputs)
         yield level
 
 
-def _round_inputs(d: Adversary) -> list[Groups]:
-    """What ``_extend`` reads of the adversary: per process, its distinct
-    in-neighbourhoods, each with the graphs that give it, in graph order."""
-    groups_of: list[Groups] = [{} for _ in range(d.n)]
-    for g, ins in enumerate(graph.in_indices() for graph in d.graphs):
-        for groups, qs in zip(groups_of, ins):
-            groups.setdefault(qs, []).append(g)
-    return groups_of
+@lru_cache(maxsize=1 << 12)
+def _indices(mask: int) -> tuple[int, ...]:
+    """A mask's members as 0-based indices; documents repeat their masks."""
+    return tuple(q - 1 for q in procs_of(mask))
+
+
+@lru_cache(maxsize=1)
+def _round_inputs(d: Adversary) -> RoundInputs:
+    """What the kernels read of the adversary: m; per process, its groups,
+    the distinct in-neighbourhoods each with the graphs that give it, in
+    graph order; and the parts, the one-round components (graphs sharing a
+    group are linked) by smallest graph, each as its graphs and the
+    (process, first graph) of its groups, for the processes that do not
+    identify the graph and for all.  The last adversary's are kept, so the
+    oracle and the rule of one ``verify`` build them once; callers share
+    them and only read them."""
+    m, groups_of = len(d), []
+    for column in zip(*(graph._in for graph in d.graphs)):
+        by_mask: dict[int, list[int]] = {}
+        for g, mask in enumerate(column):
+            by_mask.setdefault(mask, []).append(g)
+        groups_of.append(dict(zip(map(_indices, by_mask), by_mask.values())))
+    pairs = [(gs[0], g) for groups in groups_of for gs in groups.values() for g in gs[1:]]
+    rep = union_find(m, pairs) if pairs else range(m)
+    parts: dict[int, tuple[list[int], list, list]] = {}
+    for g, root in enumerate(rep):
+        parts.setdefault(root, ([], [], []))[0].append(g)
+    for p, groups in enumerate(groups_of):
+        for gs in groups.values():
+            part = parts[rep[gs[0]]]
+            part[2].append((p, gs[0]))
+            if len(groups) < m:
+                part[1].append((p, gs[0]))
+    return m, groups_of, list(parts.values())
 
 
 def _check_budget(d: Adversary, r: int, budget: int) -> None:
@@ -376,89 +389,108 @@ def _final_level(d: Adversary, r: int, budget: int) -> PatternLevel:
     return level
 
 
-def _all_distinct(column: Column) -> bool:
+def _all_distinct(column: Column, step: int = 1) -> bool:
     """True when no two patterns share the column's entry.  A fresh column's
     entries are its base plus first positions, so it is all distinct exactly
-    when every entry is its first entry plus its position; the last entry
-    tests that in O(1) for most columns that repeat.  On a column pruned by
-    ``PatternLevel.keep`` a True is still right, though a False may not be."""
-    return column[-1] - column[0] == len(column) - 1 and all(
-        map(eq, column, count(column[0]))
+    when every entry is its first entry plus ``step`` times its position; the
+    last entry tests that in O(1) for most columns that repeat.  On a column
+    pruned by ``PatternLevel.keep`` a True is still right, a False may not be."""
+    return column[-1] - column[0] == step * (len(column) - 1) and all(
+        map(eq, column, count(column[0], step))
     )
 
 
-def _first_seen(column: Column) -> list[int] | None:
+def _first_seen(column: Column, step: int = 1) -> list[int] | None:
     """Each pattern's first pattern with the same entry in a fresh column,
-    its id less the column's base, or None when all entries are distinct.
-    On a pruned column the positions are those of the column it was pruned
-    from."""
-    if _all_distinct(column):
+    its id less the column's base, or None when all entries are distinct;
+    on a group's slice (``step`` m), each parent's first parent with its
+    key.  On a pruned column the positions are those of the unpruned one."""
+    if _all_distinct(column, step):
         return None
-    return list(map(sub, column, repeat(column[0])))
+    offsets = map(sub, column, repeat(column[0]))
+    return list(offsets if step == 1 else map(floordiv, offsets, repeat(step)))
 
 
-def _view_pairs(views: Iterable[Column]) -> Iterator[tuple[int, int]]:
-    """(first pattern with this view, pattern), built lazily, for every
-    process's final view that an earlier pattern shares: patterns sharing
-    any process's view are indistinguishable."""
-    return chain.from_iterable(
-        compress(
-            zip(map(sub, column, repeat(column[0])), count()), map(ne, column, count(column[0]))
-        )
-        for column in views
-    )
+def _link(
+    views: Sequence[Column],
+    inputs: RoundInputs | None,
+    influence: Sequence[Column] | None = None,
+    stop=True,
+) -> list[int] | None:
+    """Each pattern's component representative, its smallest pattern, on a
+    level's fresh columns and the inputs it was extended with (none needed
+    for a one-pattern level); with ``influence``, each pattern's component
+    AND of its broadcaster masks, None as soon as one is empty when ``stop``.
+
+    Patterns extending parents i and j share p's view exactly when p's key
+    is the same in i and j under graphs of one group C, so the extensions of
+    i by one part's graphs lie in one component: a node (i, part).  Parts are
+    linked alone.  C's slice ``views[p][min(C)::m]`` holds base + min(C) + m *
+    (first parent with i's key), so the first slice with a repeat is a forest
+    (``_first_seen``) that seeds ``union_find``, its buckets' masks ANDed into
+    their roots, and later slices give the pairs.  A node's mask ANDs
+    ``influence[p][min(C)::m]`` over the part's groups, plus a bit above every
+    process without ``stop`` so that no AND runs empty; its result fills the
+    slots ``g::m`` of its part's graphs."""
+    size = len(views[0])
+    if size == 1:  # one pattern: level 0, or a level of a single graph
+        m, parts = 1, [([0], [], list(zip(range(len(views)), repeat(0))))]
+    else:
+        m, _, parts = inputs
+    nodes, top = size // m, 0 if stop else 1 << len(views)
+    out = [0] * size
+    for graphs, linked, masked in parts:
+        masks = None
+        if influence is not None:
+            if nodes == 1:  # one parent: a scalar AND, no slices
+                masks = [reduce(and_, [influence[p][c] for p, c in masked])]
+            else:
+                masks = list(_fold(and_, [influence[p][c::m] for p, c in masked]))
+            if top:
+                masks = list(map(or_, masks, repeat(top)))
+            elif 0 in masks:
+                return None
+        # one parent has nothing to link
+        later = (views[p][c::m] for p, c in linked) if nodes > 1 else iter(())
+        forest = next(filter(None, map(_first_seen, later, repeat(m))), None)
+        if forest is None:  # every node is its own component
+            res: Sequence[int] | None = range(nodes) if masks is None else masks
+        else:
+            if masks is not None:
+                # only members whose mask differs from their root's AND so far
+                for root, mask in compress(
+                    zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
+                ):
+                    masks[root] &= mask
+            pairs = chain.from_iterable(
+                compress(
+                    zip(map(floordiv, map(sub, s, repeat(s[0])), repeat(m)), count()),
+                    map(ne, s, count(s[0], m)),
+                )
+                for s in later
+            )
+            if (res := union_find(nodes, pairs, masks, forest)) is None:
+                return None
+        if masks is None:
+            res = list(map(add, map(mul, res, repeat(m)), repeat(graphs[0])))
+        elif top:
+            res = list(map(xor, res, repeat(top)))
+        for g in graphs:
+            out[g::m] = res
+    return out
 
 
-def _link(views: Sequence[Column], masks: Sequence[int] | None = None) -> list[int] | None:
-    """``union_find`` over every ``_view_pairs`` pair of a level's fresh
-    columns, with the same result.
-
-    Columns without a repeat give no pairs, and the first column with one
-    is already a finished forest (``_first_seen``): each pattern points at
-    the first with its view, its bucket's root.  So that forest seeds the
-    linking, each bucket's masks are ANDed into its root, and only the
-    later columns' pairs are linked.
-    """
-    if masks is not None and 0 in masks:
-        return None
-    later = iter(views)
-    forest = next(filter(None, map(_first_seen, later)), None)
-    if forest is None:  # every pattern is its own component
-        return list(range(len(views[0]))) if masks is None else list(masks)
-    if masks is not None:
-        masks = list(masks)
-        # only roots are written, and a member whose mask equals its root's
-        # AND so far (a root itself, say) would change nothing
-        for root, mask in compress(
-            zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
-        ):
-            masks[root] &= mask
-    return union_find(len(forest), _view_pairs(later), masks, forest)
+def _level_commons(level: PatternLevel, stop: bool) -> list[int] | None:
+    """Each pattern's component AND of the broadcaster masks (``_link``)."""
+    return _link(level.views, level.inputs, level.influence, stop)
 
 
-def _level_commons(views: Sequence[Column], bmasks: list[int], stop: bool) -> list[int] | None:
-    """Each pattern's component AND of the broadcaster masks, on a level's
-    fresh columns.
-
-    Without any broadcaster every AND is empty.  Otherwise one seeded
-    ``union_find`` pass (``_link``) carries the masks.  With ``stop`` it
-    returns None as soon as some component's AND is empty.  Without, each
-    mask also holds a bit above every process, so that no AND runs empty,
-    and the bit is cleared afterwards.
-    """
-    if not any(bmasks):
-        return None if stop else bmasks
-    if stop:
-        return _link(views, bmasks)
-    top = 1 << len(views)
-    commons = _link(views, list(map(or_, bmasks, repeat(top))))
-    return list(map(xor, commons, repeat(top)))
-
-
-def _components(views: Sequence[Column]) -> tuple[list[int], list[list[int]]]:
+def _components(
+    views: Sequence[Column], inputs: RoundInputs | None
+) -> tuple[list[int], list[list[int]]]:
     """Each pattern's component index and the components of the pattern
     indistinguishability graph, each ascending and ordered by smallest index."""
-    return group(_link(views))
+    return group(_link(views, inputs))
 
 
 def pattern_components(
@@ -466,8 +498,8 @@ def pattern_components(
 ) -> list[list[int]]:
     """Connected components of the r-round pattern indistinguishability graph,
     as lists of lexicographic pattern indices."""
-    _, comps = _components(_final_level(d, r, budget).views)
-    return comps
+    level = _final_level(d, r, budget)
+    return _components(level.views, level.inputs)[1]
 
 
 def pattern_indist_graph(
@@ -476,15 +508,12 @@ def pattern_indist_graph(
     """The full labeled indistinguishability graph over all r-round patterns.
 
     Nodes enumerate the patterns lexicographically; names compose the round
-    graph names ("Ga.Gc").  Edges are collected per process from view-equality
-    buckets, so the work is proportional to the indistinguishable pairs
-    rather than all pairs.  Raises PairBudgetExceededError before building
-    any edge when those pairs, counted from the bucket sizes, exceed the budget.
+    graph names ("Ga.Gc").  The edges come from ``bucket_labels`` with the
+    budget as its cap, so too many pairs raise PairBudgetExceededError
+    before any edge is built.
     """
     views = _final_level(d, r, budget).views
-    pairs = sum(k * (k - 1) // 2 for column in views for k in Counter(column).values())
-    if pairs > budget:
-        raise PairBudgetExceededError(pairs, budget, r)
+    labels = bucket_labels(views, budget, r)
     size = len(views[0])
     names = [pattern_at(d, r, i).name for i in range(size)]
-    return IndistGraph(size, names, bucket_labels(views))
+    return IndistGraph(size, names, labels)

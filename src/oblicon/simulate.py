@@ -40,6 +40,7 @@ from .patterns import (
     _first_seen,
     _level_commons,
     _level_zero,
+    _round_inputs,
     broadcaster_mask,
     indist_label,
     iter_pattern_levels,
@@ -75,10 +76,11 @@ class ConsensusRule:
         """The components each round decides, as lexicographic indices of
         that round's patterns, by round and then by smallest index; built
         from the views on every read."""
+        inputs = _round_inputs(self.adversary)
         return tuple(
             tuple(index[i] for i in comp)
             for index, decided, views in zip(self.index, self.decided, self.views)
-            for comp in _components(views)[1]
+            for comp in _components(views, inputs)[1]
             if decided[comp[0]]
         )
 
@@ -174,7 +176,8 @@ def build_rule(
         r = level.rounds
         bmasks = level.broadcaster_masks()
         # the last round only has to tell whether every component decides
-        commons = _level_commons(level.views, bmasks, r == t and until is None)
+        stop = r == t and until is None
+        commons = _level_commons(level, stop) if any(bmasks) else None if stop else bmasks
         if commons is None:
             break
         low = {common: (common & -common).bit_length() for common in set(commons)}
@@ -188,7 +191,7 @@ def build_rule(
             # the generator extends only what is left; round t stays whole
             # for the error below
             level.keep(list(map(not_, decided)))
-    comps = _components(level.views)[1]
+    comps = _components(level.views, level.inputs)[1]
     comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
     raise NonBroadcastableComponentError(t, [pattern_at(d, t, level.index[i]).name for i in comp])
 
@@ -312,7 +315,7 @@ def oracle_min_horizon(
     components are never finished.
     """
     for level in iter_pattern_levels(d, r_max, budget):
-        if _level_commons(level.views, level.broadcaster_masks(), stop=True) is not None:
+        if _level_commons(level, stop=True) is not None:
             return level.rounds
     return None
 

@@ -404,6 +404,94 @@ def test_main_restores_the_collector_state(monkeypatch, ll_file, chain_file, cap
     assert during and not any(during)
 
 
+def _dense_level_one(path, m: int = 60) -> int:
+    """Write a 12-process document of m graphs in which p1 hears only
+    itself; return its level-1 pairs, counted once per process that shares
+    an in-neighbourhood."""
+    from collections import Counter
+
+    from oblicon.graphs import CommunicationGraph
+    from oblicon.indist import Adversary
+
+    n = 12
+    graphs = [
+        CommunicationGraph(
+            n, [(1, v) for v in range(2, n + 1)] + [(2 + j, 3 + j) for j in range(7) if k >> j & 1]
+        )
+        for k in range(m)
+    ]
+    d = Adversary(graphs)
+    save_adversary(d, str(path))
+    return sum(c * (c - 1) // 2 for col in zip(*(g._in for g in d.graphs)) for c in Counter(col).values())
+
+
+@pytest.mark.parametrize("verb", [["decide"], ["export-dot", "--level", "1"], ["oracle"]])
+def test_dense_level_one_exits_3_before_building_pairs(monkeypatch, tmp_path, capsys, verb):
+    # every pair of graphs shares p1's in-neighbourhood, so the level-1
+    # pairs grow with the square of the graphs; they are counted first and
+    # refused above the cap, here lowered, with exit 3
+    import oblicon.indist
+
+    path = tmp_path / "dense.json"
+    pairs = _dense_level_one(path)
+    every = 60 * 59 // 2
+    assert pairs > every
+    monkeypatch.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", every - 1)
+    t0 = time.perf_counter()
+    assert main([verb[0], str(path), *verb[1:]]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget error: the 1-round pattern graph has up to {pairs} indistinguishable "
+        f"pairs, over the budget of {every - 1}\n"
+    )
+    # the pairs counted once per process exceed a cap of all pairs of
+    # graphs, but the labels hold at most those, so the graph is built
+    monkeypatch.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", every)
+    assert main(["decide", str(path)]) in (0, 1)
+
+
+def test_generator_output_under_the_level_one_cap_is_decided(tmp_path, capsys):
+    # lossy_link(7,2) has 904 graphs: its level-1 pairs, counted once per
+    # process, exceed the cap, but all 408,156 pairs of graphs fit under it
+    path = tmp_path / "ll72.json"
+    assert main(["generate", "lossy-link", "--n", "7", "--f", "2", "-o", str(path)]) == 0
+    assert main(["decide", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "SOLVABLE"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_save_adversary_pauses_the_collector(monkeypatch, tmp_path, enabled):
+    # a library caller saves outside main: the document is built with the
+    # collector paused, its bytes are those of a plain dump, and the caller's
+    # state comes back, after a failed write too
+    import gc
+
+    d = random_rooted(4, 12, 5)
+    reference = json.dumps(adversary_to_doc(d), sort_keys=True) + "\n"
+    during = []
+
+    def to_doc(adv):
+        during.append(gc.isenabled())
+        return real(adv)
+
+    real = cli.adversary_to_doc
+    monkeypatch.setattr(cli, "adversary_to_doc", to_doc)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        save_adversary(d, str(tmp_path / "adv.json"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(AdversaryFormatError):
+            save_adversary(d, str(tmp_path / "missing" / "adv.json"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+    assert (tmp_path / "adv.json").read_text(encoding="utf-8") == reference
+
+
 def test_simulate_json_reports_a_missing_rule_as_verify_does(capsys):
     # chain(8) is not broadcastable within two rounds, so no rule exists for G1.G2
     doc = str(Path(__file__).parent / "fixtures" / "chain8.json")

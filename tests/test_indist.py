@@ -182,3 +182,15 @@ def test_union_find_with_masks_stops_at_an_empty_and():
     assert union_find(4, [(0, 1), (1, 2)], [3, 1, 2, 7]) is None
     # a node whose own mask is empty, linked to no other
     assert union_find(2, [], [0, 1]) is None
+
+
+def test_bucket_labels_counts_pairs_before_building_any():
+    from oblicon.errors import PairBudgetExceededError
+    from oblicon.indist import bucket_labels
+
+    # p1 holds one bucket of three nodes (3 pairs), p2 one of two (1 pair)
+    columns = [[5, 5, 5], [1, 2, 1]]
+    assert bucket_labels(columns, cap=4) == {(0, 1): 1, (0, 2): 3, (1, 2): 1}
+    with pytest.raises(PairBudgetExceededError) as exc:
+        bucket_labels(columns, cap=3, rounds=2)
+    assert (exc.value.required, exc.value.budget, exc.value.rounds) == (4, 3, 2)

@@ -232,11 +232,11 @@ def test_identifying_process_column_is_the_id_range():
     # reading its previous one
     d = source_broadcast(3, 1)
     m = len(d)
-    groups_of = _round_inputs(d)
+    _, groups_of, _ = _round_inputs(d)
     assert [len(groups) for groups in groups_of] == [m, m, m]
     level = next(iter_pattern_levels(d, 1))
     level.views[0] = (0,) * len(level.views[0])  # junk: interning would merge S1's keys
-    new = _extend(level, groups_of, m)
+    new = _extend(level, level.inputs)
     assert new.views[0] == tuple(range(m * m))
 
 
@@ -250,10 +250,10 @@ def test_graphs_with_one_in_neighbourhood_share_their_slots():
     # m*i + min(group), i the first previous pattern with its key
     d = rooted_trees(3)
     m = len(d)
-    groups_of = _round_inputs(d)
+    _, groups_of, _ = _round_inputs(d)
     assert [sorted(map(len, groups.values())) for groups in groups_of] == [[3, 3, 3]] * 3
     level = next(iter_pattern_levels(d, 1))
-    new = _extend(level, groups_of, m)
+    new = _extend(level, level.inputs)
     assert new.rounds == 2
     base = 0
     for p, groups in enumerate(groups_of):

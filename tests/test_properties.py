@@ -1,7 +1,9 @@
 """Property-based checks of the structural invariants, driven by hypothesis."""
 from __future__ import annotations
 
+import dataclasses
 from functools import reduce
+from itertools import count
 from operator import and_
 
 import pytest
@@ -37,7 +39,6 @@ from oblicon.patterns import (
     _level_commons,
     _level_zero,
     _round_inputs,
-    _view_pairs,
     broadcaster_mask,
     final_views,
     indist_label,
@@ -382,6 +383,24 @@ def test_rule_matches_component_reference(d, t):
         assert common_of[i] >> (b - 1) & 1
 
 
+def _view_pairs(views) -> list[tuple[int, int]]:
+    """(first pattern with the same view, pattern) for every process's view
+    that an earlier pattern shares, found with a dict per column."""
+    pairs = []
+    for column in views:
+        first: dict[int, int] = {}
+        pairs += [(f, i) for i, f in enumerate(map(first.setdefault, column, count())) if f != i]
+    return pairs
+
+
+def _first_positions(column) -> list[int] | None:
+    """Each entry's first position in the column, by dict, or None when no
+    entry repeats."""
+    first: dict[int, int] = {}
+    reference = [first.setdefault(v, i) for i, v in enumerate(column)]
+    return reference if reference != list(range(len(column))) else None
+
+
 @given(adversaries(max_n=4, max_graphs=4), st.data())
 @example(source_broadcast(3, 1), None)
 @example(rooted_trees(3), None)
@@ -390,10 +409,10 @@ def test_rule_matches_component_reference(d, t):
 def test_pruned_levels_stay_fresh(d, data):
     # extend arbitrary kept subsets, as the rule's tree does: the new columns
     # must still intern views exactly, count ids up so that ``_first_seen``
-    # and ``_view_pairs`` agree with a dict, and give graph-identifying
-    # processes distinct ids through the range shortcut
-    m = len(d)
-    groups_of = _round_inputs(d)
+    # agrees with a dict on each column and, in steps of m, on each group's
+    # slice, and give graph-identifying processes distinct ids through the
+    # range shortcut
+    inputs = m, groups_of, _ = _round_inputs(d)
     level = _level_zero(d.n)
     for r in range(1, _levels_up_to(d, 3, 300) + 1):
         if data is None:
@@ -405,68 +424,87 @@ def test_pruned_levels_stay_fresh(d, data):
             return
         kept = [k for k, keep in zip(level.index, flags) if keep]
         level.keep(flags)
-        level = _extend(level, groups_of, m)
+        level = _extend(level, inputs)
         assert list(level.index) == [k * m + g for k in kept for g in range(m)]
         patterns = [pattern_at(d, r, k) for k in level.index]
-        pairs = []
         for p, column in enumerate(level.views):
             naive = [naive_view(sigma, p + 1, r) for sigma in patterns]
             assert _partition(column) == _partition(naive)
-            first: dict[int, int] = {}
-            reference = [first.setdefault(v, i) for i, v in enumerate(column)]
-            repeats = reference != list(range(len(column)))
-            assert _first_seen(column) == (reference if repeats else None)
-            pairs += [(f, i) for i, f in enumerate(reference) if f != i]
+            assert _first_seen(column) == _first_positions(column)
             if len(groups_of[p]) == m:
-                assert not repeats
-        assert list(_view_pairs(level.views)) == pairs
+                assert _first_seen(column) is None
+            for gs in groups_of[p].values():
+                assert _first_seen(column[gs[0]::m], m) == _first_positions(column[gs[0]::m])
 
 
 def _unseeded_commons(views, masks: list[int]) -> list[int]:
     """Each pattern's component AND of the masks, from an unseeded
     ``union_find`` over every ``_view_pairs`` pair."""
-    comp_of, comps = group(union_find(len(masks), list(_view_pairs(views))))
+    comp_of, comps = group(union_find(len(masks), _view_pairs(views)))
     commons = common_masks(comps, masks)
     return [commons[c] for c in comp_of]
 
 
+def _group_influence(level, d, draw) -> list[list[int]]:
+    """Influence columns drawn per (process, group, parent): like the real
+    ones, equal across the graphs of one group of the process."""
+    m, groups_of, _ = _round_inputs(d)
+    size = len(level.index)
+    influence = []
+    for groups in groups_of:
+        column = [0] * size
+        for gs in groups.values():
+            values = draw(size // m)
+            for g in gs:
+                column[g::m] = values
+        influence.append(column)
+    return influence
+
+
 @given(adversaries(max_n=4, max_graphs=4), st.data())
 @example(lossy_link(2, 1), None)
-@example(rooted_trees(3), None)
-@example(source_broadcast(3, 1), None)
+@example(rooted_trees(3), None)  # one part; level 3 has 729 patterns
+@example(source_broadcast(3, 1), None)  # three parts and no shared view
+@example(random_rooted(3, 4, 4), None)  # two parts, both with shared views
 @settings(max_examples=60, deadline=None)
 def test_seeded_linking_equals_unseeded_union_find(d, data):
-    # the seed is the first repeating column's forest with its buckets'
-    # masks ANDed in; components and ANDs must be those of linking every
-    # pair from scratch, on full levels and on levels extended from a
-    # pruned one, for the broadcaster masks and for arbitrary ones
-    m = len(d)
-    groups_of = _round_inputs(d)
-    level = _level_zero(d.n)
-    for r in range(1, _levels_up_to(d, 3, 300) + 1):
-        if r > 1:
-            size = len(level.index)
-            if data is None:
-                flags = [i % 3 != 1 for i in range(size)]
-            else:
-                flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
-            if not any(flags):
-                return
-            level.keep(flags)
-        level = _extend(level, groups_of, m)
-        views, size = level.views, len(level.index)
-        rep = union_find(size, list(_view_pairs(views)))
-        assert _components(views) == group(rep)
-        masks = level.broadcaster_masks()
-        drawn = [(7 * i + r) % (1 << d.n) for i in range(size)] if data is None else data.draw(
-            st.lists(st.integers(0, (1 << d.n) - 1), min_size=size, max_size=size)
+    # the linker links one node per (parent, part), seeded with a group's
+    # slice; components and ANDs must be those of linking every pattern
+    # pair from scratch, on full levels and on levels extended from pruned
+    # ones, for the broadcaster masks and for drawn ones
+    if data is None:
+        draw = lambda k: [(7 * i + k) % (1 << d.n) for i in range(k)]  # noqa: E731
+    else:
+        draw = lambda k: data.draw(  # noqa: E731
+            st.lists(st.integers(0, (1 << d.n) - 1), min_size=k, max_size=k)
         )
-        for bmasks in (masks, drawn):
-            commons = _unseeded_commons(views, bmasks)
-            assert _level_commons(views, bmasks, False) == commons
-            stopped = _level_commons(views, bmasks, True)
-            assert stopped == (None if 0 in commons else commons)
-            assert stopped == union_find(size, list(_view_pairs(views)), bmasks)
+    inputs = _round_inputs(d)
+    for pruned in (False, True):
+        level = _level_zero(d.n)
+        for r in range(_levels_up_to(d, 3, 800) + 1):
+            if pruned and r > 1:
+                size = len(level.index)
+                if data is None:
+                    flags = [i % 3 != 1 for i in range(size)]
+                else:
+                    flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+                if not any(flags):
+                    break
+                level.keep(flags)
+            if r > 0:
+                level = _extend(level, inputs)
+            views, size = level.views, len(level.index)
+            rep = union_find(size, _view_pairs(views))
+            assert _components(views, level.inputs) == group(rep)
+            drawn = _group_influence(level, d, draw) if r else level.influence
+            for influence in (level.influence, drawn):
+                probe = dataclasses.replace(level, influence=influence)
+                bmasks = probe.broadcaster_masks()
+                commons = _unseeded_commons(views, bmasks)
+                assert _level_commons(probe, False) == commons
+                stopped = _level_commons(probe, True)
+                assert stopped == (None if 0 in commons else commons)
+                assert stopped == union_find(size, _view_pairs(views), bmasks)
 
 
 @given(adversaries(max_n=4, max_graphs=4))

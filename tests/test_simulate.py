@@ -177,10 +177,10 @@ def test_verifier_catches_a_decision_one_round_early(rooted4_tree):
     # decide round 2's first undecided component at once, on the smallest
     # broadcaster of its first pattern, and drop its extensions: the tree
     # still covers every run, but the component has no common broadcaster
-    from oblicon.patterns import _components
+    from oblicon.patterns import _components, _round_inputs
 
     rule = rooted4_tree
-    comp_of, comps = _components(rule.views[2])
+    comp_of, comps = _components(rule.views[2], _round_inputs(rule.adversary))
     comp = next(c for c in comps if not rule.decided[2][c[0]])
     first = rule.broadcast_masks[2][comp[0]]
     b = (first & -first).bit_length()
