@@ -62,17 +62,6 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _edges_well_formed(edges: list) -> bool:
-    """True when every edge is a list of two ints, checked one property at a
-    time over the whole list; on False the caller checks edge by edge to
-    name the first malformed one."""
-    return (
-        set(map(type, edges)) <= {list}
-        and set(map(len, edges)) <= {2}
-        and set(map(type, chain.from_iterable(edges))) <= {int}
-    )
-
-
 def adversary_from_doc(doc: Any) -> Adversary:
     if not isinstance(doc, dict):
         raise AdversaryFormatError("document must be a JSON object")
@@ -106,14 +95,18 @@ def adversary_from_doc(doc: Any) -> Adversary:
         raw_edges = entry.get("edges", [])
         if not isinstance(raw_edges, list):
             raise AdversaryFormatError(f"graph {k} edges must be a list")
-        if not _edges_well_formed(raw_edges):
+        # the build takes a JSON true as 1 and raises on every other malformed edge
+        try:
+            graph = CommunicationGraph(n, raw_edges, name)
+            error = None if set(map(type, chain.from_iterable(raw_edges))) <= {int} else TypeError()
+        except (TypeError, ValueError) as exc:
+            error = exc
+        if error is not None:
             for e in raw_edges:
                 if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
                     raise AdversaryFormatError(f"graph {k} has a malformed edge: {e!r}")
-        try:
-            graphs.append(CommunicationGraph(n, raw_edges, name))
-        except ValueError as exc:
-            raise AdversaryFormatError(f"graph {k}: {exc}") from exc
+            raise AdversaryFormatError(f"graph {k}: {error}") from error
+        graphs.append(graph)
     try:
         return Adversary(graphs)
     except ValueError as exc:

@@ -6,7 +6,7 @@ same in-neighborhood in both; the edge label collects all such processes.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, combinations, compress, count, islice, repeat
 from operator import eq
 
@@ -166,22 +166,26 @@ def bucket_labels(
     without any is skipped.  Only the nodes holding a repeated entry are
     grouped by it, and p's bit is ORed into the label of every pair inside a
     group, so the work beyond the sort is proportional to the
-    indistinguishable pairs rather than all pairs.  The pairs are counted
-    from the groups, once per process, before any is built: a count above
-    ``cap`` raises PairBudgetExceededError, which names it and ``rounds``.
+    indistinguishable pairs rather than all pairs.  Each column's groups are
+    labelled and dropped in turn, unless ``cap`` needs the pairs counted
+    first, from the groups, once per process: a count above it raises
+    PairBudgetExceededError, which names it and ``rounds``.
     """
-    grouped = []
-    for p, column in enumerate(columns):
-        ordered = sorted(column)
-        repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
-        if not repeated:
-            continue
-        buckets: dict[int, list[int]] = {}
-        for i in compress(count(), map(repeated.__contains__, column)):
-            buckets.setdefault(column[i], []).append(i)
-        grouped.append((1 << p, buckets.values()))
+    def grouped_columns() -> Iterator[tuple[int, Iterable[list[int]]]]:
+        for p, column in enumerate(columns):
+            ordered = sorted(column)
+            repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+            if not repeated:
+                continue
+            buckets: dict[int, list[int]] = {}
+            for i in compress(count(), map(repeated.__contains__, column)):
+                buckets.setdefault(column[i], []).append(i)
+            yield 1 << p, buckets.values()
+
+    grouped: Iterable = grouped_columns()
     # a count is needed only where all pairs of every column could pass the cap
     if cap is not None and len(columns) * len(columns[0]) ** 2 > 2 * cap:
+        grouped = list(grouped)
         pairs = sum(len(b) * (len(b) - 1) // 2 for _, buckets in grouped for b in buckets)
         if pairs > cap:
             raise PairBudgetExceededError(pairs, cap, rounds)

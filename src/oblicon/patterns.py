@@ -9,10 +9,11 @@ recursive definition.  Inputs stay symbolic since indistinguishability
 compares patterns under identical inputs; concrete inputs only matter when
 runs are verified.
 
-``iter_pattern_levels`` enumerates whole levels as per-process columns
-(``_extend``) and ``_link`` links each on its parent level, one node per
-(parent pattern, one-round component); ``final_views`` replays a few given
-patterns row by row, where the column kernel's fixed costs would dominate.
+``iter_pattern_levels`` enumerates whole levels (``_extend``), each built on
+demand from its parent's per-process columns, and ``_link`` links each on
+its parent level, one node per (parent pattern, one-round component);
+``final_views`` replays a few given patterns row by row, where the column
+kernel's fixed costs would dominate.
 README describes the design; each function's docstring states its contract.
 """
 from __future__ import annotations
@@ -200,27 +201,90 @@ def pattern_index(sigma: Pattern) -> int:
     return idx
 
 
-@dataclass
 class PatternLevel:
-    """Patterns of one length in lexicographic order, stored as per-process
+    """Patterns of one length in lexicographic order, read as per-process
     columns: ``views[p][i]`` is process p's final view id in the level's
     pattern i, ``influence[p][i]`` is p's influence mask there, and
     ``index[i]`` is that pattern's lexicographic index among all patterns of
     the length.  A full level's index is a ``range``; a level pruned by
     ``keep``, or extended from one, holds a subset.  ``inputs`` is what the
-    level was extended with (``_round_inputs``); level 0 has none."""
+    level was extended with (``_round_inputs``).
 
-    rounds: int
-    views: list[tuple[int, ...]]
-    influence: list[list[int]]
-    index: Sequence[int]
-    inputs: RoundInputs | None = None
+    A level built by ``_extend`` holds its parent's columns.  Its group
+    arrays (``ids``, ``masks``) are fresh, built on first read and kept; its
+    columns are filled from them on first read.  ``keep`` builds the columns,
+    prunes them, and drops the parent and the group arrays.  A level given
+    its columns, without a parent, slices its group arrays from them."""
+
+    def __init__(self, rounds: int, index: Sequence[int], inputs: RoundInputs,
+                 views=None, influence=None, parent=None) -> None:
+        self.rounds, self.index, self.inputs, self._parent = rounds, index, inputs, parent
+        self._views, self._influence = views, influence
+        self._ids: dict[tuple[int, int], Column] = {}
+        self._masks: dict[tuple[int, int], Column] = {}
+
+    @property
+    def views(self) -> list[tuple[int, ...]]:
+        if self._views is None:
+            # a process with m groups tells all patterns apart: its ids are a range
+            m, groups_of, _ = self.inputs
+            size = len(self.index)
+            self._views = [
+                tuple(range(p * size, (p + 1) * size)) if len(groups) == m
+                else tuple(self._column(p, groups, self.ids))
+                for p, groups in enumerate(groups_of)
+            ]
+        return self._views
+
+    @property
+    def influence(self) -> list[list[int]]:
+        if self._influence is None:
+            self._influence = [self._column(p, g, self.masks) for p, g in enumerate(self.inputs[1])]
+        return self._influence
+
+    def ids(self, p: int, qs: tuple[int, ...], c: int) -> Column:
+        """Process p's view ids over the parent patterns under the graphs of its
+        group with in-neighbours qs and smallest graph c.  A key is their parent
+        view ids, or p's own when it hears only itself; a view's id is p's base,
+        ``p * len(index)``, plus its first pattern, ``i*m + c`` for i the first
+        parent with the key, so no two groups share an id."""
+        ids = self._ids.get((p, c))
+        if ids is None:
+            m = self.inputs[0]
+            if self._parent is None:
+                ids = self.views[p][c::m]
+            else:
+                views = self._parent[0]
+                keys = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
+                ids = list(map({}.setdefault, keys, count(p * len(self.index) + c, m)))
+            self._ids[p, c] = ids
+        return ids
+
+    def masks(self, p: int, qs: tuple[int, ...], c: int) -> Column:
+        """The group's influence masks over the parent patterns: its in-neighbours' masks ORed."""
+        masks = self._masks.get((p, c))
+        if masks is None:
+            masks = self._masks[p, c] = (
+                self.influence[p][c :: self.inputs[0]]
+                if self._parent is None
+                else list(_fold(or_, [self._parent[1][q] for q in qs]))
+            )
+        return masks
+
+    def _column(self, p: int, groups: Groups, read) -> list[int]:
+        """Process p's column of ``read``'s group arrays, graph g in the slots g::m."""
+        m = self.inputs[0]
+        column = [0] * len(self.index)
+        for qs, gs in groups.items():
+            arrays = read(p, qs, gs[0])
+            for g in gs:
+                column[g::m] = arrays
+        return column
 
     @property
     def view_rows(self) -> list[Row]:
-        """Each pattern's view ids of all processes, built from the columns
-        on every read, for callers that read rows, such as the benchmark's
-        tracer; the library reads the columns."""
+        """Each pattern's view ids of all processes, zipped from the columns,
+        which it builds, on every read: for the benchmark's tracer and the like."""
         return list(zip(*self.views))
 
     def broadcaster_masks(self) -> list[int]:
@@ -229,14 +293,14 @@ class PatternLevel:
 
     def keep(self, flags: Sequence[bool]) -> None:
         """Prune the level in place to the patterns whose flag is set, in
-        order.  The attributes are rebound, so columns stored earlier stay
-        whole.  Kept view columns are not fresh: their ids are first
-        positions in the unpruned column, so ``_first_seen`` and components
-        must not read them; ``_extend`` interns afresh.
-        """
-        self.views = [tuple(compress(column, flags)) for column in self.views]
-        self.influence = [list(compress(column, flags)) for column in self.influence]
+        order.  The columns are rebound, so columns stored earlier stay whole.
+        Kept view columns are not fresh: their ids are first positions in the
+        unpruned column, so ``_first_seen`` and components must not read
+        them; ``_extend`` interns afresh."""
+        self._views = [tuple(compress(column, flags)) for column in self.views]
+        self._influence = [list(compress(column, flags)) for column in self.influence]
         self.index = list(compress(self.index, flags))
+        self._parent, self._ids, self._masks = None, {}, {}
 
 
 def _fold(op, columns: Sequence[Column]) -> Iterator[int]:
@@ -245,33 +309,23 @@ def _fold(op, columns: Sequence[Column]) -> Iterator[int]:
 
 
 def _level_zero(n: int) -> PatternLevel:
-    return PatternLevel(0, [(p,) for p in range(n)], [[1 << p] for p in range(n)], range(1))
+    """The empty pattern, with the inputs of one graph in which each process hears only itself."""
+    views, influence = [(p,) for p in range(n)], [[1 << p] for p in range(n)]
+    return PatternLevel(0, range(1), _zero_inputs(n), views, influence)
+
+
+@lru_cache(maxsize=1)
+def _zero_inputs(n: int) -> RoundInputs:
+    return 1, [{(p,): [0]} for p in range(n)], [([0], [], [(p, (p,), 0) for p in range(n)])]
 
 
 def _extend(level: PatternLevel, inputs: RoundInputs) -> PatternLevel:
-    """The next level: pattern i extended by graph g is pattern ``i*m + g``,
-    so graph g fills the slots ``g::m`` of every new column.
-
-    Process p's new view key under g is the tuple of its in-neighbours' view
-    ids, or p's own view id when it hears only itself.  The graphs of one
-    group of p (``_round_inputs``) give it the same key sequence, so each
-    group's keys are interned, and its influence masks ORed, once, and fill
-    the slots of every graph in the group.  A view's id is p's base plus the
-    position of the first pattern with that view; each base is the previous
-    process's plus the column length, so ids of different processes, and so
-    keys of different groups, never coincide.  The first pattern with a view
-    in group C is then ``i*m + min(C)``, i its key's first position in the
-    previous level, so C's ids count up from ``base + min(C)`` in steps of m.
-    A graph-identifying process, one with m groups, tells all patterns
-    apart, so its column is the range of ids, built without a key.
-
-    A level pruned by ``PatternLevel.keep`` keeps its positions: pattern i
-    extended by g has lexicographic index ``index[i]*m + g``, and the new
-    columns are fresh either way.
-    """
-    m, groups_of, _ = inputs
-    views, influence = level.views, level.influence
-    size = len(views[0]) * m
+    """The next level, holding this level's columns and the inputs; it is
+    built on demand (``PatternLevel``).  Pattern i extended by graph g is
+    pattern ``i*m + g``, and after ``PatternLevel.keep`` its lexicographic
+    index is ``index[i]*m + g``."""
+    m = inputs[0]
+    size = len(level.index) * m
     if type(level.index) is range:
         index: Sequence[int] = range(size)
     else:
@@ -279,29 +333,7 @@ def _extend(level: PatternLevel, inputs: RoundInputs) -> PatternLevel:
         scaled = list(map(mul, level.index, repeat(m)))
         for g in range(m):
             index[g::m] = map(add, scaled, repeat(g))
-    base = 0
-    new_views: list[tuple[int, ...]] = []
-    new_influence: list[list[int]] = []
-    for p, groups in enumerate(groups_of):
-        masks = [0] * size
-        for qs, gs in groups.items():
-            ored = list(_fold(or_, [influence[q] for q in qs]))
-            for g in gs:
-                masks[g::m] = ored
-        new_influence.append(masks)
-        if len(groups) == m:
-            new_views.append(tuple(range(base, base + size)))
-            base += size
-            continue
-        column = [0] * size
-        for qs, gs in groups.items():
-            keys = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
-            ids = list(map({}.setdefault, keys, count(base + gs[0], m)))
-            for g in gs:
-                column[g::m] = ids
-        new_views.append(tuple(column))
-        base += size
-    return PatternLevel(level.rounds + 1, new_views, new_influence, index, inputs)
+    return PatternLevel(level.rounds + 1, index, inputs, parent=(level.views, level.influence))
 
 
 def iter_pattern_levels(
@@ -335,8 +367,8 @@ def _round_inputs(d: Adversary) -> RoundInputs:
     """What the kernels read of the adversary: m; per process, its groups,
     the distinct in-neighbourhoods each with the graphs that give it, in
     graph order; and the parts, the one-round components (graphs sharing a
-    group are linked) by smallest graph, each as its graphs and the
-    (process, first graph) of its groups, for the processes that do not
+    group are linked) by smallest graph, each as its graphs and the (process,
+    in-neighbours, first graph) of its groups, for the processes that do not
     identify the graph and for all.  The last adversary's are kept, so the
     oracle and the rule of one ``verify`` build them once; callers share
     them and only read them."""
@@ -352,11 +384,11 @@ def _round_inputs(d: Adversary) -> RoundInputs:
     for g, root in enumerate(rep):
         parts.setdefault(root, ([], [], []))[0].append(g)
     for p, groups in enumerate(groups_of):
-        for gs in groups.values():
+        for qs, gs in groups.items():
             part = parts[rep[gs[0]]]
-            part[2].append((p, gs[0]))
+            part[2].append((p, qs, gs[0]))
             if len(groups) < m:
-                part[1].append((p, gs[0]))
+                part[1].append((p, qs, gs[0]))
     return m, groups_of, list(parts.values())
 
 
@@ -411,47 +443,39 @@ def _first_seen(column: Column, step: int = 1) -> list[int] | None:
     return list(offsets if step == 1 else map(floordiv, offsets, repeat(step)))
 
 
-def _link(
-    views: Sequence[Column],
-    inputs: RoundInputs | None,
-    influence: Sequence[Column] | None = None,
-    stop=True,
-) -> list[int] | None:
+def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[int] | None:
     """Each pattern's component representative, its smallest pattern, on a
-    level's fresh columns and the inputs it was extended with (none needed
-    for a one-pattern level); with ``influence``, each pattern's component
-    AND of its broadcaster masks, None as soon as one is empty when ``stop``.
+    level's group arrays (``PatternLevel.ids``); with ``masked``, each
+    pattern's component AND of its broadcaster masks, None as soon as one is
+    empty when ``stop``.
 
     Patterns extending parents i and j share p's view exactly when p's key
     is the same in i and j under graphs of one group C, so the extensions of
     i by one part's graphs lie in one component: a node (i, part).  Parts are
-    linked alone.  C's slice ``views[p][min(C)::m]`` holds base + min(C) + m *
-    (first parent with i's key), so the first slice with a repeat is a forest
-    (``_first_seen``) that seeds ``union_find``, its buckets' masks ANDed into
-    their roots, and later slices give the pairs.  A node's mask ANDs
-    ``influence[p][min(C)::m]`` over the part's groups, plus a bit above every
-    process without ``stop`` so that no AND runs empty; its result fills the
-    slots ``g::m`` of its part's graphs."""
-    size = len(views[0])
-    if size == 1:  # one pattern: level 0, or a level of a single graph
-        m, parts = 1, [([0], [], list(zip(range(len(views)), repeat(0))))]
-    else:
-        m, _, parts = inputs
-    nodes, top = size // m, 0 if stop else 1 << len(views)
+    linked alone.  C's ids hold base + min(C) + m * (first parent with i's
+    key), so the first group with a repeat is a forest (``_first_seen``)
+    that seeds ``union_find``, its buckets' masks ANDed into their roots,
+    and later groups give the pairs; a group is read only when the linking
+    gets to it.  A node's mask ANDs the masks of the part's groups, plus a
+    bit above every process without ``stop`` so that no AND runs empty; its
+    result fills the slots ``g::m`` of its part's graphs."""
+    m, groups_of, parts = level.inputs
+    size = len(level.index)
+    nodes, top = size // m, 0 if stop else 1 << len(groups_of)
     out = [0] * size
-    for graphs, linked, masked in parts:
+    for graphs, linked, groups in parts:
         masks = None
-        if influence is not None:
-            if nodes == 1:  # one parent: a scalar AND, no slices
-                masks = [reduce(and_, [influence[p][c] for p, c in masked])]
+        if masked:
+            if nodes == 1:  # one parent: a scalar AND
+                masks = [reduce(and_, [level.masks(p, qs, c)[0] for p, qs, c in groups])]
             else:
-                masks = list(_fold(and_, [influence[p][c::m] for p, c in masked]))
+                masks = list(_fold(and_, [level.masks(p, qs, c) for p, qs, c in groups]))
             if top:
                 masks = list(map(or_, masks, repeat(top)))
             elif 0 in masks:
                 return None
         # one parent has nothing to link
-        later = (views[p][c::m] for p, c in linked) if nodes > 1 else iter(())
+        later = (level.ids(p, qs, c) for p, qs, c in linked) if nodes > 1 else iter(())
         forest = next(filter(None, map(_first_seen, later, repeat(m))), None)
         if forest is None:  # every node is its own component
             res: Sequence[int] | None = range(nodes) if masks is None else masks
@@ -482,15 +506,13 @@ def _link(
 
 def _level_commons(level: PatternLevel, stop: bool) -> list[int] | None:
     """Each pattern's component AND of the broadcaster masks (``_link``)."""
-    return _link(level.views, level.inputs, level.influence, stop)
+    return _link(level, True, stop)
 
 
-def _components(
-    views: Sequence[Column], inputs: RoundInputs | None
-) -> tuple[list[int], list[list[int]]]:
+def _components(level: PatternLevel) -> tuple[list[int], list[list[int]]]:
     """Each pattern's component index and the components of the pattern
     indistinguishability graph, each ascending and ordered by smallest index."""
-    return group(_link(views, inputs))
+    return group(_link(level))
 
 
 def pattern_components(
@@ -498,8 +520,7 @@ def pattern_components(
 ) -> list[list[int]]:
     """Connected components of the r-round pattern indistinguishability graph,
     as lists of lexicographic pattern indices."""
-    level = _final_level(d, r, budget)
-    return _components(level.views, level.inputs)[1]
+    return _components(_final_level(d, r, budget))[1]
 
 
 def pattern_indist_graph(

@@ -34,6 +34,7 @@ from .indist import Adversary, common_masks
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
+    PatternLevel,
     _check_budget,
     _components,
     _final_level,
@@ -41,6 +42,7 @@ from .patterns import (
     _level_commons,
     _level_zero,
     _round_inputs,
+    _zero_inputs,
     broadcaster_mask,
     indist_label,
     iter_pattern_levels,
@@ -76,11 +78,11 @@ class ConsensusRule:
         """The components each round decides, as lexicographic indices of
         that round's patterns, by round and then by smallest index; built
         from the views on every read."""
-        inputs = _round_inputs(self.adversary)
+        inputs, zero = _round_inputs(self.adversary), _zero_inputs(self.adversary.n)
         return tuple(
             tuple(index[i] for i in comp)
-            for index, decided, views in zip(self.index, self.decided, self.views)
-            for comp in _components(views, inputs)[1]
+            for r, index, decided, views in zip(count(), self.index, self.decided, self.views)
+            for comp in _components(PatternLevel(r, index, inputs if r else zero, views))[1]
             if decided[comp[0]]
         )
 
@@ -191,7 +193,7 @@ def build_rule(
             # the generator extends only what is left; round t stays whole
             # for the error below
             level.keep(list(map(not_, decided)))
-    comps = _components(level.views, level.inputs)[1]
+    comps = _components(level)[1]
     comp = next(c for c, common in zip(comps, common_masks(comps, bmasks)) if not common)
     raise NonBroadcastableComponentError(t, [pattern_at(d, t, level.index[i]).name for i in comp])
 

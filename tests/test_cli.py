@@ -690,6 +690,8 @@ def test_export_dot_escapes_names(tmp_path, capsys):
 
 
 MALFORMED_EDGES = [True, 2.0, "12", None, [1], [1, 2, 3], {"u": 1, "v": 2}, [[1], 2]]
+# the graph build itself raises on a float endpoint, one equal to a process too
+MALFORMED_EDGES += [[2.0, 1], [1, 2.0], [1.5, 2], [2, 1.5]]
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -703,6 +705,18 @@ def test_malformed_edge_is_named_wherever_it_sits(tmp_path, capsys, bad, where):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: graph 1 has a malformed edge: {bad!r}\n"
+
+
+@pytest.mark.parametrize("bad", [[1, True], [2.0, 1], [1, 1.5], "12"], ids=repr)
+def test_malformed_edge_is_named_after_an_out_of_range_one(tmp_path, capsys, bad):
+    # the out-of-range edge stops the graph build first, but a malformed
+    # edge anywhere in the list is the one named
+    doc = {"n": 3, "graphs": [{"name": "A", "edges": [[1, 2], [1, 9], [2, 3], bad]}]}
+    assert main(["decide", _write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"input error: graph 0 has a malformed edge: {bad!r}\n"
+    doc["graphs"][0]["edges"].pop()
+    assert main(["decide", _write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "input error: graph 0: edge (1,9) out of range 1..3\n"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Property-based checks of the structural invariants, driven by hypothesis."""
 from __future__ import annotations
 
-import dataclasses
 from functools import reduce
 from itertools import count
 from operator import and_
@@ -33,8 +32,10 @@ from oblicon.indist import (
 )
 from oblicon.patterns import (
     Pattern,
+    PatternLevel,
     _components,
     _extend,
+    _final_level,
     _first_seen,
     _level_commons,
     _level_zero,
@@ -495,16 +496,74 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
                 level = _extend(level, inputs)
             views, size = level.views, len(level.index)
             rep = union_find(size, _view_pairs(views))
-            assert _components(views, level.inputs) == group(rep)
+            assert _components(level) == group(rep)
             drawn = _group_influence(level, d, draw) if r else level.influence
             for influence in (level.influence, drawn):
-                probe = dataclasses.replace(level, influence=influence)
+                probe = PatternLevel(level.rounds, level.index, level.inputs, views, influence)
                 bmasks = probe.broadcaster_masks()
                 commons = _unseeded_commons(views, bmasks)
                 assert _level_commons(probe, False) == commons
                 stopped = _level_commons(probe, True)
                 assert stopped == (None if 0 in commons else commons)
                 assert stopped == union_find(size, _view_pairs(views), bmasks)
+
+
+# the stopping check, the full component ANDs and the components
+_LINK_QUERIES = (
+    lambda level: _level_commons(level, True),
+    lambda level: _level_commons(level, False),
+    _components,
+)
+
+
+def _linked(level) -> list:
+    return [query(level) for query in _LINK_QUERIES]
+
+
+@given(adversaries(max_n=4, max_graphs=4), st.integers(1, 3), st.data())
+@example(rooted_trees(3), 4, None)  # 6,561 patterns, one part of 9 graphs
+@example(source_broadcast(3, 1), 3, None)
+@example(random_rooted(3, 4, 4), 3, None)
+@settings(max_examples=60, deadline=None)
+def test_levels_built_on_demand_link_as_built_ones(d, r_max, data):
+    # a fresh level interns a group when the linker first reads it; each
+    # linker call, on a fresh level of its own, must give what it gives on
+    # that level once its columns are built, and on a level given those
+    # columns, whose group arrays are their slices; full and pruned parents
+    inputs = _round_inputs(d)
+    for pruned in (False, True):
+        level = _level_zero(d.n)
+        for r in range(1, r_max + 1):
+            if pruned and r > 1:
+                size = len(level.index)
+                if data is None:
+                    flags = [i % 3 != 1 for i in range(size)]
+                else:
+                    flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+                if not any(flags):
+                    break
+                level.keep(flags)
+            fresh = [_extend(level, inputs) for _ in _LINK_QUERIES]
+            on_demand = [query(new) for query, new in zip(_LINK_QUERIES, fresh)]
+            level = _extend(level, inputs)
+            given = PatternLevel(r, level.index, inputs, level.views, level.influence)
+            assert on_demand == _linked(level) == _linked(given)
+            for new in fresh:
+                assert new.views == level.views and new.influence == level.influence
+                assert _linked(new) == on_demand
+
+
+def test_failing_last_level_interns_only_what_the_linker_read():
+    # rooted_trees(3) has 9 groups, three per process, in one part: level
+    # 5's stopping check fails before the linker has read them all, and
+    # neither column is built
+    d = rooted_trees(3)
+    level = _final_level(d, 5, len(d) ** 5)
+    assert _level_commons(level, True) is None
+    assert sum(map(len, _round_inputs(d)[1])) == 9
+    assert 0 < len(level._ids) < 9
+    assert level._views is None and level._influence is None
+    assert len(level.views[0]) == 9**5 and len(level._ids) == 9
 
 
 @given(adversaries(max_n=4, max_graphs=4))
