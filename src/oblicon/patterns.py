@@ -212,9 +212,10 @@ class PatternLevel:
 
     A level built by ``_extend`` holds its parent's columns.  Its group
     arrays (``ids``, ``masks``) are fresh, built on first read and kept; its
-    columns are filled from them on first read.  ``keep`` builds the columns,
-    prunes them, and drops the parent and the group arrays.  A level given
-    its columns, without a parent, slices its group arrays from them."""
+    columns are filled from them on first read.  Once both columns are
+    built, the level drops the parent and the group arrays.  ``keep`` builds
+    the columns, prunes them, and drops the same.  A level given its
+    columns, or left without a parent, slices its group arrays from them."""
 
     def __init__(self, rounds: int, index: Sequence[int], inputs: RoundInputs,
                  views=None, influence=None, parent=None) -> None:
@@ -234,13 +235,21 @@ class PatternLevel:
                 else tuple(self._column(p, groups, self.ids))
                 for p, groups in enumerate(groups_of)
             ]
+            self._built()
         return self._views
 
     @property
     def influence(self) -> list[list[int]]:
         if self._influence is None:
             self._influence = [self._column(p, g, self.masks) for p, g in enumerate(self.inputs[1])]
+            self._built()
         return self._influence
+
+    def _built(self) -> None:
+        """Once both columns are built, drop the parent and the group
+        arrays: later reads slice the columns, as on a level given them."""
+        if self._views is not None and self._influence is not None:
+            self._parent, self._ids, self._masks = None, {}, {}
 
     def ids(self, p: int, qs: tuple[int, ...], c: int) -> Column:
         """Process p's view ids over the parent patterns under the graphs of its
@@ -367,29 +376,58 @@ def _round_inputs(d: Adversary) -> RoundInputs:
     """What the kernels read of the adversary: m; per process, its groups,
     the distinct in-neighbourhoods each with the graphs that give it, in
     graph order; and the parts, the one-round components (graphs sharing a
-    group are linked) by smallest graph, each as its graphs and the (process,
-    in-neighbours, first graph) of its groups, for the processes that do not
-    identify the graph and for all.  The last adversary's are kept, so the
-    oracle and the rule of one ``verify`` build them once; callers share
-    them and only read them."""
-    m, groups_of = len(d), []
-    for column in zip(*(graph._in for graph in d.graphs)):
+    group are linked) by smallest graph, each as its graphs, its linking
+    groups and all its groups, a group as (process, in-neighbours, first
+    graph).  The last adversary's are kept, so the oracle and the rule of
+    one ``verify`` build them once; callers share them and only read them.
+
+    A part's linking groups are one group per in-neighbour mask that is
+    inclusion-minimal among the part's masks, fewest members first, less
+    those that hear a graph-identifying process (one group per graph).
+    This is exact: every process hears itself, so a key over in-neighbours
+    Q repeats between two parents only where the key over each Q' within Q
+    does, and a group over a superset links nothing new; and an
+    identifying process's views differ on every level past 0, so no key
+    over a mask holding it repeats."""
+    m, groups_of, masks_of, identifying = len(d), [], [], 0
+    for p, column in enumerate(zip(*(graph._in for graph in d.graphs))):
         by_mask: dict[int, list[int]] = {}
         for g, mask in enumerate(column):
             by_mask.setdefault(mask, []).append(g)
         groups_of.append(dict(zip(map(_indices, by_mask), by_mask.values())))
+        masks_of.append(by_mask)
+        if len(by_mask) == m:
+            identifying |= 1 << p
     pairs = [(gs[0], g) for groups in groups_of for gs in groups.values() for g in gs[1:]]
     rep = union_find(m, pairs) if pairs else range(m)
-    parts: dict[int, tuple[list[int], list, list]] = {}
-    for g, root in enumerate(rep):
-        parts.setdefault(root, ([], [], []))[0].append(g)
-    for p, groups in enumerate(groups_of):
-        for qs, gs in groups.items():
+    parts: dict[int, tuple[list[int], dict[int, tuple], list]] = {}
+    for g, root in enumerate(rep):  # a root is its part's smallest graph
+        if root == g:
+            parts[g] = ([g], {}, [])
+        else:
+            parts[root][0].append(g)
+    for p, (groups, masks) in enumerate(zip(groups_of, masks_of)):
+        for (qs, gs), mask in zip(groups.items(), masks):
             part = parts[rep[gs[0]]]
-            part[2].append((p, qs, gs[0]))
-            if len(groups) < m:
-                part[1].append((p, qs, gs[0]))
-    return m, groups_of, list(parts.values())
+            part[2].append(entry := (p, qs, gs[0]))
+            if not mask & identifying:
+                part[1].setdefault(mask, entry)
+    return m, groups_of, [
+        (graphs, [*linking.values()] if len(linking) < 2 else _minimal(linking), groups)
+        for graphs, linking, groups in parts.values()
+    ]
+
+
+def _minimal(by_mask: dict[int, tuple]) -> list[tuple]:
+    """The entries of the inclusion-minimal masks, fewest members first."""
+    kept: list[int] = []
+    for mask in sorted(by_mask, key=int.bit_count):
+        for k in kept:
+            if k | mask == mask:
+                break
+        else:
+            kept.append(mask)
+    return list(map(by_mask.__getitem__, kept))
 
 
 def _check_budget(d: Adversary, r: int, budget: int) -> None:
@@ -452,13 +490,15 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
     Patterns extending parents i and j share p's view exactly when p's key
     is the same in i and j under graphs of one group C, so the extensions of
     i by one part's graphs lie in one component: a node (i, part).  Parts are
-    linked alone.  C's ids hold base + min(C) + m * (first parent with i's
-    key), so the first group with a repeat is a forest (``_first_seen``)
-    that seeds ``union_find``, its buckets' masks ANDed into their roots,
-    and later groups give the pairs; a group is read only when the linking
-    gets to it.  A node's mask ANDs the masks of the part's groups, plus a
-    bit above every process without ``stop`` so that no AND runs empty; its
-    result fills the slots ``g::m`` of its part's graphs."""
+    linked alone, each on its linking groups only (``_round_inputs`` says
+    why the others add no link).  C's ids hold base + min(C) + m * (first
+    parent with i's key), so the first linking group with a repeat is a
+    forest (``_first_seen``) that seeds ``union_find``, its buckets' masks
+    ANDed into their roots, and later ones give the pairs; a group is read
+    only when the linking gets to it.  A node's mask ANDs the masks of all
+    the part's groups, plus a bit above every process without ``stop`` so
+    that no AND runs empty; its result fills the slots ``g::m`` of its
+    part's graphs."""
     m, groups_of, parts = level.inputs
     size = len(level.index)
     nodes, top = size // m, 0 if stop else 1 << len(groups_of)

@@ -462,8 +462,24 @@ def _group_influence(level, d, draw) -> list[list[int]]:
     return influence
 
 
+def _document(n: int, *edge_lists) -> Adversary:
+    return Adversary([CommunicationGraph(n, edges, f"G{k}") for k, edges in enumerate(edge_lists, 1)])
+
+
+# p1 and p2 hear each other in both graphs: one in-neighbour mask, two processes
+SHARED_MASK = _document(3, [(1, 2), (2, 1), (1, 3)], [(1, 2), (2, 1), (2, 3)])
+# p1 hears itself alone in G1 and p2 in G2, so it tells the graphs apart,
+# and p2 hears p1 in both
+HEARS_IDENTIFYING = _document(3, [(1, 2), (2, 3)], [(1, 2), (2, 1), (2, 3)])
+# the masks {p1,p2}, {p2,p3} and {p1,p3} overlap and none holds another
+OVERLAPPING_MASKS = _document(
+    3, [(1, 2), (2, 1), (2, 3)], [(1, 2), (2, 1), (1, 3)], [(2, 3), (3, 2), (2, 1)]
+)
+
+
 @given(adversaries(max_n=4, max_graphs=4), st.data())
 @example(lossy_link(2, 1), None)
+@example(HEARS_IDENTIFYING, None)  # links one of its four groups
 @example(rooted_trees(3), None)  # one part; level 3 has 729 patterns
 @example(source_broadcast(3, 1), None)  # three parts and no shared view
 @example(random_rooted(3, 4, 4), None)  # two parts, both with shared views
@@ -561,9 +577,54 @@ def test_failing_last_level_interns_only_what_the_linker_read():
     level = _final_level(d, 5, len(d) ** 5)
     assert _level_commons(level, True) is None
     assert sum(map(len, _round_inputs(d)[1])) == 9
-    assert 0 < len(level._ids) < 9
+    assert 0 < len(level._ids) <= 2
     assert level._views is None and level._influence is None
     assert len(level.views[0]) == 9**5 and len(level._ids) == 9
+
+
+@pytest.mark.parametrize(
+    "d, linking",
+    [
+        # each process's own singleton lies inside every other mask of the part
+        (rooted_trees(3), [(0, (0,), 0), (1, (1,), 1), (2, (2,), 2)]),
+        # p1's and p2's groups share the mask {p1,p2}; p3 tells the graphs apart
+        (SHARED_MASK, [(0, (0, 1), 0)]),
+        # p2's mask {p1,p2} holds graph-identifying p1's {p1}: only p3's links
+        (HEARS_IDENTIFYING, [(2, (1, 2), 0)]),
+        # each of the three links pairs the others do not
+        (OVERLAPPING_MASKS, [(0, (0, 1), 0), (1, (1, 2), 2), (2, (0, 2), 1)]),
+    ],
+    ids=["rooted_trees3", "shared_mask", "hears_identifying", "overlapping_masks"],
+)
+def test_parts_link_only_their_minimal_masks(d, linking):
+    # a key over in-neighbours Q repeats only where the key over any Q'
+    # within Q does, and a graph-identifying process's views never repeat:
+    # each part links its minimal masks, once each, and the levels link as
+    # if every pattern pair were linked from scratch
+    [(graphs, linked, groups)] = _round_inputs(d)[2]
+    assert graphs == list(range(len(d))) and linked == linking
+    assert len(groups) == sum(map(len, _round_inputs(d)[1]))
+    for level in iter_pattern_levels(d, 3):
+        views, size = level.views, len(level.index)
+        rep = union_find(size, _view_pairs(views))
+        assert _components(level) == group(rep)
+        commons = _unseeded_commons(views, level.broadcaster_masks())
+        assert _level_commons(level, False) == commons
+        assert _level_commons(level, True) == (None if 0 in commons else commons)
+
+
+def test_built_level_drops_its_parent_and_group_arrays():
+    # once both columns are built, later group reads slice them, as on a
+    # level given its columns, and the linking is unchanged
+    d = rooted_trees(3)
+    level = _final_level(d, 3, len(d) ** 3)
+    linked = _linked(level)
+    assert level._parent is not None and level._ids
+    views, influence = level.views, level.influence
+    assert level._parent is None and not level._ids and not level._masks
+    assert _linked(level) == linked
+    given = PatternLevel(3, level.index, level.inputs, views, influence)
+    assert level.ids(0, (0,), 0) == given.ids(0, (0,), 0) == views[0][0::9]
 
 
 @given(adversaries(max_n=4, max_graphs=4))
