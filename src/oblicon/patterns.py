@@ -222,7 +222,7 @@ class PatternLevel:
         self.rounds, self.index, self.inputs, self._parent = rounds, index, inputs, parent
         self._views, self._influence = views, influence
         self._ids: dict[tuple[int, int], Column] = {}
-        self._masks: dict[tuple[int, int], Column] = {}
+        self._masks: dict[tuple[int, ...], Column] = {}
 
     @property
     def views(self) -> list[tuple[int, ...]]:
@@ -270,10 +270,10 @@ class PatternLevel:
         return ids
 
     def masks(self, p: int, qs: tuple[int, ...], c: int) -> Column:
-        """The group's influence masks over the parent patterns: its in-neighbours' masks ORed."""
-        masks = self._masks.get((p, c))
+        """Influence masks over the parent patterns, the in-neighbours' ORed: one array per qs."""
+        masks = self._masks.get(qs)
         if masks is None:
-            masks = self._masks[p, c] = (
+            masks = self._masks[qs] = (
                 self.influence[p][c :: self.inputs[0]]
                 if self._parent is None
                 else list(_fold(or_, [self._parent[1][q] for q in qs]))
@@ -377,18 +377,19 @@ def _round_inputs(d: Adversary) -> RoundInputs:
     the distinct in-neighbourhoods each with the graphs that give it, in
     graph order; and the parts, the one-round components (graphs sharing a
     group are linked) by smallest graph, each as its graphs, its linking
-    groups and all its groups, a group as (process, in-neighbours, first
+    groups and its ANDed groups, a group as (process, in-neighbours, first
     graph).  The last adversary's are kept, so the oracle and the rule of
     one ``verify`` build them once; callers share them and only read them.
 
-    A part's linking groups are one group per in-neighbour mask that is
-    inclusion-minimal among the part's masks, fewest members first, less
-    those that hear a graph-identifying process (one group per graph).
-    This is exact: every process hears itself, so a key over in-neighbours
-    Q repeats between two parents only where the key over each Q' within Q
-    does, and a group over a superset links nothing new; and an
+    A part ANDs one group per in-neighbour mask that is inclusion-minimal
+    among all its groups', fewest members first, and links those of them
+    that hear no graph-identifying process (one group per graph).  This is
+    exact.  A group's influence masks OR its in-neighbours', and its key
+    repeats between two parents only where the key over each Q within its
+    mask does (every process hears itself), so a group over a superset of
+    a minimal Q adds nothing to the AND and links nothing new.  An
     identifying process's views differ on every level past 0, so no key
-    over a mask holding it repeats."""
+    over a mask holding one repeats."""
     m, groups_of, masks_of, identifying = len(d), [], [], 0
     for p, column in enumerate(zip(*(graph._in for graph in d.graphs))):
         by_mask: dict[int, list[int]] = {}
@@ -400,34 +401,32 @@ def _round_inputs(d: Adversary) -> RoundInputs:
             identifying |= 1 << p
     pairs = [(gs[0], g) for groups in groups_of for gs in groups.values() for g in gs[1:]]
     rep = union_find(m, pairs) if pairs else range(m)
-    parts: dict[int, tuple[list[int], dict[int, tuple], list]] = {}
+    parts: dict[int, tuple[list[int], dict[int, tuple]]] = {}
     for g, root in enumerate(rep):  # a root is its part's smallest graph
         if root == g:
-            parts[g] = ([g], {}, [])
+            parts[g] = ([g], {})
         else:
             parts[root][0].append(g)
     for p, (groups, masks) in enumerate(zip(groups_of, masks_of)):
         for (qs, gs), mask in zip(groups.items(), masks):
-            part = parts[rep[gs[0]]]
-            part[2].append(entry := (p, qs, gs[0]))
-            if not mask & identifying:
-                part[1].setdefault(mask, entry)
+            parts[rep[gs[0]]][1].setdefault(mask, (p, qs, gs[0]))
     return m, groups_of, [
-        (graphs, [*linking.values()] if len(linking) < 2 else _minimal(linking), groups)
-        for graphs, linking, groups in parts.values()
+        (graphs, [by_mask[k] for k in kept if not k & identifying], [by_mask[k] for k in kept])
+        for graphs, by_mask in parts.values()
+        for kept in [_minimal(by_mask)]
     ]
 
 
-def _minimal(by_mask: dict[int, tuple]) -> list[tuple]:
-    """The entries of the inclusion-minimal masks, fewest members first."""
+def _minimal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks, fewest members first."""
     kept: list[int] = []
-    for mask in sorted(by_mask, key=int.bit_count):
+    for mask in sorted(masks, key=int.bit_count):
         for k in kept:
             if k | mask == mask:
                 break
         else:
             kept.append(mask)
-    return list(map(by_mask.__getitem__, kept))
+    return kept
 
 
 def _check_budget(d: Adversary, r: int, budget: int) -> None:
@@ -495,21 +494,21 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
     parent with i's key), so the first linking group with a repeat is a
     forest (``_first_seen``) that seeds ``union_find``, its buckets' masks
     ANDed into their roots, and later ones give the pairs; a group is read
-    only when the linking gets to it.  A node's mask ANDs the masks of all
-    the part's groups, plus a bit above every process without ``stop`` so
-    that no AND runs empty; its result fills the slots ``g::m`` of its
-    part's graphs."""
+    only when the linking gets to it.  A node's mask ANDs the part's ANDed
+    groups' masks, the AND of all its groups' (``_round_inputs``), plus a
+    bit above every process without ``stop`` so that no AND runs empty; its
+    result fills the slots ``g::m`` of its part's graphs."""
     m, groups_of, parts = level.inputs
     size = len(level.index)
     nodes, top = size // m, 0 if stop else 1 << len(groups_of)
     out = [0] * size
-    for graphs, linked, groups in parts:
+    for graphs, linked, anded in parts:
         masks = None
         if masked:
             if nodes == 1:  # one parent: a scalar AND
-                masks = [reduce(and_, [level.masks(p, qs, c)[0] for p, qs, c in groups])]
+                masks = [reduce(and_, [level.masks(p, qs, c)[0] for p, qs, c in anded])]
             else:
-                masks = list(_fold(and_, [level.masks(p, qs, c) for p, qs, c in groups]))
+                masks = list(_fold(and_, [level.masks(p, qs, c) for p, qs, c in anded]))
             if top:
                 masks = list(map(or_, masks, repeat(top)))
             elif 0 in masks:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import count
-from operator import and_
+from operator import and_, or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -447,15 +447,17 @@ def _unseeded_commons(views, masks: list[int]) -> list[int]:
 
 
 def _group_influence(level, d, draw) -> list[list[int]]:
-    """Influence columns drawn per (process, group, parent): like the real
-    ones, equal across the graphs of one group of the process."""
+    """Influence columns over drawn parent columns: like the real ones, each
+    group's masks are its in-neighbours' parent masks ORed, so they depend
+    only on the in-neighbours and are equal across the group's graphs."""
     m, groups_of, _ = _round_inputs(d)
     size = len(level.index)
+    parent = [draw(size // m) for _ in groups_of]
     influence = []
     for groups in groups_of:
         column = [0] * size
-        for gs in groups.values():
-            values = draw(size // m)
+        for qs, gs in groups.items():
+            values = [reduce(or_, masks) for masks in zip(*[parent[q] for q in qs])]
             for g in gs:
                 column[g::m] = values
         influence.append(column)
@@ -488,9 +490,10 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
     # the linker links one node per (parent, part), seeded with a group's
     # slice; components and ANDs must be those of linking every pattern
     # pair from scratch, on full levels and on levels extended from pruned
-    # ones, for the broadcaster masks and for drawn ones
+    # ones, for the broadcaster masks and for masks ORed over a drawn parent
     if data is None:
-        draw = lambda k: [(7 * i + k) % (1 << d.n) for i in range(k)]  # noqa: E731
+        salt = count(1)
+        draw = lambda k: [(7 * i + next(salt)) % (1 << d.n) for i in range(k)]  # noqa: E731
     else:
         draw = lambda k: data.draw(  # noqa: E731
             st.lists(st.integers(0, (1 << d.n) - 1), min_size=k, max_size=k)
@@ -538,6 +541,7 @@ def _linked(level) -> list:
 
 @given(adversaries(max_n=4, max_graphs=4), st.integers(1, 3), st.data())
 @example(rooted_trees(3), 4, None)  # 6,561 patterns, one part of 9 graphs
+@example(gen_chain(simple_chain_spec(8)), 3, None)  # 97 groups over 9 minimal masks
 @example(source_broadcast(3, 1), 3, None)
 @example(random_rooted(3, 4, 4), 3, None)
 @settings(max_examples=60, deadline=None)
@@ -583,27 +587,42 @@ def test_failing_last_level_interns_only_what_the_linker_read():
 
 
 @pytest.mark.parametrize(
-    "d, linking",
+    "d, linking, anded",
     [
         # each process's own singleton lies inside every other mask of the part
-        (rooted_trees(3), [(0, (0,), 0), (1, (1,), 1), (2, (2,), 2)]),
-        # p1's and p2's groups share the mask {p1,p2}; p3 tells the graphs apart
-        (SHARED_MASK, [(0, (0, 1), 0)]),
-        # p2's mask {p1,p2} holds graph-identifying p1's {p1}: only p3's links
-        (HEARS_IDENTIFYING, [(2, (1, 2), 0)]),
+        (
+            rooted_trees(3),
+            [(0, (0,), 0), (1, (1,), 1), (2, (2,), 2)],
+            [(0, (0,), 0), (1, (1,), 1), (2, (2,), 2)],
+        ),
+        # p1's and p2's groups share the mask {p1,p2}; p3 tells the graphs
+        # apart, and its two masks are ANDed but not linked
+        (
+            SHARED_MASK,
+            [(0, (0, 1), 0)],
+            [(0, (0, 1), 0), (2, (0, 2), 0), (2, (1, 2), 1)],
+        ),
+        # p2's mask {p1,p2} holds graph-identifying p1's {p1}: only p3's
+        # links, and p1's {p1} is ANDed in place of {p1,p2}
+        (HEARS_IDENTIFYING, [(2, (1, 2), 0)], [(0, (0,), 0), (2, (1, 2), 0)]),
         # each of the three links pairs the others do not
-        (OVERLAPPING_MASKS, [(0, (0, 1), 0), (1, (1, 2), 2), (2, (0, 2), 1)]),
+        (
+            OVERLAPPING_MASKS,
+            [(0, (0, 1), 0), (1, (1, 2), 2), (2, (0, 2), 1)],
+            [(0, (0, 1), 0), (1, (1, 2), 2), (2, (0, 2), 1)],
+        ),
     ],
     ids=["rooted_trees3", "shared_mask", "hears_identifying", "overlapping_masks"],
 )
-def test_parts_link_only_their_minimal_masks(d, linking):
+def test_parts_link_only_their_minimal_masks(d, linking, anded):
     # a key over in-neighbours Q repeats only where the key over any Q'
     # within Q does, and a graph-identifying process's views never repeat:
-    # each part links its minimal masks, once each, and the levels link as
-    # if every pattern pair were linked from scratch
-    [(graphs, linked, groups)] = _round_inputs(d)[2]
-    assert graphs == list(range(len(d))) and linked == linking
-    assert len(groups) == sum(map(len, _round_inputs(d)[1]))
+    # each part links its minimal masks, once each; a group's masks lie
+    # inside those of any group over more in-neighbours, so the part ANDs
+    # its minimal masks among all its groups, identifying ones included;
+    # and the levels link as if every pattern pair were linked from scratch
+    [(graphs, linked, minimal)] = _round_inputs(d)[2]
+    assert graphs == list(range(len(d))) and linked == linking and minimal == anded
     for level in iter_pattern_levels(d, 3):
         views, size = level.views, len(level.index)
         rep = union_find(size, _view_pairs(views))
@@ -611,6 +630,26 @@ def test_parts_link_only_their_minimal_masks(d, linking):
         commons = _unseeded_commons(views, level.broadcaster_masks())
         assert _level_commons(level, False) == commons
         assert _level_commons(level, True) == (None if 0 in commons else commons)
+
+
+@pytest.mark.parametrize(
+    "d, groups, minimal",
+    [(gen_chain(simple_chain_spec(8)), 97, 9), (rooted_trees(3), 9, 3)],
+    ids=["chain8", "rooted_trees3"],
+)
+def test_fold_reads_only_the_minimal_masks(d, groups, minimal, monkeypatch):
+    # each of these has one part: a component AND reads the masks of its
+    # minimal in-neighbour masks, once each, not those of all its groups
+    assert sum(map(len, _round_inputs(d)[1])) == groups
+    read = []
+    masks = PatternLevel.masks
+    monkeypatch.setattr(PatternLevel, "masks", lambda *args: read.append(args[2]) or masks(*args))
+    level = _level_zero(d.n)
+    for _ in range(3):
+        level = _extend(level, _round_inputs(d))
+        read.clear()
+        _level_commons(level, False)
+        assert len(read) == len(set(read)) == minimal
 
 
 def test_built_level_drops_its_parent_and_group_arrays():
