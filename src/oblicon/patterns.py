@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, repeat, starmap
 from operator import add, and_, eq, floordiv, mul, ne, or_, sub, xor
 
 from .errors import BudgetExceededError
@@ -269,6 +269,16 @@ class PatternLevel:
             self._ids[p, c] = ids
         return ids
 
+    def keys(self, p: int, qs: tuple[int, ...], c: int) -> tuple[Column, int]:
+        """The group's keys over the parent patterns as a fresh column, with
+        its step: ``ids``, step m, or, when p hears only itself and the
+        level holds an unpruned parent, p's parent view column, step 1,
+        uninterned, as it holds p's parent base plus each parent's first
+        parent with the same view.  A pruned parent's columns do not."""
+        if len(qs) == 1 and self._parent is not None and type(self.index) is range:
+            return self._parent[0][p], 1
+        return self.ids(p, qs, c), self.inputs[0]
+
     def masks(self, p: int, qs: tuple[int, ...], c: int) -> Column:
         """Influence masks over the parent patterns, the in-neighbours' ORed: one array per qs."""
         masks = self._masks.get(qs)
@@ -474,15 +484,18 @@ def _first_seen(column: Column, step: int = 1) -> list[int] | None:
     its id less the column's base, or None when all entries are distinct;
     on a group's slice (``step`` m), each parent's first parent with its
     key.  On a pruned column the positions are those of the unpruned one."""
-    if _all_distinct(column, step):
-        return None
+    return None if _all_distinct(column, step) else list(_offsets(column, step))
+
+
+def _offsets(column: Column, step: int) -> Iterator[int]:
+    """Each entry less the column's first, divided by ``step``."""
     offsets = map(sub, column, repeat(column[0]))
-    return list(offsets if step == 1 else map(floordiv, offsets, repeat(step)))
+    return offsets if step == 1 else map(floordiv, offsets, repeat(step))
 
 
 def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[int] | None:
     """Each pattern's component representative, its smallest pattern, on a
-    level's group arrays (``PatternLevel.ids``); with ``masked``, each
+    level's group arrays (``PatternLevel.keys``); with ``masked``, each
     pattern's component AND of its broadcaster masks, None as soon as one is
     empty when ``stop``.
 
@@ -494,7 +507,9 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
     parent with i's key), so the first linking group with a repeat is a
     forest (``_first_seen``) that seeds ``union_find``, its buckets' masks
     ANDed into their roots, and later ones give the pairs; a group is read
-    only when the linking gets to it.  A node's mask ANDs the part's ANDed
+    only when the linking gets to it, through ``PatternLevel.keys``, which
+    reads a group in which p hears only itself off p's unpruned parent view
+    column, uninterned.  A node's mask ANDs the part's ANDed
     groups' masks, the AND of all its groups' (``_round_inputs``), plus a
     bit above every process without ``stop`` so that no AND runs empty; its
     result fills the slots ``g::m`` of its part's graphs."""
@@ -514,8 +529,8 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
             elif 0 in masks:
                 return None
         # one parent has nothing to link
-        later = (level.ids(p, qs, c) for p, qs, c in linked) if nodes > 1 else iter(())
-        forest = next(filter(None, map(_first_seen, later, repeat(m))), None)
+        later = (level.keys(p, qs, c) for p, qs, c in linked) if nodes > 1 else iter(())
+        forest = next(filter(None, starmap(_first_seen, later)), None)
         if forest is None:  # every node is its own component
             res: Sequence[int] | None = range(nodes) if masks is None else masks
         else:
@@ -527,10 +542,10 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
                     masks[root] &= mask
             pairs = chain.from_iterable(
                 compress(
-                    zip(map(floordiv, map(sub, s, repeat(s[0])), repeat(m)), count()),
-                    map(ne, s, count(s[0], m)),
+                    zip(_offsets(s, step), count()),
+                    map(ne, s, count(s[0], step)),
                 )
-                for s in later
+                for s, step in later
             )
             if (res := union_find(nodes, pairs, masks, forest)) is None:
                 return None

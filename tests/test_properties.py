@@ -575,13 +575,15 @@ def test_levels_built_on_demand_link_as_built_ones(d, r_max, data):
 
 def test_failing_last_level_interns_only_what_the_linker_read():
     # rooted_trees(3) has 9 groups, three per process, in one part: level
-    # 5's stopping check fails before the linker has read them all, and
-    # neither column is built
+    # 5's stopping check fails before the linker has read them all; it
+    # links only groups in which a process hears itself alone, which it
+    # reads off the parent's view columns, so it interns none, and neither
+    # column is built
     d = rooted_trees(3)
     level = _final_level(d, 5, len(d) ** 5)
     assert _level_commons(level, True) is None
     assert sum(map(len, _round_inputs(d)[1])) == 9
-    assert 0 < len(level._ids) <= 2
+    assert len(level._ids) == 0
     assert level._views is None and level._influence is None
     assert len(level.views[0]) == 9**5 and len(level._ids) == 9
 
@@ -652,12 +654,42 @@ def test_fold_reads_only_the_minimal_masks(d, groups, minimal, monkeypatch):
         assert len(read) == len(set(read)) == minimal
 
 
+def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
+    # rooted_trees(3) links only groups in which a process hears itself
+    # alone: on an unpruned parent the linker reads them off the parent's
+    # fresh view columns and interns none, while a pruned parent's columns
+    # hold positions in the unpruned one, so its children intern them; both
+    # link as a level given its columns
+    d = rooted_trees(3)
+    inputs = _round_inputs(d)
+    self_hearing = {(p, qs, c) for p, qs, c in inputs[2][0][1]}
+    assert self_hearing == {(0, (0,), 0), (1, (1,), 1), (2, (2,), 2)}
+    read = []
+    ids = PatternLevel.ids
+    monkeypatch.setattr(PatternLevel, "ids", lambda *args: read.append(args[1:]) or ids(*args))
+    level = _level_zero(d.n)
+    for r in range(1, 5):
+        pruned = r == 4
+        if pruned:
+            level.keep([i % 3 != 1 for i in range(len(level.index))])
+        level = _extend(level, inputs)
+        read.clear()
+        _level_commons(level, False)
+        _components(level)
+        assert set(read) == (self_hearing if pruned else set())
+        linked = _linked(level)
+        given = PatternLevel(r, level.index, inputs, level.views, level.influence)
+        assert linked == _linked(given)
+
+
 def test_built_level_drops_its_parent_and_group_arrays():
     # once both columns are built, later group reads slice them, as on a
     # level given its columns, and the linking is unchanged
     d = rooted_trees(3)
     level = _final_level(d, 3, len(d) ** 3)
     linked = _linked(level)
+    # the linker interns no group here; p1 over {p1,p2} still interns
+    level.ids(0, (0, 1), 1)
     assert level._parent is not None and level._ids
     views, influence = level.views, level.influence
     assert level._parent is None and not level._ids and not level._masks
