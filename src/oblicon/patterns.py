@@ -11,9 +11,12 @@ runs are verified.
 
 ``iter_pattern_levels`` enumerates whole levels (``_extend``), each built on
 demand from its parent's per-process columns, and ``_link`` links each on
-its parent level, one node per (parent pattern, one-round component);
-``final_views`` replays a few given patterns row by row, where the column
-kernel's fixed costs would dominate.
+its parent level, one node per (parent pattern, one-round component), or,
+while the parent's columns are unbuilt, on its grandparent level, one node
+per (grandparent pattern, block of graphs) of each component, so a level
+that is only checked never builds its parent's columns; ``final_views``
+replays a few given patterns row by row, where the column kernel's fixed
+costs would dominate.
 README describes the design; each function's docstring states its contract.
 """
 from __future__ import annotations
@@ -39,7 +42,7 @@ InTuples = tuple[tuple[int, ...], ...]
 # one process's distinct in-neighbourhoods, each with the graphs that give it
 Groups = dict[tuple[int, ...], list[int]]
 # m, each process's groups and the parts (see _round_inputs)
-RoundInputs = tuple[int, list[Groups], list[tuple[list[int], list, list]]]
+RoundInputs = tuple[int, list[Groups], list[tuple[list[int], list, list, list]]]
 
 
 @dataclass(frozen=True)
@@ -210,12 +213,13 @@ class PatternLevel:
     ``keep``, or extended from one, holds a subset.  ``inputs`` is what the
     level was extended with (``_round_inputs``).
 
-    A level built by ``_extend`` holds its parent's columns.  Its group
-    arrays (``ids``, ``masks``) are fresh, built on first read and kept; its
-    columns are filled from them on first read.  Once both columns are
-    built, the level drops the parent and the group arrays.  ``keep`` builds
-    the columns, prunes them, and drops the same.  A level given its
-    columns, or left without a parent, slices its group arrays from them."""
+    A level built by ``_extend`` holds its parent level.  Its group arrays
+    (``ids``, ``masks``) are fresh, built on first read from the parent's
+    columns and kept; its columns are filled from them on first read.  Once
+    both columns are built, the level drops the parent and the group
+    arrays.  ``keep`` builds the columns, prunes them, and drops the same.
+    A level given its columns, or left without a parent, slices its group
+    arrays from them."""
 
     def __init__(self, rounds: int, index: Sequence[int], inputs: RoundInputs,
                  views=None, influence=None, parent=None) -> None:
@@ -263,7 +267,8 @@ class PatternLevel:
             if self._parent is None:
                 ids = self.views[p][c::m]
             else:
-                views = self._parent[0]
+                # a built parent's columns are read without the property call
+                views = self._parent._views or self._parent.views
                 keys = views[p] if len(qs) == 1 else zip(*[views[q] for q in qs])
                 ids = list(map({}.setdefault, keys, count(p * len(self.index) + c, m)))
             self._ids[p, c] = ids
@@ -276,18 +281,19 @@ class PatternLevel:
         uninterned, as it holds p's parent base plus each parent's first
         parent with the same view.  A pruned parent's columns do not."""
         if len(qs) == 1 and self._parent is not None and type(self.index) is range:
-            return self._parent[0][p], 1
+            return (self._parent._views or self._parent.views)[p], 1
         return self.ids(p, qs, c), self.inputs[0]
 
     def masks(self, p: int, qs: tuple[int, ...], c: int) -> Column:
         """Influence masks over the parent patterns, the in-neighbours' ORed: one array per qs."""
         masks = self._masks.get(qs)
         if masks is None:
-            masks = self._masks[qs] = (
-                self.influence[p][c :: self.inputs[0]]
-                if self._parent is None
-                else list(_fold(or_, [self._parent[1][q] for q in qs]))
-            )
+            if self._parent is None:
+                masks = self.influence[p][c :: self.inputs[0]]
+            else:
+                influence = self._parent._influence or self._parent.influence
+                masks = list(_fold(or_, [influence[q] for q in qs]))
+            self._masks[qs] = masks
         return masks
 
     def _column(self, p: int, groups: Groups, read) -> list[int]:
@@ -335,14 +341,15 @@ def _level_zero(n: int) -> PatternLevel:
 
 @lru_cache(maxsize=1)
 def _zero_inputs(n: int) -> RoundInputs:
-    return 1, [{(p,): [0]} for p in range(n)], [([0], [], [(p, (p,), 0) for p in range(n)])]
+    return 1, [{(p,): [0]} for p in range(n)], [([0], [], [(p, (p,), 0) for p in range(n)], [])]
 
 
 def _extend(level: PatternLevel, inputs: RoundInputs) -> PatternLevel:
-    """The next level, holding this level's columns and the inputs; it is
-    built on demand (``PatternLevel``).  Pattern i extended by graph g is
-    pattern ``i*m + g``, and after ``PatternLevel.keep`` its lexicographic
-    index is ``index[i]*m + g``."""
+    """The next level, holding this level and the inputs; it is built on
+    demand (``PatternLevel``), and this level's columns are built only when
+    something reads them.  Pattern i extended by graph g is pattern
+    ``i*m + g``, and after ``PatternLevel.keep`` its lexicographic index is
+    ``index[i]*m + g``."""
     m = inputs[0]
     size = len(level.index) * m
     if type(level.index) is range:
@@ -352,7 +359,7 @@ def _extend(level: PatternLevel, inputs: RoundInputs) -> PatternLevel:
         scaled = list(map(mul, level.index, repeat(m)))
         for g in range(m):
             index[g::m] = map(add, scaled, repeat(g))
-    return PatternLevel(level.rounds + 1, index, inputs, parent=(level.views, level.influence))
+    return PatternLevel(level.rounds + 1, index, inputs, parent=level)
 
 
 def iter_pattern_levels(
@@ -388,8 +395,10 @@ def _round_inputs(d: Adversary) -> RoundInputs:
     graph order; and the parts, the one-round components (graphs sharing a
     group are linked) by smallest graph, each as its graphs, its linking
     groups and its ANDed groups, a group as (process, in-neighbours, first
-    graph).  The last adversary's are kept, so the oracle and the rule of
-    one ``verify`` build them once; callers share them and only read them.
+    graph), and a slot for its plan on a grandparent, which ``_link``
+    fills when it first needs it (``_grand_plans``).  The last adversary's are
+    kept, so the oracle and the rule of one ``verify`` build them once;
+    callers share them and, but for that slot, only read them.
 
     A part ANDs one group per in-neighbour mask that is inclusion-minimal
     among all its groups', fewest members first, and links those of them
@@ -421,10 +430,72 @@ def _round_inputs(d: Adversary) -> RoundInputs:
         for (qs, gs), mask in zip(groups.items(), masks):
             parts[rep[gs[0]]][1].setdefault(mask, (p, qs, gs[0]))
     return m, groups_of, [
-        (graphs, [by_mask[k] for k in kept if not k & identifying], [by_mask[k] for k in kept])
+        (graphs, [by_mask[k] for k in kept if not k & identifying], [by_mask[k] for k in kept], [])
         for graphs, by_mask in parts.values()
         for kept in [_minimal(by_mask)]
     ]
+
+
+def _grand_plans(inputs: RoundInputs) -> None:
+    """Fill each part's plan slot for linking a level on its grandparent
+    (``_link``): per block, by smallest graph, the block's graphs, its
+    keyed classes and the classes whose masks it ANDs, a class as its
+    processes' groups.  Filled on first use, for every part at once: most
+    levels are linked on their parents.
+
+    A group over Q splits the graphs into classes, each of the graphs under
+    which every q in Q has one group.  The blocks are the classes of the
+    union of those of the part's linking groups.  A block keys the classes
+    of the linking groups and ANDs those of the ANDed groups, of its
+    graphs, keeping for each the classes whose union of in-neighbourhoods
+    is inclusion-minimal among the block's, once per union; its keys skip
+    unions that hold a graph-identifying process."""
+    m, groups_of, parts = inputs
+    # each process's group under each graph, with its in-neighbour mask
+    of = []
+    for p, groups in enumerate(groups_of):
+        column: list = [None] * m
+        for qs, gs in groups.items():
+            entry = (p, qs, gs[0]), sum(1 << q for q in qs)
+            for g in gs:
+                column[g] = entry
+        of.append(column)
+    identifying = sum(1 << p for p, groups in enumerate(groups_of) if len(groups) == m)
+
+    def classes(qs: tuple[int, ...]) -> list[tuple[list[int], tuple, int]]:
+        by_key: dict[tuple, list[int]] = {}
+        for g, key in enumerate(zip(*[of[q] for q in qs])):
+            by_key.setdefault(key, []).append(g)
+        return [
+            (gs, tuple([group for group, _ in key]), reduce(or_, [mask for _, mask in key]))
+            for key, gs in by_key.items()
+        ]
+
+    for _, linked, anded, plan in parts:
+        of_anded = {qs: classes(qs) for _, qs, _ in anded}
+        linking = [of_anded[qs] for _, qs, _ in linked]
+        pairs = [(gs[0], g) for cls in linking for gs, _, _ in cls for g in gs[1:]]
+        rep = union_find(m, pairs) if pairs else range(m)
+        first: dict[int, int] = {}  # a root is its block's smallest graph
+        block_of = [first.setdefault(root, len(first)) for root in rep]
+        blocks: list[list[int]] = [[] for _ in first]
+        for g, b in enumerate(block_of):
+            blocks[b].append(g)
+        keyed = _minimal_classes(linking, block_of, len(blocks), identifying)
+        anding = _minimal_classes(of_anded.values(), block_of, len(blocks), 0)
+        plan.append(list(zip(blocks, keyed, anding)))
+
+
+def _minimal_classes(each: Iterable[list], block_of: list[int], k: int, drop: int) -> list[list[tuple]]:
+    """Per block of k, the groups of the classes whose union is
+    inclusion-minimal among the block's, once per union, leaving out the
+    unions that meet ``drop``."""
+    unions: list[dict[int, tuple]] = [{} for _ in range(k)]
+    for cls in each:
+        for gs, groups, union in cls:
+            if not union & drop:
+                unions[block_of[gs[0]]].setdefault(union, groups)
+    return [[by_union[u] for u in _minimal(by_union)] for by_union in unions]
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
@@ -499,63 +570,120 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
     pattern's component AND of its broadcaster masks, None as soon as one is
     empty when ``stop``.
 
-    Patterns extending parents i and j share p's view exactly when p's key
-    is the same in i and j under graphs of one group C, so the extensions of
-    i by one part's graphs lie in one component: a node (i, part).  Parts are
-    linked alone, each on its linking groups only (``_round_inputs`` says
-    why the others add no link).  C's ids hold base + min(C) + m * (first
-    parent with i's key), so the first linking group with a repeat is a
-    forest (``_first_seen``) that seeds ``union_find``, its buckets' masks
-    ANDed into their roots, and later ones give the pairs; a group is read
-    only when the linking gets to it, through ``PatternLevel.keys``, which
-    reads a group in which p hears only itself off p's unpruned parent view
-    column, uninterned.  A node's mask ANDs the part's ANDed
-    groups' masks, the AND of all its groups' (``_round_inputs``), plus a
-    bit above every process without ``stop`` so that no AND runs empty; its
-    result fills the slots ``g::m`` of its part's graphs."""
+    On the parent.  Patterns extending parents i and j share p's view
+    exactly when p's key is the same in i and j under graphs of one group
+    C, so the extensions of i by one part's graphs lie in one component: a
+    node (i, part).  Parts are linked alone, each on its linking groups
+    only (``_round_inputs`` says why the others add no link).  C's ids hold
+    base + min(C) + m * (first parent with i's key), so the first linking
+    group with a repeat is a forest (``_first_seen``) that seeds
+    ``union_find``, its buckets' masks ANDed into their roots, and later
+    ones give the pairs; a group is read only when the linking gets to it,
+    through ``PatternLevel.keys``, which reads a group in which p hears
+    only itself off p's unpruned parent view column, uninterned.  A node's
+    mask ANDs the part's ANDed groups' masks, the AND of all its groups'
+    (``_round_inputs``), plus a bit above every process without ``stop`` so
+    that no AND runs empty; its result fills the slots ``g::m`` of its
+    part's graphs.
+
+    On the grandparent.  A full level whose parent still holds its own
+    parent, and whose grandparent holds more patterns than there are graphs
+    (below that the plan costs more than the parent columns it saves), is
+    linked on the grandparent, and the parent's columns are never read.
+    Parent i is (j, h), grandparent j extended by graph h.  Take a linking
+    group over Q and graphs h, h' under which each q in Q has one group,
+    over Q_q: q's views at (j, h) and (j, h') are equal, so the part's
+    extensions of both lie in one component.  A part's node is (j, b) for
+    b a block, a class of the union of these relations over its linking
+    groups (``_grand_plans``).  Under one class of such graphs, Q's key at
+    (j, h) equals its key at (j', h') exactly when the grandparent views
+    over the union U of the Q_q do, which the parent's group arrays of the
+    (q, Q_q) tell; under graphs of two classes some q has views of two
+    groups.  So equal keys at j and j' link (j, b) and (j', b), blocks are
+    never linked together, and a class whose U holds that of another class
+    of its block links nothing new.  Node (j, b)'s mask is the AND over h
+    in b of the masks of node (j*m + h, part): per class of an ANDed group,
+    the parent's group masks ORed over its (q, Q_q), and a class whose U
+    holds another's in its block adds nothing.  Each block is linked alone,
+    as a part on the parent is, and its result fills the slots
+    ``h*m + g :: m*m`` of its graphs h and the part's graphs g."""
     m, groups_of, parts = level.inputs
     size = len(level.index)
-    nodes, top = size // m, 0 if stop else 1 << len(groups_of)
+    parent = level._parent
+    grand = (
+        parent is not None and parent._parent is not None and type(level.index) is range
+        and size > m * m * m
+    )
+    stride = m * m if grand else m
+    nodes, scale = size // stride, stride // m
+    top = 0 if stop else 1 << len(groups_of)
     out = [0] * size
-    for graphs, linked, anded in parts:
-        masks = None
-        if masked:
-            if nodes == 1:  # one parent: a scalar AND
-                masks = [reduce(and_, [level.masks(p, qs, c)[0] for p, qs, c in anded])]
-            else:
-                masks = list(_fold(and_, [level.masks(p, qs, c) for p, qs, c in anded]))
-            if top:
-                masks = list(map(or_, masks, repeat(top)))
-            elif 0 in masks:
-                return None
-        # one parent has nothing to link
-        later = (level.keys(p, qs, c) for p, qs, c in linked) if nodes > 1 else iter(())
-        forest = next(filter(None, starmap(_first_seen, later)), None)
-        if forest is None:  # every node is its own component
-            res: Sequence[int] | None = range(nodes) if masks is None else masks
-        else:
-            if masks is not None:
-                # only members whose mask differs from their root's AND so far
-                for root, mask in compress(
-                    zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
-                ):
-                    masks[root] &= mask
-            pairs = chain.from_iterable(
-                compress(
-                    zip(_offsets(s, step), count()),
-                    map(ne, s, count(s[0], step)),
-                )
-                for s, step in later
+    for graphs, linked, anded, plan in parts:
+        if grand:
+            if not plan:
+                _grand_plans(level.inputs)
+            units: Iterable = (
+                (block, map(partial(_class_key, parent), keyed), map(partial(_class_masks, parent), kept))
+                for block, keyed, kept in plan[0]
             )
-            if (res := union_find(nodes, pairs, masks, forest)) is None:
-                return None
-        if masks is None:
-            res = list(map(add, map(mul, res, repeat(m)), repeat(graphs[0])))
-        elif top:
-            res = list(map(xor, res, repeat(top)))
-        for g in graphs:
-            out[g::m] = res
+        else:  # one parent has nothing to link
+            later = starmap(level.keys, linked) if nodes > 1 else iter(())
+            units = [((0,), later, starmap(level.masks, anded))]
+        for block, later, arrays in units:
+            masks = None
+            if masked:
+                if nodes == 1:  # one parent: a scalar AND
+                    masks = [reduce(and_, [a[0] for a in arrays])]
+                else:
+                    masks = list(_fold(and_, list(arrays)))
+                if top:
+                    masks = list(map(or_, masks, repeat(top)))
+                elif 0 in masks:
+                    return None
+            forest = next(filter(None, starmap(_first_seen, later)), None)
+            if forest is None:  # every node is its own component
+                res: Sequence[int] | None = range(nodes) if masks is None else masks
+            else:
+                if masks is not None:
+                    # only members whose mask differs from their root's AND so far
+                    for root, mask in compress(
+                        zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
+                    ):
+                        masks[root] &= mask
+                pairs = chain.from_iterable(
+                    compress(
+                        zip(_offsets(s, step), count()),
+                        map(ne, s, count(s[0], step)),
+                    )
+                    for s, step in later
+                )
+                if (res := union_find(nodes, pairs, masks, forest)) is None:
+                    return None
+            if masks is None:
+                first = block[0] * scale + graphs[0]
+                res = list(map(add, map(mul, res, repeat(stride)), repeat(first)))
+            elif top:
+                res = list(map(xor, res, repeat(top)))
+            for h in block:
+                for g in graphs:
+                    out[h * scale + g :: stride] = res
     return out
+
+
+def _class_key(level: PatternLevel, groups: tuple) -> tuple[Column, int]:
+    """A class's key column over the level's parents, with its step: one
+    group's ``keys``, or several groups' keys zipped and interned to first
+    positions."""
+    if len(groups) == 1:
+        return level.keys(*groups[0])
+    return list(map({}.setdefault, zip(*[level.keys(*g)[0] for g in groups]), count())), 1
+
+
+def _class_masks(level: PatternLevel, groups: tuple) -> Column:
+    """A class's influence masks over the level's parents: its groups' ORed."""
+    if len(groups) == 1:
+        return level.masks(*groups[0])
+    return list(_fold(or_, [level.masks(*g) for g in groups]))
 
 
 def _level_commons(level: PatternLevel, stop: bool) -> list[int] | None:

@@ -17,7 +17,10 @@ against its round-r broadcasters and for equality across every pair of
 patterns with equal views at round r.  The oracle asks the rule's
 question (``_level_commons``) of full, unpruned levels: it searches for the
 first level whose components all have a common broadcaster, and stops a
-level as soon as some linked patterns share none.
+level as soon as some linked patterns share none.  It never reads a level's
+columns, so from level 4 on, given two or more graphs, each level is linked
+on its grandparent (``_link``) and the columns of the level before it are
+never built: the check of level r builds those of level r - 2 only.
 """
 from __future__ import annotations
 

@@ -482,15 +482,19 @@ OVERLAPPING_MASKS = _document(
 @given(adversaries(max_n=4, max_graphs=4), st.data())
 @example(lossy_link(2, 1), None)
 @example(HEARS_IDENTIFYING, None)  # links one of its four groups
-@example(rooted_trees(3), None)  # one part; level 3 has 729 patterns
+@example(SHARED_MASK, None)  # a two-process linking mask: keys are pairs of ids
+@example(random_rooted(3, 3, 3), None)  # in G3 p1 hears only itself, p2 hears p1
+@example(rooted_trees(3), None)  # one part; level 4 links one block of 9 graphs
 @example(source_broadcast(3, 1), None)  # three parts and no shared view
 @example(random_rooted(3, 4, 4), None)  # two parts, both with shared views
+@example(gen_chain(simple_chain_spec(8)), None)  # two blocks of 7 graphs and 1
 @settings(max_examples=60, deadline=None)
 def test_seeded_linking_equals_unseeded_union_find(d, data):
     # the linker links one node per (parent, part), seeded with a group's
-    # slice; components and ANDs must be those of linking every pattern
-    # pair from scratch, on full levels and on levels extended from pruned
-    # ones, for the broadcaster masks and for masks ORed over a drawn parent
+    # slice, or one per (grandparent, block) while the parent is unbuilt;
+    # components and ANDs must be those of linking every pattern pair from
+    # scratch, on full levels and on levels extended from pruned ones, for
+    # the broadcaster masks and for masks ORed over a drawn (grand)parent
     if data is None:
         salt = count(1)
         draw = lambda k: [(7 * i + next(salt)) % (1 << d.n) for i in range(k)]  # noqa: E731
@@ -525,6 +529,27 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
                 stopped = _level_commons(probe, True)
                 assert stopped == (None if 0 in commons else commons)
                 assert stopped == union_find(size, _view_pairs(views), bmasks)
+    # full levels up to 4 whose parent is left unbuilt: from level 4 on
+    # (more grandparent patterns than graphs) they link on the grandparent
+    built = [_level_zero(d.n)]
+    for r in range(1, _levels_up_to(d, 4, 7000) + 1):
+        built.append(_extend(built[-1], inputs))
+        views, size = built[-1].views, len(built[-1].index)
+        if r < 2:
+            continue
+        grand = built[r - 2]
+        drawn = [draw(len(grand.index)) for _ in range(d.n)]
+        for influence in (grand.influence, drawn):
+            base = PatternLevel(r - 2, grand.index, grand.inputs, grand.views, influence)
+            fresh = [_extend(_extend(base, inputs), inputs) for _ in _LINK_QUERIES]
+            linked = [query(new) for query, new in zip(_LINK_QUERIES, fresh)]
+            bmasks = _extend(_extend(base, inputs), inputs).broadcaster_masks()
+            commons = _unseeded_commons(views, bmasks)
+            rep = union_find(size, _view_pairs(views))
+            assert linked == [None if 0 in commons else commons, commons, group(rep)]
+            if len(d) > 1 and r > 3:
+                assert all(new._parent._views is None for new in fresh)
+                assert all(new._parent._influence is None for new in fresh)
 
 
 # the stopping check, the full component ANDs and the components
@@ -539,20 +564,25 @@ def _linked(level) -> list:
     return [query(level) for query in _LINK_QUERIES]
 
 
-@given(adversaries(max_n=4, max_graphs=4), st.integers(1, 3), st.data())
-@example(rooted_trees(3), 4, None)  # 6,561 patterns, one part of 9 graphs
+@given(adversaries(max_n=4, max_graphs=4), st.integers(1, 4), st.data())
+@example(rooted_trees(3), 4, None)  # 6,561 patterns, one block of 9 graphs
 @example(gen_chain(simple_chain_spec(8)), 3, None)  # 97 groups over 9 minimal masks
-@example(source_broadcast(3, 1), 3, None)
-@example(random_rooted(3, 4, 4), 3, None)
+@example(source_broadcast(3, 1), 4, None)  # three parts
+@example(SHARED_MASK, 4, None)
+@example(random_rooted(3, 3, 3), 4, None)
+@example(HEARS_IDENTIFYING, 4, None)
+@example(random_rooted(3, 4, 4), 4, None)
 @settings(max_examples=60, deadline=None)
 def test_levels_built_on_demand_link_as_built_ones(d, r_max, data):
     # a fresh level interns a group when the linker first reads it; each
     # linker call, on a fresh level of its own, must give what it gives on
     # that level once its columns are built, and on a level given those
-    # columns, whose group arrays are their slices; full and pruned parents
+    # columns, whose group arrays are their slices; full and pruned
+    # parents, and full parents left unbuilt, which from level 4 on link
+    # the level on its grandparent
     inputs = _round_inputs(d)
     for pruned in (False, True):
-        level = _level_zero(d.n)
+        level = before = _level_zero(d.n)
         for r in range(1, r_max + 1):
             if pruned and r > 1:
                 size = len(level.index)
@@ -564,27 +594,34 @@ def test_levels_built_on_demand_link_as_built_ones(d, r_max, data):
                     break
                 level.keep(flags)
             fresh = [_extend(level, inputs) for _ in _LINK_QUERIES]
-            on_demand = [query(new) for query, new in zip(_LINK_QUERIES, fresh)]
-            level = _extend(level, inputs)
+            if not pruned and r > 1:  # from the level before, left unbuilt
+                fresh += [_extend(_extend(before, inputs), inputs) for _ in _LINK_QUERIES]
+            on_demand = [query(new) for query, new in zip(_LINK_QUERIES * 2, fresh)]
+            before, level = level, _extend(level, inputs)
             given = PatternLevel(r, level.index, inputs, level.views, level.influence)
-            assert on_demand == _linked(level) == _linked(given)
+            linked = _linked(level)
+            assert linked == _linked(given)
+            assert on_demand == linked * (len(fresh) // len(_LINK_QUERIES))
             for new in fresh:
                 assert new.views == level.views and new.influence == level.influence
-                assert _linked(new) == on_demand
+                assert _linked(new) == linked
 
 
 def test_failing_last_level_interns_only_what_the_linker_read():
-    # rooted_trees(3) has 9 groups, three per process, in one part: level
-    # 5's stopping check fails before the linker has read them all; it
-    # links only groups in which a process hears itself alone, which it
-    # reads off the parent's view columns, so it interns none, and neither
-    # column is built
+    # rooted_trees(3) has 9 groups, three per process, in one part: the
+    # oracle's level 5 is linked on level 3, and its stopping check fails
+    # before the linker has read all of level 4's groups; it keys only
+    # classes in which a process hears itself alone, which it reads off
+    # level 3's view columns, so level 4 interns none, and neither column
+    # of level 4 or level 5 is built
     d = rooted_trees(3)
     level = _final_level(d, 5, len(d) ** 5)
+    parent = level._parent
     assert _level_commons(level, True) is None
     assert sum(map(len, _round_inputs(d)[1])) == 9
-    assert len(level._ids) == 0
+    assert len(level._ids) == 0 and len(parent._ids) == 0
     assert level._views is None and level._influence is None
+    assert parent._views is None and parent._influence is None
     assert len(level.views[0]) == 9**5 and len(level._ids) == 9
 
 
@@ -623,7 +660,7 @@ def test_parts_link_only_their_minimal_masks(d, linking, anded):
     # inside those of any group over more in-neighbours, so the part ANDs
     # its minimal masks among all its groups, identifying ones included;
     # and the levels link as if every pattern pair were linked from scratch
-    [(graphs, linked, minimal)] = _round_inputs(d)[2]
+    [(graphs, linked, minimal, _)] = _round_inputs(d)[2]
     assert graphs == list(range(len(d))) and linked == linking and minimal == anded
     for level in iter_pattern_levels(d, 3):
         views, size = level.views, len(level.index)
@@ -635,23 +672,36 @@ def test_parts_link_only_their_minimal_masks(d, linking, anded):
 
 
 @pytest.mark.parametrize(
-    "d, groups, minimal",
-    [(gen_chain(simple_chain_spec(8)), 97, 9), (rooted_trees(3), 9, 3)],
+    "d, groups, minimal, blocks",
+    [(gen_chain(simple_chain_spec(8)), 97, 9, [8, 1]), (rooted_trees(3), 9, 3, [3])],
     ids=["chain8", "rooted_trees3"],
 )
-def test_fold_reads_only_the_minimal_masks(d, groups, minimal, monkeypatch):
-    # each of these has one part: a component AND reads the masks of its
-    # minimal in-neighbour masks, once each, not those of all its groups
+def test_fold_reads_only_the_minimal_masks(d, groups, minimal, blocks, monkeypatch):
+    # each of these has one part: on levels 1-3, linked on their parents, a
+    # component AND reads the masks of its minimal in-neighbour masks, once
+    # each, not those of all its groups; level 4 is linked on level 2 and
+    # reads level 3's masks of the classes minimal in each block (chain(8):
+    # 8 in its block of 7 graphs, 1 in its block of 1), once each, and
+    # nothing of level 4 itself
     assert sum(map(len, _round_inputs(d)[1])) == groups
     read = []
     masks = PatternLevel.masks
-    monkeypatch.setattr(PatternLevel, "masks", lambda *args: read.append(args[2]) or masks(*args))
+    monkeypatch.setattr(
+        PatternLevel, "masks", lambda *args: read.append(args[:3:2]) or masks(*args)
+    )
     level = _level_zero(d.n)
-    for _ in range(3):
+    for r in range(1, 5):
         level = _extend(level, _round_inputs(d))
         read.clear()
         _level_commons(level, False)
-        assert len(read) == len(set(read)) == minimal
+        if r < 4:
+            qs = [qs for new, qs in read if new is level]
+            assert len(qs) == len(set(qs)) == minimal
+        else:
+            assert [len(kept) for _, _, kept in _round_inputs(d)[2][0][3][0]] == blocks
+            assert all(new is not level for new, _ in read)
+            qs = [qs for new, qs in read if new is level._parent]
+            assert len(qs) == len(set(qs)) == sum(blocks)
 
 
 def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
@@ -659,7 +709,9 @@ def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
     # alone: on an unpruned parent the linker reads them off the parent's
     # fresh view columns and interns none, while a pruned parent's columns
     # hold positions in the unpruned one, so its children intern them; both
-    # link as a level given its columns
+    # link as a level given its columns.  Level 4 left with its parent
+    # unbuilt is linked on level 2 and keys the same classes off level 2's
+    # view columns: no level interns a group
     d = rooted_trees(3)
     inputs = _round_inputs(d)
     self_hearing = {(p, qs, c) for p, qs, c in inputs[2][0][1]}
@@ -671,8 +723,13 @@ def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
     for r in range(1, 5):
         pruned = r == 4
         if pruned:
+            unbuilt = _extend(_extend(before, inputs), inputs)
+            read.clear()
+            _level_commons(unbuilt, False)
+            _components(unbuilt)
+            assert read == [] and unbuilt._parent._views is None
             level.keep([i % 3 != 1 for i in range(len(level.index))])
-        level = _extend(level, inputs)
+        before, level = level, _extend(level, inputs)
         read.clear()
         _level_commons(level, False)
         _components(level)
@@ -680,6 +737,8 @@ def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
         linked = _linked(level)
         given = PatternLevel(r, level.index, inputs, level.views, level.influence)
         assert linked == _linked(given)
+    linked = _linked(unbuilt)
+    assert linked == _linked(PatternLevel(4, range(9**4), inputs, unbuilt.views, unbuilt.influence))
 
 
 def test_built_level_drops_its_parent_and_group_arrays():
