@@ -206,9 +206,11 @@ def cmd_decide(args: argparse.Namespace) -> int:
         if args.trace:
             yield from _format_removals(report["removed"])
 
+    # a refused level must print no report
+    dot = trace.level_at(args.dot_level).to_dot() if args.dot_level is not None and rooted else None
     _report(args, report, text)
-    if args.dot_level is not None and rooted:
-        _emit(trace.level_at(args.dot_level).to_dot(), args.output)
+    if dot is not None:
+        _emit(dot, args.output)
     return EXIT_OK if trace.verdict is Verdict.SOLVABLE else EXIT_IMPOSSIBLE
 
 

@@ -12,11 +12,9 @@ runs are verified.
 ``iter_pattern_levels`` enumerates whole levels (``_extend``), each built on
 demand from its parent's per-process columns, and ``_link`` links each on
 its parent level, one node per (parent pattern, one-round component), or,
-while the parent's columns are unbuilt, on its grandparent level, one node
-per (grandparent pattern, block of graphs) of each component, so a level
-that is only checked never builds its parent's columns; ``final_views``
-replays a few given patterns row by row, where the column kernel's fixed
-costs would dominate.
+while the parent is unbuilt, on its grandparent as a level of the two-round
+adversary; ``final_views`` replays a few given patterns row by row, where
+the column kernel's fixed costs would dominate.
 README describes the design; each function's docstring states its contract.
 """
 from __future__ import annotations
@@ -42,7 +40,7 @@ InTuples = tuple[tuple[int, ...], ...]
 # one process's distinct in-neighbourhoods, each with the graphs that give it
 Groups = dict[tuple[int, ...], list[int]]
 # m, each process's groups and the parts (see _round_inputs)
-RoundInputs = tuple[int, list[Groups], list[tuple[list[int], list, list, list]]]
+RoundInputs = tuple[int, list[Groups], list[tuple[list[int], list, list]]]
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,7 @@ def _level_zero(n: int) -> PatternLevel:
 
 @lru_cache(maxsize=1)
 def _zero_inputs(n: int) -> RoundInputs:
-    return 1, [{(p,): [0]} for p in range(n)], [([0], [], [(p, (p,), 0) for p in range(n)], [])]
+    return 1, [{(p,): [0]} for p in range(n)], [([0], [], [((p, (p,), 0),) for p in range(n)])]
 
 
 def _extend(level: PatternLevel, inputs: RoundInputs) -> PatternLevel:
@@ -392,64 +390,48 @@ def _indices(mask: int) -> tuple[int, ...]:
 def _round_inputs(d: Adversary) -> RoundInputs:
     """What the kernels read of the adversary: m; per process, its groups,
     the distinct in-neighbourhoods each with the graphs that give it, in
-    graph order; and the parts, the one-round components (graphs sharing a
-    group are linked) by smallest graph, each as its graphs, its linking
-    groups and its ANDed groups, a group as (process, in-neighbours, first
-    graph), and a slot for its plan on a grandparent, which ``_link``
-    fills when it first needs it (``_grand_plans``).  The last adversary's are
-    kept, so the oracle and the rule of one ``verify`` build them once;
-    callers share them and, but for that slot, only read them.
-
-    A part ANDs one group per in-neighbour mask that is inclusion-minimal
-    among all its groups', fewest members first, and links those of them
-    that hear no graph-identifying process (one group per graph).  This is
-    exact.  A group's influence masks OR its in-neighbours', and its key
-    repeats between two parents only where the key over each Q within its
-    mask does (every process hears itself), so a group over a superset of
-    a minimal Q adds nothing to the AND and links nothing new.  An
-    identifying process's views differ on every level past 0, so no key
-    over a mask holding one repeats."""
-    m, groups_of, masks_of, identifying = len(d), [], [], 0
+    graph order; and the parts (``_parts``), the one-round components
+    (graphs sharing a group are linked), each unit one group as (process,
+    in-neighbours, first graph) with its in-neighbours as its mask.  The
+    last adversary's are kept, so the oracle and the rule of one ``verify``
+    build them once; callers share them and only read them."""
+    m, groups_of, units, identifying = len(d), [], [], 0
     for p, column in enumerate(zip(*(graph._in for graph in d.graphs))):
         by_mask: dict[int, list[int]] = {}
         for g, mask in enumerate(column):
             by_mask.setdefault(mask, []).append(g)
-        groups_of.append(dict(zip(map(_indices, by_mask), by_mask.values())))
-        masks_of.append(by_mask)
+        groups = dict(zip(map(_indices, by_mask), by_mask.values()))
+        groups_of.append(groups)
+        for (qs, gs), mask in zip(groups.items(), by_mask):
+            units.append((gs[0], mask, ((p, qs, gs[0]),)))
         if len(by_mask) == m:
             identifying |= 1 << p
     pairs = [(gs[0], g) for groups in groups_of for gs in groups.values() for g in gs[1:]]
-    rep = union_find(m, pairs) if pairs else range(m)
-    parts: dict[int, tuple[list[int], dict[int, tuple]]] = {}
-    for g, root in enumerate(rep):  # a root is its part's smallest graph
-        if root == g:
-            parts[g] = ([g], {})
-        else:
-            parts[root][0].append(g)
-    for p, (groups, masks) in enumerate(zip(groups_of, masks_of)):
-        for (qs, gs), mask in zip(groups.items(), masks):
-            parts[rep[gs[0]]][1].setdefault(mask, (p, qs, gs[0]))
-    return m, groups_of, [
-        (graphs, [by_mask[k] for k in kept if not k & identifying], [by_mask[k] for k in kept], [])
-        for graphs, by_mask in parts.values()
-        for kept in [_minimal(by_mask)]
-    ]
+    return m, groups_of, _parts(m, pairs, units, identifying)
 
 
-def _grand_plans(inputs: RoundInputs) -> None:
-    """Fill each part's plan slot for linking a level on its grandparent
-    (``_link``): per block, by smallest graph, the block's graphs, its
-    keyed classes and the classes whose masks it ANDs, a class as its
-    processes' groups.  Filled on first use, for every part at once: most
-    levels are linked on their parents.
+# the inputs last composed and their composition (``_composed``)
+_composition: list = [None, None]
 
-    A group over Q splits the graphs into classes, each of the graphs under
-    which every q in Q has one group.  The blocks are the classes of the
-    union of those of the part's linking groups.  A block keys the classes
-    of the linking groups and ANDs those of the ANDed groups, of its
-    graphs, keeping for each the classes whose union of in-neighbourhoods
-    is inclusion-minimal among the block's, once per union; its keys skip
-    unions that hold a graph-identifying process."""
+
+def _composed(inputs: RoundInputs) -> RoundInputs:
+    """The inputs of the two-round adversary, whose graph h*m + g is graph
+    h, then graph g, for ``_link`` to link a level on its grandparent: m²,
+    the one-round groups, which ``_link`` does not read here, and the parts
+    (``_parts``), each a block of graphs h times a one-round part's graphs
+    g.  The last inputs' composition is kept, as ``_round_inputs`` keeps
+    the last adversary's.
+
+    Patterns (j, h, g) and (j', h', g') share p's view exactly when p has
+    one group over some Q under g and g', and under h and h' each q in Q
+    has one group, over some Q_q, with equal views over Q_q at j and j'.
+    So each ANDed group of a one-round part splits the graphs h into
+    classes under which every q in its Q keeps one group; a class is a
+    unit of those groups, its mask the union of the Q_q, and the blocks
+    join each class's graphs.  A group over a superset of an ANDed
+    group's Q splits them finer, so the part's other groups add nothing."""
+    if _composition[0] is inputs:
+        return _composition[1]
     m, groups_of, parts = inputs
     # each process's group under each graph, with its in-neighbour mask
     of = []
@@ -461,41 +443,56 @@ def _grand_plans(inputs: RoundInputs) -> None:
                 column[g] = entry
         of.append(column)
     identifying = sum(1 << p for p, groups in enumerate(groups_of) if len(groups) == m)
-
-    def classes(qs: tuple[int, ...]) -> list[tuple[list[int], tuple, int]]:
-        by_key: dict[tuple, list[int]] = {}
-        for g, key in enumerate(zip(*[of[q] for q in qs])):
-            by_key.setdefault(key, []).append(g)
-        return [
-            (gs, tuple([group for group, _ in key]), reduce(or_, [mask for _, mask in key]))
-            for key, gs in by_key.items()
+    composed = []
+    for graphs, _, anded in parts:
+        pairs: list[tuple[int, int]] = []
+        units = []
+        for [(_, qs, _)] in anded:
+            by_key: dict[tuple, list[int]] = {}
+            for h, key in enumerate(zip(*[of[q] for q in qs])):
+                by_key.setdefault(key, []).append(h)
+            for key, hs in by_key.items():
+                pairs += zip(repeat(hs[0]), hs[1:])
+                groups, masks = zip(*key)
+                units.append((hs[0], reduce(or_, masks), groups))
+        composed += [
+            ([h * m + g for h in block for g in graphs], linked, kept)
+            for block, linked, kept in _parts(m, pairs, units, identifying)
         ]
-
-    for _, linked, anded, plan in parts:
-        of_anded = {qs: classes(qs) for _, qs, _ in anded}
-        linking = [of_anded[qs] for _, qs, _ in linked]
-        pairs = [(gs[0], g) for cls in linking for gs, _, _ in cls for g in gs[1:]]
-        rep = union_find(m, pairs) if pairs else range(m)
-        first: dict[int, int] = {}  # a root is its block's smallest graph
-        block_of = [first.setdefault(root, len(first)) for root in rep]
-        blocks: list[list[int]] = [[] for _ in first]
-        for g, b in enumerate(block_of):
-            blocks[b].append(g)
-        keyed = _minimal_classes(linking, block_of, len(blocks), identifying)
-        anding = _minimal_classes(of_anded.values(), block_of, len(blocks), 0)
-        plan.append(list(zip(blocks, keyed, anding)))
+    _composition[:] = inputs, (m * m, groups_of, composed)
+    return _composition[1]
 
 
-def _minimal_classes(each: Iterable[list], block_of: list[int], k: int, drop: int) -> list[list[tuple]]:
-    """Per block of k, the groups of the classes whose union is
-    inclusion-minimal among the block's, once per union, leaving out the
-    unions that meet ``drop``."""
-    unions: list[dict[int, tuple]] = [{} for _ in range(k)]
-    for cls in each:
-        for gs, groups, union in cls:
-            if not union & drop:
-                unions[block_of[gs[0]]].setdefault(union, groups)
-    return [[by_union[u] for u in _minimal(by_union)] for by_union in unions]
+def _parts(
+    m: int, pairs: list[tuple[int, int]], units: Iterable[tuple[int, int, tuple]], identifying: int
+) -> list[tuple[list[int], list, list]]:
+    """The parts, the classes of ``union_find`` over ``pairs`` on m graphs,
+    by smallest graph, each as its graphs, its linking units and its ANDed
+    units.  ``units`` gives each unit, a tuple of groups, with its first
+    graph and its mask, the processes whose views its keys compare.  A part
+    ANDs one unit per mask inclusion-minimal among its units', fewest
+    members first, and links those of them whose mask holds no process of
+    ``identifying``, the processes that tell every graph apart.
+
+    This is exact.  A unit's keys repeat between two nodes exactly when the
+    views over its mask do, and its influence masks OR those over its mask,
+    so a unit over a superset of a minimal mask adds nothing to the AND and
+    links nothing new.  A graph-identifying process's views differ on every
+    level past 0, so no key over a mask holding one repeats."""
+    rep = union_find(m, pairs) if pairs else range(m)
+    parts: dict[int, tuple[list[int], dict[int, tuple]]] = {}
+    for g, root in enumerate(rep):  # a root is its part's smallest graph
+        if root == g:
+            parts[g] = ([g], {})
+        else:
+            parts[root][0].append(g)
+    for g, mask, unit in units:
+        parts[rep[g]][1].setdefault(mask, unit)
+    return [
+        (graphs, [by_mask[k] for k in kept if not k & identifying], [by_mask[k] for k in kept])
+        for graphs, by_mask in parts.values()
+        for kept in [_minimal(by_mask)]
+    ]
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
@@ -565,130 +562,91 @@ def _offsets(column: Column, step: int) -> Iterator[int]:
 
 
 def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[int] | None:
-    """Each pattern's component representative, its smallest pattern, on a
-    level's group arrays (``PatternLevel.keys``); with ``masked``, each
-    pattern's component AND of its broadcaster masks, None as soon as one is
-    empty when ``stop``.
+    """Each pattern's component representative, its smallest pattern; with
+    ``masked``, each pattern's component AND of its broadcaster masks, None
+    as soon as one is empty when ``stop``.
 
-    On the parent.  Patterns extending parents i and j share p's view
-    exactly when p's key is the same in i and j under graphs of one group
-    C, so the extensions of i by one part's graphs lie in one component: a
-    node (i, part).  Parts are linked alone, each on its linking groups
-    only (``_round_inputs`` says why the others add no link).  C's ids hold
-    base + min(C) + m * (first parent with i's key), so the first linking
-    group with a repeat is a forest (``_first_seen``) that seeds
+    Patterns extending parents i and j share p's view exactly when p's key
+    is the same in i and j under graphs of one group, so the extensions of
+    i by one part's graphs lie in one component: a node (i, part).  A full
+    level whose parent still holds its own parent, and whose grandparent
+    holds more patterns than there are graphs (below that the composition
+    costs more than the parent's columns it saves), is linked on its
+    grandparent as a level of the two-round adversary (``_composed``), and
+    its parent's columns are never read.  Parts are linked alone, each on
+    its linking units only (``_parts``).  A unit's key column holds a base
+    plus its step times each node's first node with the key, so the first
+    linking unit with a repeat is a forest (``_first_seen``) that seeds
     ``union_find``, its buckets' masks ANDed into their roots, and later
-    ones give the pairs; a group is read only when the linking gets to it,
-    through ``PatternLevel.keys``, which reads a group in which p hears
-    only itself off p's unpruned parent view column, uninterned.  A node's
-    mask ANDs the part's ANDed groups' masks, the AND of all its groups'
-    (``_round_inputs``), plus a bit above every process without ``stop`` so
-    that no AND runs empty; its result fills the slots ``g::m`` of its
-    part's graphs.
-
-    On the grandparent.  A full level whose parent still holds its own
-    parent, and whose grandparent holds more patterns than there are graphs
-    (below that the plan costs more than the parent columns it saves), is
-    linked on the grandparent, and the parent's columns are never read.
-    Parent i is (j, h), grandparent j extended by graph h.  Take a linking
-    group over Q and graphs h, h' under which each q in Q has one group,
-    over Q_q: q's views at (j, h) and (j, h') are equal, so the part's
-    extensions of both lie in one component.  A part's node is (j, b) for
-    b a block, a class of the union of these relations over its linking
-    groups (``_grand_plans``).  Under one class of such graphs, Q's key at
-    (j, h) equals its key at (j', h') exactly when the grandparent views
-    over the union U of the Q_q do, which the parent's group arrays of the
-    (q, Q_q) tell; under graphs of two classes some q has views of two
-    groups.  So equal keys at j and j' link (j, b) and (j', b), blocks are
-    never linked together, and a class whose U holds that of another class
-    of its block links nothing new.  Node (j, b)'s mask is the AND over h
-    in b of the masks of node (j*m + h, part): per class of an ANDed group,
-    the parent's group masks ORed over its (q, Q_q), and a class whose U
-    holds another's in its block adds nothing.  Each block is linked alone,
-    as a part on the parent is, and its result fills the slots
-    ``h*m + g :: m*m`` of its graphs h and the part's graphs g."""
+    ones give the pairs; a unit is read only when the linking gets to it.
+    A node's mask ANDs the part's ANDed units' masks, plus a bit above
+    every process without ``stop`` so that no AND runs empty; its result
+    fills the slots ``g::m`` of its part's graphs g, for m graphs."""
     m, groups_of, parts = level.inputs
-    size = len(level.index)
-    parent = level._parent
-    grand = (
-        parent is not None and parent._parent is not None and type(level.index) is range
-        and size > m * m * m
-    )
-    stride = m * m if grand else m
-    nodes, scale = size // stride, stride // m
+    parent, size = level._parent, len(level.index)
+    reader = level
+    grand = parent is not None and parent._parent is not None
+    if grand and type(level.index) is range and size > m**3:
+        (m, _, parts), reader = _composed(level.inputs), parent
+    nodes = size // m
     top = 0 if stop else 1 << len(groups_of)
     out = [0] * size
-    for graphs, linked, anded, plan in parts:
-        if grand:
-            if not plan:
-                _grand_plans(level.inputs)
-            units: Iterable = (
-                (block, map(partial(_class_key, parent), keyed), map(partial(_class_masks, parent), kept))
-                for block, keyed, kept in plan[0]
-            )
-        else:  # one parent has nothing to link
-            later = starmap(level.keys, linked) if nodes > 1 else iter(())
-            units = [((0,), later, starmap(level.masks, anded))]
-        for block, later, arrays in units:
-            masks = None
-            if masked:
-                if nodes == 1:  # one parent: a scalar AND
-                    masks = [reduce(and_, [a[0] for a in arrays])]
-                else:
-                    masks = list(_fold(and_, list(arrays)))
-                if top:
-                    masks = list(map(or_, masks, repeat(top)))
-                elif 0 in masks:
-                    return None
-            forest = next(filter(None, starmap(_first_seen, later)), None)
-            if forest is None:  # every node is its own component
-                res: Sequence[int] | None = range(nodes) if masks is None else masks
+    for graphs, linked, anded in parts:
+        # one node has nothing to link
+        later = map(partial(_unit_key, reader), linked) if nodes > 1 else iter(())
+        masks = None
+        if masked:
+            arrays = map(partial(_unit_masks, reader), anded)
+            if nodes == 1:  # a scalar AND
+                masks = [reduce(and_, [a[0] for a in arrays])]
             else:
-                if masks is not None:
-                    # only members whose mask differs from their root's AND so far
-                    for root, mask in compress(
-                        zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
-                    ):
-                        masks[root] &= mask
-                pairs = chain.from_iterable(
-                    compress(
-                        zip(_offsets(s, step), count()),
-                        map(ne, s, count(s[0], step)),
-                    )
-                    for s, step in later
+                masks = list(_fold(and_, list(arrays)))
+            if top:
+                masks = list(map(or_, masks, repeat(top)))
+            elif 0 in masks:
+                return None
+        forest = next(filter(None, starmap(_first_seen, later)), None)
+        if forest is None:  # every node is its own component
+            res: Sequence[int] | None = range(nodes) if masks is None else masks
+        else:
+            if masks is not None:
+                # only members whose mask differs from their root's AND so far
+                for root, mask in compress(
+                    zip(forest, masks), map(ne, map(masks.__getitem__, forest), masks)
+                ):
+                    masks[root] &= mask
+            pairs = chain.from_iterable(
+                compress(
+                    zip(_offsets(s, step), count()),
+                    map(ne, s, count(s[0], step)),
                 )
-                if (res := union_find(nodes, pairs, masks, forest)) is None:
-                    return None
-            if masks is None:
-                first = block[0] * scale + graphs[0]
-                res = list(map(add, map(mul, res, repeat(stride)), repeat(first)))
-            elif top:
-                res = list(map(xor, res, repeat(top)))
-            for h in block:
-                for g in graphs:
-                    out[h * scale + g :: stride] = res
+                for s, step in later
+            )
+            if (res := union_find(nodes, pairs, masks, forest)) is None:
+                return None
+        if masks is None:
+            res = list(map(add, map(mul, res, repeat(m)), repeat(graphs[0])))
+        elif top:
+            res = list(map(xor, res, repeat(top)))
+        for g in graphs:
+            out[g::m] = res
     return out
 
 
-def _class_key(level: PatternLevel, groups: tuple) -> tuple[Column, int]:
-    """A class's key column over the level's parents, with its step: one
+def _unit_key(level: PatternLevel, unit: tuple) -> tuple[Column, int]:
+    """A unit's key column over the level's parents, with its step: one
     group's ``keys``, or several groups' keys zipped and interned to first
     positions."""
-    if len(groups) == 1:
-        return level.keys(*groups[0])
-    return list(map({}.setdefault, zip(*[level.keys(*g)[0] for g in groups]), count())), 1
+    if len(unit) == 1:
+        return level.keys(*unit[0])
+    return list(map({}.setdefault, zip(*[level.keys(*g)[0] for g in unit]), count())), 1
 
 
-def _class_masks(level: PatternLevel, groups: tuple) -> Column:
-    """A class's influence masks over the level's parents: its groups' ORed."""
-    if len(groups) == 1:
-        return level.masks(*groups[0])
-    return list(_fold(or_, [level.masks(*g) for g in groups]))
-
-
-def _level_commons(level: PatternLevel, stop: bool) -> list[int] | None:
-    """Each pattern's component AND of the broadcaster masks (``_link``)."""
-    return _link(level, True, stop)
+def _unit_masks(level: PatternLevel, unit: tuple) -> Column:
+    """A unit's influence masks over the level's parents: its groups' ORed."""
+    if len(unit) == 1:
+        return level.masks(*unit[0])
+    return list(_fold(or_, [level.masks(*g) for g in unit]))
 
 
 def _components(level: PatternLevel) -> tuple[list[int], list[list[int]]]:

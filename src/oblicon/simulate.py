@@ -15,12 +15,12 @@ Verification walks the same rounds: a pattern decided at round r stands for
 all its extensions to the horizon, and its decision is checked for validity
 against its round-r broadcasters and for equality across every pair of
 patterns with equal views at round r.  The oracle asks the rule's
-question (``_level_commons``) of full, unpruned levels: it searches for the
+question (``_link``, masked) of full, unpruned levels: it searches for the
 first level whose components all have a common broadcaster, and stops a
 level as soon as some linked patterns share none.  It never reads a level's
 columns, so from level 4 on, given two or more graphs, each level is linked
-on its grandparent (``_link``) and the columns of the level before it are
-never built: the check of level r builds those of level r - 2 only.
+on its grandparent and the columns of the level before it are never built:
+the check of level r builds those of level r - 2 only.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from .patterns import (
     _components,
     _final_level,
     _first_seen,
-    _level_commons,
     _level_zero,
+    _link,
     _round_inputs,
     _zero_inputs,
     broadcaster_mask,
@@ -182,7 +182,7 @@ def build_rule(
         bmasks = level.broadcaster_masks()
         # the last round only has to tell whether every component decides
         stop = r == t and until is None
-        commons = _level_commons(level, stop) if any(bmasks) else None if stop else bmasks
+        commons = _link(level, True, stop) if any(bmasks) else None if stop else bmasks
         if commons is None:
             break
         low = {common: (common & -common).bit_length() for common in set(commons)}
@@ -320,7 +320,7 @@ def oracle_min_horizon(
     components are never finished.
     """
     for level in iter_pattern_levels(d, r_max, budget):
-        if _level_commons(level, stop=True) is not None:
+        if _link(level, True, True) is not None:
             return level.rounds
     return None
 

@@ -544,6 +544,24 @@ def test_decide_dot_level_output(chain_file, tmp_path, capsys):
     assert '"G1" -- "G2"' in dot and '"G2" -- "G3"' not in dot
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        ("0", "levels are numbered from 1"),
+        # lossy_link(3,1) stops early, before the fixpoint
+        ("99", "level 99 not computed and trace stopped before the fixpoint"),
+    ],
+    ids=["zero", "past_early_exit"],
+)
+def test_decide_refused_dot_level_prints_no_verdict(level, message, fmt, capsys):
+    doc = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+    assert main(["decide", doc, "--dot-level", level, *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_export_dot_pair_budget_exit(capsys):
     # lossy_link(3,1) has 49 two-round patterns, inside the budget, but 228
     # pairs that share some process's view
@@ -735,7 +753,8 @@ def test_unwritable_output_is_an_input_error(chain_file, tmp_path, capsys, argv)
     err = captured.err
     assert err.startswith(f"input error: cannot write {out}: ")
     assert err.count("\n") == 1
-    # decide writes the DOT after its report, as it checks --dot-level there too
+    # decide renders the DOT before its report but writes it after, so the
+    # report is printed before the write fails
     if argv[0] == "decide":
         assert captured.out.startswith("verdict: SOLVABLE\n")
     else:

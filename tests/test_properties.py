@@ -34,11 +34,12 @@ from oblicon.patterns import (
     Pattern,
     PatternLevel,
     _components,
+    _composed,
     _extend,
     _final_level,
     _first_seen,
-    _level_commons,
     _level_zero,
+    _link,
     _round_inputs,
     broadcaster_mask,
     final_views,
@@ -491,10 +492,11 @@ OVERLAPPING_MASKS = _document(
 @settings(max_examples=60, deadline=None)
 def test_seeded_linking_equals_unseeded_union_find(d, data):
     # the linker links one node per (parent, part), seeded with a group's
-    # slice, or one per (grandparent, block) while the parent is unbuilt;
-    # components and ANDs must be those of linking every pattern pair from
-    # scratch, on full levels and on levels extended from pruned ones, for
-    # the broadcaster masks and for masks ORed over a drawn (grand)parent
+    # slice, or one per (grandparent, two-round part) while the parent is
+    # unbuilt; components and ANDs must be those of linking every pattern
+    # pair from scratch, on full levels and on levels extended from pruned
+    # ones, for the broadcaster masks and for masks ORed over a drawn
+    # (grand)parent
     if data is None:
         salt = count(1)
         draw = lambda k: [(7 * i + next(salt)) % (1 << d.n) for i in range(k)]  # noqa: E731
@@ -503,6 +505,10 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
             st.lists(st.integers(0, (1 << d.n) - 1), min_size=k, max_size=k)
         )
     inputs = _round_inputs(d)
+    # the parts are the one-round components, and those of the two-round
+    # adversary, which links a level on its grandparent, the two-round ones
+    assert sorted(graphs for graphs, _, _ in inputs[2]) == pattern_components(d, 1)
+    assert sorted(graphs for graphs, _, _ in _composed(inputs)[2]) == pattern_components(d, 2)
     for pruned in (False, True):
         level = _level_zero(d.n)
         for r in range(_levels_up_to(d, 3, 800) + 1):
@@ -525,8 +531,8 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
                 probe = PatternLevel(level.rounds, level.index, level.inputs, views, influence)
                 bmasks = probe.broadcaster_masks()
                 commons = _unseeded_commons(views, bmasks)
-                assert _level_commons(probe, False) == commons
-                stopped = _level_commons(probe, True)
+                assert _link(probe, True, False) == commons
+                stopped = _link(probe, True, True)
                 assert stopped == (None if 0 in commons else commons)
                 assert stopped == union_find(size, _view_pairs(views), bmasks)
     # full levels up to 4 whose parent is left unbuilt: from level 4 on
@@ -554,8 +560,8 @@ def test_seeded_linking_equals_unseeded_union_find(d, data):
 
 # the stopping check, the full component ANDs and the components
 _LINK_QUERIES = (
-    lambda level: _level_commons(level, True),
-    lambda level: _level_commons(level, False),
+    lambda level: _link(level, True, True),
+    lambda level: _link(level, True, False),
     _components,
 )
 
@@ -617,7 +623,7 @@ def test_failing_last_level_interns_only_what_the_linker_read():
     d = rooted_trees(3)
     level = _final_level(d, 5, len(d) ** 5)
     parent = level._parent
-    assert _level_commons(level, True) is None
+    assert _link(level, True, True) is None
     assert sum(map(len, _round_inputs(d)[1])) == 9
     assert len(level._ids) == 0 and len(parent._ids) == 0
     assert level._views is None and level._influence is None
@@ -660,15 +666,17 @@ def test_parts_link_only_their_minimal_masks(d, linking, anded):
     # inside those of any group over more in-neighbours, so the part ANDs
     # its minimal masks among all its groups, identifying ones included;
     # and the levels link as if every pattern pair were linked from scratch
-    [(graphs, linked, minimal, _)] = _round_inputs(d)[2]
-    assert graphs == list(range(len(d))) and linked == linking and minimal == anded
+    [(graphs, linked, minimal)] = _round_inputs(d)[2]
+    assert graphs == list(range(len(d)))
+    # each unit is one group
+    assert [group for [group] in linked] == linking and [group for [group] in minimal] == anded
     for level in iter_pattern_levels(d, 3):
         views, size = level.views, len(level.index)
         rep = union_find(size, _view_pairs(views))
         assert _components(level) == group(rep)
         commons = _unseeded_commons(views, level.broadcaster_masks())
-        assert _level_commons(level, False) == commons
-        assert _level_commons(level, True) == (None if 0 in commons else commons)
+        assert _link(level, True, False) == commons
+        assert _link(level, True, True) == (None if 0 in commons else commons)
 
 
 @pytest.mark.parametrize(
@@ -693,12 +701,12 @@ def test_fold_reads_only_the_minimal_masks(d, groups, minimal, blocks, monkeypat
     for r in range(1, 5):
         level = _extend(level, _round_inputs(d))
         read.clear()
-        _level_commons(level, False)
+        _link(level, True, False)
         if r < 4:
             qs = [qs for new, qs in read if new is level]
             assert len(qs) == len(set(qs)) == minimal
         else:
-            assert [len(kept) for _, _, kept in _round_inputs(d)[2][0][3][0]] == blocks
+            assert [len(kept) for _, _, kept in _composed(_round_inputs(d))[2]] == blocks
             assert all(new is not level for new, _ in read)
             qs = [qs for new, qs in read if new is level._parent]
             assert len(qs) == len(set(qs)) == sum(blocks)
@@ -714,7 +722,7 @@ def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
     # view columns: no level interns a group
     d = rooted_trees(3)
     inputs = _round_inputs(d)
-    self_hearing = {(p, qs, c) for p, qs, c in inputs[2][0][1]}
+    self_hearing = {group for [group] in inputs[2][0][1]}
     assert self_hearing == {(0, (0,), 0), (1, (1,), 1), (2, (2,), 2)}
     read = []
     ids = PatternLevel.ids
@@ -725,13 +733,13 @@ def test_self_hearing_groups_link_on_their_parent_column(monkeypatch):
         if pruned:
             unbuilt = _extend(_extend(before, inputs), inputs)
             read.clear()
-            _level_commons(unbuilt, False)
+            _link(unbuilt, True, False)
             _components(unbuilt)
             assert read == [] and unbuilt._parent._views is None
             level.keep([i % 3 != 1 for i in range(len(level.index))])
         before, level = level, _extend(level, inputs)
         read.clear()
-        _level_commons(level, False)
+        _link(level, True, False)
         _components(level)
         assert set(read) == (self_hearing if pruned else set())
         linked = _linked(level)
