@@ -590,7 +590,7 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
         (m, _, parts), reader = _composed(level.inputs), parent
     nodes = size // m
     top = 0 if stop else 1 << len(groups_of)
-    out = [0] * size
+    out = None  # allocated once a part links, so a failing level never builds it
     for graphs, linked, anded in parts:
         # one node has nothing to link
         later = map(partial(_unit_key, reader), linked) if nodes > 1 else iter(())
@@ -628,6 +628,8 @@ def _link(level: PatternLevel, masked: bool = False, stop: bool = True) -> list[
             res = list(map(add, map(mul, res, repeat(m)), repeat(graphs[0])))
         elif top:
             res = list(map(xor, res, repeat(top)))
+        if out is None:
+            out = [0] * size
         for g in graphs:
             out[g::m] = res
     return out

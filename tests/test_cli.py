@@ -91,13 +91,15 @@ def test_decide_exit_codes(ll_file, chain_file, tmp_path, capsys):
     assert main(["decide", str(bad)]) == 2
 
 
+NOT_ROOTED_DOC = {
+    "n": 2,
+    "graphs": [{"name": "Ok", "edges": [[1, 2]]}, {"name": "Loops", "edges": []}],
+}
+
+
 def test_decide_not_rooted(tmp_path, capsys):
-    doc = {
-        "n": 2,
-        "graphs": [{"name": "Ok", "edges": [[1, 2]]}, {"name": "Loops", "edges": []}],
-    }
     path = tmp_path / "nr.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NOT_ROOTED_DOC))
     assert main(["decide", str(path)]) == 1
     assert "IMPOSSIBLE-NOT-ROOTED" in capsys.readouterr().out
 
@@ -546,20 +548,27 @@ def test_decide_dot_level_output(chain_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
 @pytest.mark.parametrize(
-    "level, message",
+    "doc, level, message",
     [
-        ("0", "levels are numbered from 1"),
+        (None, "0", "levels are numbered from 1"),
         # lossy_link(3,1) stops early, before the fixpoint
-        ("99", "level 99 not computed and trace stopped before the fixpoint"),
+        (None, "99", "level 99 not computed and trace stopped before the fixpoint"),
+        # a document that is not rooted has no levels, so no file is written
+        (NOT_ROOTED_DOC, "1", "trace has no levels (input was not rooted)"),
     ],
-    ids=["zero", "past_early_exit"],
+    ids=["zero", "past_early_exit", "not_rooted"],
 )
-def test_decide_refused_dot_level_prints_no_verdict(level, message, fmt, capsys):
-    doc = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
-    assert main(["decide", doc, "--dot-level", level, *fmt]) == 2
+def test_decide_refused_dot_level_prints_no_verdict(tmp_path, doc, level, message, fmt, capsys):
+    if doc is None:
+        path = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+    else:
+        path = _write_doc(tmp_path, doc)
+    out = tmp_path / "level.dot"
+    assert main(["decide", path, "--dot-level", level, "-o", str(out), *fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_export_dot_pair_budget_exit(capsys):
@@ -680,12 +689,23 @@ def test_decide_rejects_oversized_n_before_building(tmp_path, capsys, monkeypatc
         ({"n": 2, "graphs": [{"name": "G", "edges": [[True, 2]]}]}, "malformed edge"),
         ({"n": 2, "graphs": [{"name": "G", "edges": [[2, True]]}]}, "malformed edge"),
         ({"n": 3, "graphs": [{"name": "G", "edges": [[False, 1]]}]}, "malformed edge"),
+        ({"n": 3, "graphs": [{"name": "Gtrue", "edges": [[1, 2], [True, 2]]}]}, "malformed edge"),
     ],
 )
 def test_decide_rejects_json_booleans_as_integers(tmp_path, capsys, doc, message):
     assert main(["decide", _write_doc(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
+    # a dict has no text to search, so its types are always read
+    with pytest.raises(AdversaryFormatError, match=message):
+        adversary_from_doc(doc)
+
+
+def test_true_inside_a_name_loads_as_from_the_dict(tmp_path):
+    # the loader reads the endpoints' types when the text holds a 't', the
+    # first letter of the one JSON token the graph build would accept
+    doc = {"n": 3, "graphs": [{"name": "Gtrue", "edges": [[1, 2], [2, 3]]}]}
+    assert load_adversary(_write_doc(tmp_path, doc)) == adversary_from_doc(doc)
 
 
 def test_export_dot_escapes_names(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants, driven by hypothesis."""
 from __future__ import annotations
 
+import tracemalloc
 from functools import reduce
 from itertools import count
 from operator import and_, or_
@@ -629,6 +630,22 @@ def test_failing_last_level_interns_only_what_the_linker_read():
     assert level._views is None and level._influence is None
     assert parent._views is None and parent._influence is None
     assert len(level.views[0]) == 9**5 and len(level._ids) == 9
+
+
+def test_failing_link_builds_no_output_list():
+    # the output list, 8 bytes a pattern, is built once a part links: the
+    # oracle's link of rooted_trees(3)'s level 5 fails in its only part and
+    # peaks below the 59,049 slots that list would take
+    *earlier, last = iter_pattern_levels(rooted_trees(3), 5)
+    for level in earlier:
+        assert _link(level, True, True) is None
+    tracemalloc.start()
+    try:
+        assert _link(last, True, True) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9**5 * 8
 
 
 @pytest.mark.parametrize(

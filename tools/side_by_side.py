@@ -1,0 +1,151 @@
+"""Time one benchmark workload's CLI calls on two checkouts, side by side in
+one process, and print per-call CPU medians and paired ratios.
+
+Each checkout's ``src/oblicon`` is imported under its own package name, so
+both live in the process at once.  The documents and calls come from the
+first checkout's ``bench/workloads.py``, which is read but never changed;
+the documents go to a temporary directory.  Every round calls each
+operation once per checkout, the order alternating between rounds, with
+the collector run before each call; the first round is a warm-up and is not
+timed.  ``--time MODULE.FUNC`` also times every call of one program
+function, say ``cli.adversary_from_doc``, inside each operation.
+Standard library only.  Run from anywhere:
+
+    python3 tools/side_by_side.py BEFORE AFTER --workload decide-large [--seed 7]
+        [--rounds 21] [--time cli.adversary_from_doc]
+
+A ratio is the after checkout's CPU time over the before checkout's, taken
+per round and reported as the median over rounds; ``faster`` counts the
+rounds where after took less.  ``same`` says whether the two checkouts
+printed the same exit code and stdout on every round.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib.util
+import io
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def import_package(checkout: Path, name: str):
+    """``checkout/src/oblicon`` imported as the package ``name``."""
+    init = checkout / "src" / "oblicon" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    for sub in ("cli", "families"):
+        importlib.import_module(f"{name}.{sub}")
+    return pkg
+
+
+def import_workloads(checkout: Path, pkg):
+    """``checkout/bench/workloads.py``, with its ``oblicon`` bound to ``pkg``."""
+    path = checkout / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("side_by_side_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    saved = sys.modules.get("oblicon")
+    sys.modules["oblicon"] = pkg
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["oblicon"]
+        else:
+            sys.modules["oblicon"] = saved
+    return module
+
+
+def time_function(pkg, target: str) -> list[int]:
+    """Replace ``pkg.MODULE.FUNC`` in every module of ``pkg`` that holds it
+    by a wrapper that adds each call's CPU nanoseconds to the returned
+    one-item list."""
+    module, func = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(f"{pkg.__name__}.{module}"), func)
+    spent = [0]
+
+    def timed(*args, **kwargs):
+        t0 = time.process_time_ns()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            spent[0] += time.process_time_ns() - t0
+
+    prefix = pkg.__name__ + "."
+    for name, mod in list(sys.modules.items()):
+        if name.startswith(prefix) or name == pkg.__name__:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, attr, timed)
+    return spent
+
+
+def call(cli, argv, spent: list[int] | None) -> tuple[int, int, str, int]:
+    """CPU ns of one ``cli.main`` call, the exit code, stdout, and the CPU ns
+    spent in the timed function (0 without one)."""
+    gc.collect()
+    out = io.StringIO()
+    before = spent[0] if spent else 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        t0 = time.process_time_ns()
+        rc = cli.main(list(argv))
+        ns = time.process_time_ns() - t0
+    return ns, rc, out.getvalue(), (spent[0] - before if spent else 0)
+
+
+def row(label: str, a: list[int], b: list[int]) -> str:
+    ratios = [y / x for x, y in zip(a, b) if x]
+    faster = sum(y < x for x, y in zip(a, b))
+    return (
+        f"{label:<40}{statistics.median(a) / 1e6:>10.3f}{statistics.median(b) / 1e6:>10.3f}"
+        f"{statistics.median(ratios) if ratios else float('nan'):>8.3f}{faster:>5}/{len(a):<3}"
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("before", type=Path)
+    parser.add_argument("after", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--rounds", type=int, default=21)
+    parser.add_argument("--time", metavar="MODULE.FUNC", help="also time this program function")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave both checkouts as they are
+
+    pkgs = [import_package(args.before, "oblicon_before"), import_package(args.after, "oblicon_after")]
+    workloads = import_workloads(args.before, pkgs[0])
+    spent = [time_function(pkg, args.time) if args.time else None for pkg in pkgs]
+    with tempfile.TemporaryDirectory() as workdir:
+        ops, _ = workloads.WORKLOADS[args.workload].setup(args.seed, workdir)
+        times = {op.label: ([], [], [], []) for op in ops}  # before, after, and their function
+        same = {op.label: True for op in ops}
+        for r in range(args.rounds + 1):
+            for op in ops:
+                order = (0, 1) if r % 2 else (1, 0)
+                got = {k: call(pkgs[k].cli, op.argv, spent[k]) for k in order}
+                same[op.label] &= got[0][1:3] == got[1][1:3]
+                if r:  # round 0 warms up
+                    for k in (0, 1):
+                        times[op.label][k].append(got[k][0])
+                        times[op.label][k + 2].append(got[k][3])
+
+    print(f"{args.workload} seed {args.seed}, {args.rounds} rounds; CPU ms medians")
+    print(f"{'call':<40}{'before':>10}{'after':>10}{'ratio':>8}{'faster':>9}  same")
+    for op in ops:
+        a, b, fa, fb = times[op.label]
+        print(row(op.label, a, b) + f"  {'yes' if same[op.label] else 'NO'}")
+        if args.time:
+            print(row(f"  {args.time}", fa, fb))
+    return 0 if all(same.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
