@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from oblicon.decision import Verdict, decide
 from oblicon.errors import NonBroadcastableComponentError
 from oblicon.families import (
+    gen_canonical_chain,
     gen_chain,
     gen_partitioned,
     lossy_link,
@@ -956,6 +957,12 @@ def assert_matches_naive_refinement(d):
         assert trace.reached_fixpoint == (len(ref.removed) >= 2 and not ref.removed[-1])
 
 
+def chain7_plus(**graphs: list[tuple[int, int]]) -> Adversary:
+    """The chain of 7 graphs (12 processes) plus the given graphs, by name."""
+    d = gen_chain(simple_chain_spec(7))
+    return Adversary([*d.graphs, *(CommunicationGraph(d.n, e, name=k) for k, e in graphs.items())])
+
+
 FAMILY_CASES = {
     "chain12": lambda: gen_chain(simple_chain_spec(12)),
     "partitioned2x3": lambda: gen_partitioned(2, 3).adversary,
@@ -965,12 +972,74 @@ FAMILY_CASES = {
     "lossy_link4-2": lambda: lossy_link(4, 2),
     "source_broadcast4-2": lambda: source_broadcast(4, 2),
     **{f"random_rooted4x14s{seed}": (lambda s=seed: random_rooted(4, 14, s)) for seed in range(4)},
+    # long enough to split components by search
+    "chain60": lambda: gen_chain(simple_chain_spec(60)),
+    "canonical_chain24-29": lambda: gen_chain(gen_canonical_chain(24, 29)),
+    # G3 plus the edge 3 -> 4, linked to G3 and G4: a search splits off
+    # {G1, G2}, whose roots share no process
+    "chain7+H": lambda: chain7_plus(
+        H=[(3, 1), (3, 2), (3, 4), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12),
+           (9, 4), (10, 4), (11, 5)],
+    ),
+    # M and U are linked to G3, G4 and each other.  One iteration drops G4-M
+    # and G4-U, so G4, M and U all part, and two run out of steps mid-way
+    "chain7+MU": lambda: chain7_plus(
+        M=[(3, 4), (3, 8), (4, 3), (8, 6), (8, 9), (8, 10), (10, 1), (10, 11), (11, 5), (11, 7),
+           (11, 12), (12, 2)],
+        U=[(3, 8), (4, 2), (6, 1), (6, 7), (7, 1), (8, 6), (11, 5), (11, 10), (11, 12), (12, 3),
+           (12, 4), (12, 9)],
+    ),
+    # one iteration drops both edges of the path 0-1-2
+    "random_rooted3x3s9": lambda: random_rooted(3, 3, 9),
+    # a bulk removal, relinked
+    "random_rooted12x300s1": lambda: random_rooted(12, 300, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
 def test_decide_matches_naive_refinement_on_families(name):
     assert_matches_naive_refinement(FAMILY_CASES[name]())
+
+
+def test_refinement_reaches_relink_search_and_fallback(monkeypatch):
+    import oblicon.decision
+
+    union_find = oblicon.decision.union_find
+    split = oblicon.decision._split
+    events = []
+
+    def counted_union_find(*args):
+        events.append("relink")
+        return union_find(*args)
+
+    def counted_split(*args):
+        steps = split(*args)
+        events.append("searched" if steps >= 0 else "out of steps")
+        return steps
+
+    monkeypatch.setattr(oblicon.decision, "union_find", counted_union_find)
+    monkeypatch.setattr(oblicon.decision, "_split", counted_split)
+    for no_early_exit in (False, True):
+        # one edge per iteration: level 1 and three more levels are relinked,
+        # then each removed edge is searched (every level was relinked before)
+        events.clear()
+        trace = decide(gen_chain(simple_chain_spec(60)), no_early_exit)
+        assert trace.removal_iterations == 59
+        assert events == ["relink"] * 4 + ["searched"] * 56
+        # a bulk removal: every level is relinked, as before
+        events.clear()
+        trace = decide(random_rooted(12, 300, 1), no_early_exit)
+        assert events == ["relink"] * (1 + trace.removal_iterations)
+        # G3-G4 goes first, while G3-H and G4-H stay: the searches for it meet
+        events.clear()
+        trace = decide(FAMILY_CASES["chain7+H"](), no_early_exit)
+        assert ((2, 3), (3, 7)) in trace.removed
+        assert events == ["relink"] * 4 + ["searched"] * 4
+        # the budget runs out after two searches, twice; both levels are relinked
+        events.clear()
+        decide(FAMILY_CASES["chain7+MU"](), no_early_exit)
+        twice = ["searched", "searched", "out of steps", "relink"] * 2
+        assert events == ["relink"] * 4 + twice + ["searched"]
 
 
 @given(adversaries(max_n=5, max_graphs=8, rooted=True))

@@ -8,11 +8,13 @@ the documents go to a temporary directory.  Every round calls each
 operation once per checkout, the order alternating between rounds, with
 the collector run before each call; the first round is a warm-up and is not
 timed.  ``--time MODULE.FUNC`` also times every call of one program
-function, say ``cli.adversary_from_doc``, inside each operation.
+function, say ``cli.adversary_from_doc``, inside each operation, one row
+per function; it may be given more than once, so that one run times
+``indist.single_round_indist`` (L1) and ``decision.decide`` (L1 and L2).
 Standard library only.  Run from anywhere:
 
     python3 tools/side_by_side.py BEFORE AFTER --workload decide-large [--seed 7]
-        [--rounds 21] [--time cli.adversary_from_doc]
+        [--rounds 21] [--time MODULE.FUNC]...
 
 A ratio is the after checkout's CPU time over the before checkout's, taken
 per round and reported as the median over rounds; ``faster`` counts the
@@ -87,17 +89,17 @@ def time_function(pkg, target: str) -> list[int]:
     return spent
 
 
-def call(cli, argv, spent: list[int] | None) -> tuple[int, int, str, int]:
+def call(cli, argv, spent: list[list[int]]) -> tuple[int, int, str, list[int]]:
     """CPU ns of one ``cli.main`` call, the exit code, stdout, and the CPU ns
-    spent in the timed function (0 without one)."""
+    spent in each timed function."""
     gc.collect()
     out = io.StringIO()
-    before = spent[0] if spent else 0
+    before = [s[0] for s in spent]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         t0 = time.process_time_ns()
         rc = cli.main(list(argv))
         ns = time.process_time_ns() - t0
-    return ns, rc, out.getvalue(), (spent[0] - before if spent else 0)
+    return ns, rc, out.getvalue(), [s[0] - b for s, b in zip(spent, before)]
 
 
 def row(label: str, a: list[int], b: list[int]) -> str:
@@ -116,16 +118,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=21)
-    parser.add_argument("--time", metavar="MODULE.FUNC", help="also time this program function")
+    parser.add_argument(
+        "--time", metavar="MODULE.FUNC", action="append", default=[],
+        help="also time this program function (repeatable)",
+    )
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave both checkouts as they are
 
     pkgs = [import_package(args.before, "oblicon_before"), import_package(args.after, "oblicon_after")]
     workloads = import_workloads(args.before, pkgs[0])
-    spent = [time_function(pkg, args.time) if args.time else None for pkg in pkgs]
+    spent = [[time_function(pkg, target) for target in args.time] for pkg in pkgs]
     with tempfile.TemporaryDirectory() as workdir:
         ops, _ = workloads.WORKLOADS[args.workload].setup(args.seed, workdir)
-        times = {op.label: ([], [], [], []) for op in ops}  # before, after, and their function
+        # before, after, and per timed function its before and after
+        times = {op.label: ([], [], [([], []) for _ in args.time]) for op in ops}
         same = {op.label: True for op in ops}
         for r in range(args.rounds + 1):
             for op in ops:
@@ -135,15 +141,16 @@ def main(argv: list[str] | None = None) -> int:
                 if r:  # round 0 warms up
                     for k in (0, 1):
                         times[op.label][k].append(got[k][0])
-                        times[op.label][k + 2].append(got[k][3])
+                        for pair, ns in zip(times[op.label][2], got[k][3]):
+                            pair[k].append(ns)
 
     print(f"{args.workload} seed {args.seed}, {args.rounds} rounds; CPU ms medians")
     print(f"{'call':<40}{'before':>10}{'after':>10}{'ratio':>8}{'faster':>9}  same")
     for op in ops:
-        a, b, fa, fb = times[op.label]
+        a, b, funcs = times[op.label]
         print(row(op.label, a, b) + f"  {'yes' if same[op.label] else 'NO'}")
-        if args.time:
-            print(row(f"  {args.time}", fa, fb))
+        for target, (fa, fb) in zip(args.time, funcs):
+            print(row(f"  {target}", fa, fb))
     return 0 if all(same.values()) else 1
 
 
