@@ -18,13 +18,7 @@ from typing import Any
 
 from . import families
 from .decision import Verdict, decide
-from .errors import (
-    AdversaryFormatError,
-    BudgetExceededError,
-    FamilyValidationError,
-    NonBroadcastableComponentError,
-    NotRootedError,
-)
+from .errors import AdversaryFormatError, BudgetExceededError, NonBroadcastableComponentError
 from .graphs import MAX_PROCESSES, CommunicationGraph, check_process_count  # noqa: F401
 from .indist import Adversary, single_round_indist
 from .patterns import DEFAULT_PATTERN_BUDGET, Pattern, pattern_indist_graph
@@ -212,11 +206,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         if args.trace:
             yield from _format_removals(report["removed"])
 
-    # a refused level must print no report
-    dot = trace.level_at(args.dot_level).to_dot() if args.dot_level is not None else None
     _report(args, report, text)
-    if dot is not None:
-        _emit(dot, args.output)
     return EXIT_OK if trace.verdict is Verdict.SOLVABLE else EXIT_IMPOSSIBLE
 
 
@@ -371,7 +361,7 @@ def _random_rooted(args: argparse.Namespace) -> Adversary:
 _FAMILIES = {
     "chain": (False, lambda a: families.gen_chain(families.simple_chain_spec(a.chain_len, a.n))),
     "canonical-chain": (True, lambda a: families.gen_chain(
-        families.gen_canonical_chain(a.n, a.max_len))),
+        families.gen_canonical_chain(a.n, a.chain_len))),
     "inflated": (False, lambda a: families.gen_inflated(
         families.inflated_spec(a.chain_len, a.path_len, a.n))),
     "partitioned": (False, lambda a: families.gen_partitioned(
@@ -394,16 +384,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    if args.rounds is not None and args.level is not None:
+        raise ValueError("--level and --rounds exclude each other")
     adv = load_adversary(args.file)
     if args.rounds is not None:
         ig = pattern_indist_graph(adv, args.rounds, budget=args.budget)
-    elif args.level == 1:
+    elif args.level in (None, 1):
         ig = single_round_indist(adv)
     else:
-        trace = decide(adv, no_early_exit=True)
-        if trace.first_level is None:
-            raise NotRootedError("cannot refine an adversary with non-rooted graphs")
-        ig = trace.level_at(args.level)
+        ig = decide(adv, no_early_exit=True).level_at(args.level)
     _emit(ig.to_dot(), args.output)
     return EXIT_OK
 
@@ -455,10 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     _verb(sub, "decide", cmd_decide, "run the refinement and print the verdict",
           _opt("--trace", action="store_true", help="print removed edges per iteration"),
           _opt("--no-early-exit", action="store_true", help="refine to the fixpoint"),
-          _opt("--dot-level", type=int, default=None, metavar="K",
-               help="also export refinement level K as DOT"),
-          _FORMAT,
-          _opt("-o", "--output", default=None, help="DOT output path (default stdout)"))
+          _FORMAT)
     _verb(sub, "oracle", cmd_oracle, "brute-force the smallest broadcastable horizon",
           _opt("--rmax", type=int, default=None), _BUDGET, _FORMAT)
     _verb(sub, "verify", cmd_verify, "synthesize the rule and verify every run",
@@ -470,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     _verb(sub, "generate", cmd_generate, "emit an adversary family as a JSON document",
           _opt("--n", type=int, default=None),
           _opt("--chain-len", type=int, default=4, help="graphs in the chain"),
-          _opt("--max-len", type=int, default=4, help="cap for canonical-chain length"),
           _opt("--path-len", type=int, default=2, help="relay path length (inflated)"),
           _opt("--blocks", type=int, default=1, help="block count t (partitioned)"),
           _opt("--root-size", type=int, default=1, help="root size m (partitioned)"),
@@ -481,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
           _opt("-o", "--output", default="-"),
           doc=_opt("family", choices=list(_FAMILIES)))
     _verb(sub, "export-dot", cmd_export_dot, "export an indistinguishability graph as DOT",
-          _opt("--level", type=int, default=1, help="refinement level (1 = unrefined)"),
+          _opt("--level", type=int, default=None, help="refinement level (1 = unrefined)"),
           _opt("--rounds", type=int, default=None,
                help="export the r-round pattern graph instead"),
           _BUDGET, _opt("-o", "--output", default=None))
@@ -505,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         except BudgetExceededError as exc:
             print(f"budget error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        except (FamilyValidationError, NotRootedError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
 

@@ -213,8 +213,8 @@ def gen_canonical_chain(n: int, max_len: int) -> ChainSpec:
     Root sets come from successive partitions of [1, n/4] and [n/4+1, n/2]
     into three equal cells, alternating between the two ranges; partitions
     that would repeat an already-used cell are skipped so all root sets stay
-    distinct.  The chain length is capped by ``max_len`` instead of growing
-    with the partition count.
+    distinct.  The chain holds exactly ``max_len`` graphs, or the schedule
+    raises when it runs out of partitions first.
     """
     if n < 12:
         raise FamilyValidationError(f"canonical chain needs n >= 12, got {n}")

@@ -237,7 +237,7 @@ def test_generate_families(tmp_path):
     assert len(load_adversary(str(out))) == 4
     assert main(["generate", "partitioned", "--blocks", "1", "--root-size", "1", "-o", str(out)]) == 0
     assert len(load_adversary(str(out))) == 3
-    assert main(["generate", "canonical-chain", "--n", "12", "--max-len", "3", "-o", str(out)]) == 0
+    assert main(["generate", "canonical-chain", "--n", "12", "--chain-len", "3", "-o", str(out)]) == 0
     assert len(load_adversary(str(out))) == 3
     assert main(["generate", "inflated", "--chain-len", "2", "--path-len", "2", "-o", str(out)]) == 0
     assert len(load_adversary(str(out))) == 2
@@ -523,7 +523,7 @@ def test_negative_budget_is_an_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("budget error: ")
 
 
-def test_export_dot_levels(ll_file, capsys):
+def test_export_dot_levels(ll_file, chain_file, capsys):
     # catalog names: G1 = complete, G2 = only 2->1, G3 = only 1->2
     assert main(["export-dot", ll_file]) == 0
     dot1 = capsys.readouterr().out
@@ -534,37 +534,36 @@ def test_export_dot_levels(ll_file, capsys):
     assert main(["export-dot", ll_file, "--rounds", "2"]) == 0
     dotp = capsys.readouterr().out
     assert '"G1.G2"' in dotp
-
-
-def test_decide_dot_level_output(chain_file, tmp_path, capsys):
-    out = tmp_path / "level2.dot"
-    assert main(["decide", chain_file, "--dot-level", "2", "-o", str(out)]) == 0
-    capsys.readouterr()
-    dot = out.read_text()
+    assert main(["export-dot", chain_file, "--level", "2"]) == 0
+    dot = capsys.readouterr().out
     assert dot.startswith("graph indist {")
     # level 2 of the 3-chain has dropped the rightmost edge
     assert '"G1" -- "G2"' in dot and '"G2" -- "G3"' not in dot
+    # decide on lossy_link(3,1) stops early, but export-dot refines to the
+    # fixpoint, so a level past it is the fixpoint level
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["export-dot", str(fixtures / "lossy_link3_1.json"), "--level", "99"]) == 0
+    assert capsys.readouterr().out == (fixtures / "lossy_link3_1.level2.dot").read_text()
 
 
-@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
 @pytest.mark.parametrize(
-    "doc, level, message",
+    "doc, options, message",
     [
-        (None, "0", "levels are numbered from 1"),
-        # lossy_link(3,1) stops early, before the fixpoint
-        (None, "99", "level 99 not computed and trace stopped before the fixpoint"),
-        # a document that is not rooted has no levels, so no file is written
-        (NOT_ROOTED_DOC, "1", "trace has no levels (input was not rooted)"),
+        (None, ["--level", "0"], "levels are numbered from 1"),
+        # a document that is not rooted has only level 1, so no file is written
+        (NOT_ROOTED_DOC, ["--level", "2"], "trace has no levels (input was not rooted)"),
+        # --rounds exports a pattern graph, which has no refinement level
+        (None, ["--level", "3", "--rounds", "1"], "--level and --rounds exclude each other"),
     ],
-    ids=["zero", "past_early_exit", "not_rooted"],
+    ids=["zero", "not_rooted", "level_and_rounds"],
 )
-def test_decide_refused_dot_level_prints_no_verdict(tmp_path, doc, level, message, fmt, capsys):
+def test_export_dot_refused_level_prints_nothing(tmp_path, doc, options, message, capsys):
     if doc is None:
-        path = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+        path = str(Path(__file__).parent / "fixtures" / "chain8.json")
     else:
         path = _write_doc(tmp_path, doc)
     out = tmp_path / "level.dot"
-    assert main(["decide", path, "--dot-level", level, "-o", str(out), *fmt]) == 2
+    assert main(["export-dot", path, *options, "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -762,9 +761,8 @@ def test_malformed_edge_is_named_after_an_out_of_range_one(tmp_path, capsys, bad
     [
         ["export-dot", "{doc}"],
         ["generate", "chain"],
-        ["decide", "{doc}", "--dot-level", "2"],
     ],
-    ids=["export-dot", "generate", "decide"],
+    ids=["export-dot", "generate"],
 )
 def test_unwritable_output_is_an_input_error(chain_file, tmp_path, capsys, argv):
     out = str(tmp_path / "missing" / "out.dot")
@@ -773,10 +771,49 @@ def test_unwritable_output_is_an_input_error(chain_file, tmp_path, capsys, argv)
     err = captured.err
     assert err.startswith(f"input error: cannot write {out}: ")
     assert err.count("\n") == 1
-    # decide renders the DOT before its report but writes it after, so the
-    # report is printed before the write fails
-    if argv[0] == "decide":
-        assert captured.out.startswith("verdict: SOLVABLE\n")
-    else:
-        assert captured.out == ""
+    assert captured.out == ""
     assert not (tmp_path / "missing").exists()
+
+
+LOSSY_LINK3_1 = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+
+
+@pytest.mark.parametrize(
+    "text, argv, error",
+    [
+        ("[]", ["decide"], "document must be a JSON object"),
+        ('{"n": 2}', ["decide"], "document needs 'n' and 'graphs'"),
+        ('{"n": 2, "graphs": []}', ["decide"], "'graphs' must be a non-empty list"),
+        ('{"n": 2, "graphs": {}}', ["decide"], "'graphs' must be a non-empty list"),
+        ('{"n": 2, "graphs": [[]]}', ["decide"], "graph 0 must be an object"),
+        ('{"n": 2, "graphs": [{"name": 1}]}', ["decide"], "graph 0 name must be a string"),
+        ('{"n": 2, "graphs": [{"edges": {}}]}', ["decide"], "graph 0 edges must be a list"),
+        ("{", ["decide"],
+         "{doc} is not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        # the OS message after the path is matched by prefix only
+        (None, ["decide", "{doc}.missing"], "cannot read {doc}.missing: "),
+        (None, ["simulate", LOSSY_LINK3_1, "--pattern", "G1.Gx"], "unknown graph name 'Gx'"),
+        (None, ["simulate", LOSSY_LINK3_1, "--pattern", "G1", "--inputs", "x,y"],
+         "need 3 inputs, got 2"),
+    ],
+    ids=[
+        "not_an_object", "no_graphs", "empty_graphs", "graphs_not_a_list", "graph_not_an_object",
+        "name_not_a_string", "edges_not_a_list", "invalid_json", "unreadable_path",
+        "unknown_graph_name", "wrong_input_count",
+    ],
+)
+def test_input_error_exits_2_with_one_line(tmp_path, capsys, text, argv, error):
+    doc = tmp_path / "adv.json"
+    if text is not None:
+        doc.write_text(text, encoding="utf-8")
+        argv = [*argv, str(doc)]
+    argv = [arg.format(doc=doc) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = f"input error: {error.format(doc=doc)}"
+    if line.endswith(": "):
+        assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    else:
+        assert captured.err == line + "\n"

@@ -1,10 +1,11 @@
 """Byte-for-byte CLI output pinned to recorded fixtures.
 
 Each case runs ``main`` on a checked-in document, checks the exit code and
-compares stdout with the recorded file exactly; stderr must stay empty.  The
-``decide`` and ``--level`` fixtures were produced by the refinement that kept
-every level as a full graph, so they pin that the bitset engine reproduces its
-output byte for byte.  The ``verify``, ``oracle``, ``--rounds`` and
+compares stdout with the recorded file exactly; stderr must stay empty.  A
+fixture named ``*.err`` holds stderr instead, and then stdout must stay empty.
+The ``decide`` and ``--level`` fixtures were produced by the refinement that
+kept every level as a full graph, so they pin that the bitset engine
+reproduces its output byte for byte.  The ``verify``, ``oracle``, ``--rounds`` and
 ``simulate`` fixtures were produced before pattern components and the
 per-component broadcaster checks moved onto the shared union-find.  The
 ``random_rooted4_5_0`` fixtures were produced by the row-per-pattern
@@ -44,7 +45,12 @@ CASES = [
         ("level2.dot", ["export-dot", "--level", "2"]),
         ("rounds2.dot", ["export-dot", "--rounds", "2"]),
     )
-] + [("chain8", "decide_dot3.txt", ["decide", "--dot-level", "3"], 0)] + [
+] + [
+    ("chain8", "level3.dot", ["export-dot", "--level", "3"], 0),
+    # without --horizon the oracle enumerates full levels, and chain(8)'s
+    # sixth holds 8**6 patterns
+    ("chain8", "verify.err", ["verify"], 3),
+] + [
     (doc, out, argv, 1 if doc == "chain8" else 0)
     for doc in ("chain8", "lossy_link3_1")
     for out, argv in (
@@ -81,7 +87,8 @@ USAGE_CASES = [
 def _fixture_call(doc, out, argv, code):
     """(argv, exit code, stdout, stderr) expected of one fixture case."""
     text = (FIXTURES / f"{doc}.{out}").read_text(encoding="utf-8")
-    return [*argv, str(FIXTURES / f"{doc}.json")], code, text, ""
+    streams = ("", text) if out.endswith(".err") else (text, "")
+    return [*argv, str(FIXTURES / f"{doc}.json")], code, *streams
 
 
 def _usage_call(name, argv, code, stream):

@@ -172,6 +172,17 @@ def test_check_protected_chain_premise_errors(lossy_link_2):
     with pytest.raises(PremiseError, match="S_1 does not induce a connected subgraph"):
         check_protected_chain([[0, 2]], chain_trace)
     assert check_protected_chain([[0, 1, 2]], chain_trace) is True
+    with pytest.raises(PremiseError, match="^S_2 is empty$"):
+        check_protected_chain([[0], []], chain_trace)
+    # the loop-only graph has no unique root, so the trace has no levels
+    d = Adversary([CommunicationGraph(2, [(1, 2)], "Ok"), CommunicationGraph(2, [], "Loops")])
+    with pytest.raises(PremiseError, match=r"^trace has no levels \(input was not rooted\)$"):
+        check_protected_chain([[0]], decide(d, no_early_exit=True))
+    # no process has the same in-neighbourhood in both graphs, so level 1 has
+    # no edge and S_1, S_2 sit in different components
+    d = Adversary([CommunicationGraph(2, [(1, 2)], "G1"), CommunicationGraph(2, [(2, 1)], "G2")])
+    with pytest.raises(PremiseError, match="^S_1 is not connected to S_2 in level 1$"):
+        check_protected_chain([[0], [1]], decide(d, no_early_exit=True))
 
 
 def test_check_protected_chain_unprotected_premise():

@@ -200,6 +200,41 @@ def test_inflated_new_edges_vanish_in_first_removal():
         assert second.label(u, v) is None
 
 
+_ROOTS = (frozenset({1}), frozenset({2}))
+_ENCODERS = frozenset({6, 7, 8})
+_BASE = simple_chain_spec(2, 8)  # roots {1}, {2}, {3}; encoders {4, 5, 6}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChainSpec(10, _ROOTS[:1], _ENCODERS), "need at least 2 root sets (one graph)"),
+        (lambda: ChainSpec(10, (_ROOTS[0], frozenset()), _ENCODERS), "root set R_2 is empty"),
+        (lambda: ChainSpec(10, (_ROOTS[0], frozenset({2, 3})), _ENCODERS),
+         "root sets must all have the same size"),
+        (lambda: ChainSpec(10, (_ROOTS[0], frozenset({11})), _ENCODERS),
+         "root set R_2 out of range 1..10"),
+        (lambda: ChainSpec(10, _ROOTS, frozenset()), "encoder set is empty"),
+        (lambda: ChainSpec(10, _ROOTS, _ENCODERS | {11}), "encoder set out of range 1..10"),
+        (lambda: ChainSpec(10, _ROOTS, _ENCODERS | {2}), "encoder set intersects root set R_2"),
+        (lambda: InflateSpec(_BASE, ()), "relay path must have at least one node"),
+        (lambda: InflateSpec(_BASE, (7, 7)), "relay path nodes must be distinct"),
+        (lambda: InflateSpec(_BASE, (7, 9)), "relay path out of range 1..8"),
+        (lambda: simple_chain_spec(3, 6), "chain with 3 graphs needs n >= 7"),
+        (lambda: gen_canonical_chain(12, 0), "max_len must be at least 1"),
+    ],
+    ids=[
+        "one_root_set", "empty_root_set", "unequal_root_sizes", "root_out_of_range",
+        "no_encoders", "encoder_out_of_range", "encoder_in_root", "empty_path",
+        "repeated_path_node", "path_out_of_range", "chain_n_too_small", "canonical_len_zero",
+    ],
+)
+def test_spec_preconditions_raise(build, message):
+    with pytest.raises(FamilyValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # --- partitioned -------------------------------------------------------------
 
 

@@ -262,6 +262,22 @@ def test_verifier_counts_runs_a_truncated_rule_leaves_undecided(rooted4_tree):
     assert run(rule, pattern_at(rule.adversary, 3, k * 5 + 4), [1, 2, 3, 4]).ok
 
 
+def test_run_reports_a_pattern_missing_from_its_round_as_undecided(solvable_pair):
+    # round 1 leaves G2 undecided, but round 2 lacks its extension G2.G1
+    # (index 2): the prefix walk stops there, and the run adopts nothing
+    rule = flat_rule(solvable_pair, 2, [1, 1, 1, 1])
+    index, decided = rule.index[2], rule.decided[2]
+    cut = dataclasses.replace(
+        rule,
+        index=rule.index[:2] + ((*index[:2], *index[3:]),),
+        decided=rule.decided[:2] + (decided[:2] + decided[3:],),
+    )
+    sigma = Pattern(solvable_pair, (1, 0))
+    assert pattern_index(sigma) == 2 and run(rule, sigma, [1, 2, 3]).ok
+    result = run(cut, sigma, [1, 2, 3])
+    assert (result.adopted, result.value, result.termination_ok) == ((), None, False)
+
+
 def test_run_all_equal_inputs_forces_validity(solvable_pair):
     rule = build_rule(solvable_pair, 2)
     sigma = Pattern(solvable_pair, (0, 1))
