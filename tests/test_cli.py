@@ -523,7 +523,7 @@ def test_negative_budget_is_an_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("budget error: ")
 
 
-def test_export_dot_levels(ll_file, chain_file, capsys):
+def test_export_dot_levels(ll_file, capsys):
     # catalog names: G1 = complete, G2 = only 2->1, G3 = only 1->2
     assert main(["export-dot", ll_file]) == 0
     dot1 = capsys.readouterr().out
@@ -534,11 +534,17 @@ def test_export_dot_levels(ll_file, chain_file, capsys):
     assert main(["export-dot", ll_file, "--rounds", "2"]) == 0
     dotp = capsys.readouterr().out
     assert '"G1.G2"' in dotp
+
+
+def test_export_dot_level_output(chain_file, capsys):
     assert main(["export-dot", chain_file, "--level", "2"]) == 0
     dot = capsys.readouterr().out
     assert dot.startswith("graph indist {")
     # level 2 of the 3-chain has dropped the rightmost edge
     assert '"G1" -- "G2"' in dot and '"G2" -- "G3"' not in dot
+
+
+def test_export_dot_level_past_early_exit(capsys):
     # decide on lossy_link(3,1) stops early, but export-dot refines to the
     # fixpoint, so a level past it is the fixpoint level
     fixtures = Path(__file__).parent / "fixtures"
