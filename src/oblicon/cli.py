@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser: no argument appends or has a mutable default, and argparse
     picks its output streams and the terminal width when it prints.  Each
     sub-command's ``cmd_*`` handler is bound when the parser is first
-    built.  Callers must not modify the returned parser.
+    built, and ``verbs`` maps each sub-command's name to its sub-parser.
+    Callers must not modify the returned parser.
     """
     parser = argparse.ArgumentParser(
         prog="oblicon",
@@ -470,14 +471,33 @@ def build_parser() -> argparse.ArgumentParser:
           _opt("--rounds", type=int, default=None,
                help="export the r-round pattern graph instead"),
           _BUDGET, _opt("-o", "--output", default=None))
+    parser.verbs = sub.choices  # verb name -> its sub-parser, for _parse_args
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a call that names a verb
+    first parsed by that verb's sub-parser alone: the top-level pass would
+    only hand it the rest of ``argv`` and add about as much time again.
+    Arguments the verb leaves over send ``argv`` back through the
+    top-level parser, so its error is printed as before."""
+    parser = build_parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extra = verb.parse_known_args(argv[1:])
+    if extra:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI call and return its exit code; callable repeatedly in one
-    process.  The verb runs with the cyclic garbage collector paused
-    (``_CollectorPaused``)."""
-    args = build_parser().parse_args(argv)
+    process.  ``argv`` (default ``sys.argv[1:]``) is parsed by
+    ``_parse_args``, and the verb runs with the cyclic garbage collector
+    paused (``_CollectorPaused``)."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     with _CollectorPaused():
         try:
             budget = getattr(args, "budget", 0)

@@ -92,10 +92,9 @@ class Pattern:
 
     @staticmethod
     def from_names(d: Adversary, spec: str) -> "Pattern":
-        """Parse 'Ga.Gb.Gc' (or comma-separated) into a pattern."""
-        spec = spec.strip()
-        if not spec:
-            return Pattern(d, ())
+        """Parse 'Ga.Gb.Gc' (or comma-separated) into a pattern; an empty
+        or blank name, the whole of an empty ``spec`` too, raises KeyError
+        as an unknown one does."""
         parts = spec.replace(",", ".").split(".")
         return Pattern(d, tuple(d.index_of(p.strip()) for p in parts))
 

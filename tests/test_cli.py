@@ -782,6 +782,7 @@ def test_unwritable_output_is_an_input_error(chain_file, tmp_path, capsys, argv)
 
 
 LOSSY_LINK3_1 = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
+RANDOM_ROOTED4_5_0 = str(Path(__file__).parent / "fixtures" / "random_rooted4_5_0.json")
 
 
 @pytest.mark.parametrize(
@@ -802,11 +803,16 @@ LOSSY_LINK3_1 = str(Path(__file__).parent / "fixtures" / "lossy_link3_1.json")
         (None, ["simulate", LOSSY_LINK3_1, "--pattern", "G1.Gx"], "unknown graph name 'Gx'"),
         (None, ["simulate", LOSSY_LINK3_1, "--pattern", "G1", "--inputs", "x,y"],
          "need 3 inputs, got 2"),
+        # an empty or blank pattern names no graph, so it is no run
+        (None, ["simulate", RANDOM_ROOTED4_5_0, "--pattern", ""], "unknown graph name ''"),
+        (None, ["simulate", RANDOM_ROOTED4_5_0, "--pattern", " "], "unknown graph name ''"),
+        (None, ["simulate", RANDOM_ROOTED4_5_0, "--pattern", "G1..G2"], "unknown graph name ''"),
     ],
     ids=[
         "not_an_object", "no_graphs", "empty_graphs", "graphs_not_a_list", "graph_not_an_object",
         "name_not_a_string", "edges_not_a_list", "invalid_json", "unreadable_path",
-        "unknown_graph_name", "wrong_input_count",
+        "unknown_graph_name", "wrong_input_count", "empty_pattern", "blank_pattern",
+        "empty_pattern_name",
     ],
 )
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, text, argv, error):
@@ -823,3 +829,52 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, text, argv, error):
         assert captured.err.startswith(line) and captured.err.count("\n") == 1
     else:
         assert captured.err == line + "\n"
+
+
+DOC = "tests/fixtures/chain8.json"
+ROUTED_ARGVS = {
+    # every verb with valid arguments
+    "decide": ["decide", DOC, "--trace", "--no-early-exit", "--format=json"],
+    "oracle": ["oracle", DOC, "--rmax", "3", "--budget", "10", "--format", "json"],
+    "verify": ["verify", DOC, "--horizon", "2", "--format=json"],
+    "simulate": ["simulate", DOC, "--pattern", "G1.G2", "--inputs", "a,b"],
+    "generate": ["generate", "chain", "--n", "3", "--chain-len", "2", "-o", "out.json"],
+    "export-dot": ["export-dot", DOC, "--level", "2", "-o", "out.dot"],
+    **{f"{verb}_help": [verb, "--help"] for verb in
+       ("decide", "oracle", "verify", "simulate", "generate", "export-dot")},
+    "missing_file": ["decide"],
+    "bad_choice": ["decide", DOC, "--format", "xml"],
+    "bad_int": ["oracle", DOC, "--rmax", "x"],
+    "ambiguous_abbreviation": ["verify", "f", "--h"],
+    "unique_abbreviation": ["decide", DOC, "--form", "json"],
+    "sentinel": ["decide", "--", DOC],
+    "sentinel_after_option": ["export-dot", "--level", "2", "--", "-f"],
+    "unknown_option": ["decide", DOC, "--bogus"],
+    "extra_argument": ["decide", DOC, "extra"],
+    "help_first": ["-h"],
+    "no_arguments": [],
+    "option_first": ["--format", "json", "decide", DOC],
+    "unknown_verb": ["bogus", DOC],
+}
+
+# the rows that parse; every other row exits through argparse
+PARSED = {"decide", "oracle", "verify", "simulate", "generate", "export-dot",
+          "unique_abbreviation", "sentinel", "sentinel_after_option"}
+
+
+@pytest.mark.parametrize("name", ROUTED_ARGVS)
+def test_routed_parse_matches_the_top_level_parser(name, capsys, monkeypatch):
+    """``main``'s parse hands a call that names a verb to that verb's parser;
+    it must give the namespace, or the exit and output, that the top-level
+    parser gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def parse(parse_args):
+        try:
+            return vars(parse_args(list(ROUTED_ARGVS[name])))
+        except SystemExit as exc:
+            return exc.code, *capsys.readouterr()
+
+    expected = parse(cli.build_parser().parse_args)
+    assert parse(cli._parse_args) == expected
+    assert isinstance(expected, dict) == (name in PARSED)

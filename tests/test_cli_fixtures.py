@@ -19,6 +19,9 @@ differs between Python minor versions; they were recorded with Python 3.11.
 The ``oracle``, ``verify``, ``simulate``, ``generate`` and ``export-dot``
 help texts were recorded while each sub-command still added its options one
 ``add_argument`` call at a time, before they were built from shared specs.
+The ``decide_unknown_option`` and ``decide_extra_argument`` errors were
+recorded while every call still went through the top-level parser, before
+``main`` handed a call straight to its verb's parser.
 Every call must give the same bytes whether it builds the parser or reuses
 it after other calls.
 """
@@ -81,6 +84,9 @@ USAGE_CASES = [
     ("generate_help", ["generate", "--help"], 0, "out"),
     ("export_dot_help", ["export-dot", "--help"], 0, "out"),
     ("verify_no_file", ["verify"], 2, "err"),
+    # arguments the verb leaves over are refused by the top-level parser
+    ("decide_unknown_option", ["decide", "tests/fixtures/chain8.json", "--bogus"], 2, "err"),
+    ("decide_extra_argument", ["decide", "tests/fixtures/chain8.json", "extra"], 2, "err"),
 ]
 
 
@@ -132,10 +138,10 @@ def test_repeated_calls_share_no_state(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     build_parser.cache_clear()  # the first call below builds the parser
     helps = [_usage_call(*c) for c in USAGE_CASES if c[3] == "out"]
-    (error,) = [_usage_call(*c) for c in USAGE_CASES if c[3] == "err"]
+    errors = [_usage_call(*c) for c in USAGE_CASES if c[3] == "err"]
     calls = []
     for k, case in enumerate(CASES * 2):
-        calls += [_fixture_call(*case), error, helps[k % len(helps)]]
+        calls += [_fixture_call(*case), errors[k % len(errors)], helps[k % len(helps)]]
     trace, plain = (
         _fixture_call("chain8", out, argv, 0)
         for out, argv in (("decide_trace.txt", ["decide", "--trace"]), ("decide.txt", ["decide"]))

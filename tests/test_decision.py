@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oblicon.decision import Verdict, check_protected_chain, decide
@@ -155,6 +157,16 @@ def test_check_protected_chain_partitioned_blocks():
     fam = gen_partitioned(2, 3)
     trace = decide(fam.adversary, no_early_exit=True)
     assert check_protected_chain([fam.blocks[0], fam.blocks[1]], trace) is True
+
+
+def test_check_protected_chain_reports_a_lost_edge(lossy_link_2):
+    # the premises hold for S_1 = S_2 = every graph; a removal log doctored to
+    # drop (Ga, Gc) while forming level 2 leaves S_1 with a lost edge there
+    trace = decide(lossy_link_2, no_early_exit=True)
+    assert trace.removed == ((), ())
+    assert check_protected_chain([[0, 1, 2], [0, 1, 2]], trace) is True
+    doctored = dataclasses.replace(trace, removed=((), ((0, 2),)))
+    assert check_protected_chain([[0, 1, 2], [0, 1, 2]], doctored) is False
 
 
 def test_check_protected_chain_premise_errors(lossy_link_2):

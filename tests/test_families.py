@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from oblicon import families
 from oblicon.cli import adversary_to_doc
 from oblicon.decision import Verdict, decide
 from oblicon.graphs import CommunicationGraph
@@ -25,7 +26,7 @@ from oblicon.families import (
     simple_chain_spec,
     source_broadcast,
 )
-from oblicon.indist import single_round_indist
+from oblicon.indist import Adversary, single_round_indist
 from oblicon.patterns import (
     Pattern,
     indist_label,
@@ -231,6 +232,83 @@ _BASE = simple_chain_spec(2, 8)  # roots {1}, {2}, {3}; encoders {4, 5, 6}
 )
 def test_spec_preconditions_raise(build, message):
     with pytest.raises(FamilyValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def _chain(num_graphs):
+    return gen_chain(simple_chain_spec(num_graphs))
+
+
+def _inflated(path_len):
+    return gen_inflated(inflated_spec(3, path_len))
+
+
+def _chain_edge_without_its_root_label():
+    """Roots {1}, {2}, {3}, as in the 3-chain, but p4 alone cannot tell G1
+    from G2: the edge (G1,G2) lacks p3, whose root set R_3 labels it."""
+    return Adversary([
+        CommunicationGraph(4, [(1, 2), (1, 3), (1, 4), (2, 4)], "G1"),
+        CommunicationGraph(4, [(2, 1), (2, 3), (2, 4), (1, 4)], "G2"),
+        CommunicationGraph(4, [(3, 1), (3, 2), (3, 4)], "G3"),
+    ])
+
+
+def _undoctored(monkeypatch):
+    pass
+
+
+# (build, doctor, message): each validator run on an adversary made to fail
+# it, mostly a spec paired with another family's adversary.  Nothing a caller
+# passes in reaches gen_partitioned's block checks or random_rooted's attempt
+# cap, so ``doctor`` stubs the property they check, or overstates the rooted
+# graphs that exist on n=2 (4 of 4, where 3 are rooted).
+FAMILY_CHECKS = [
+    (lambda: families._validate_chain(
+        simple_chain_spec(3), Adversary(list(reversed(_chain(3).graphs)))),
+     _undoctored, "Root(G3) = frozenset({3}), expected {1}"),
+    (lambda: families._validate_chain(simple_chain_spec(2), _chain(3)), _undoctored,
+     "indistinguishability graph is not the expected chain: got {(0, 1): 4, (1, 2): 8}, "
+     "expected {(0, 1): 4}"),
+    (lambda: families._validate_inflated(inflated_spec(3, 1), _chain_edge_without_its_root_label()),
+     _undoctored, "chain edge (G1,G2) lost its root label"),
+    (lambda: families._validate_inflated(inflated_spec(3, 1), _inflated(2)), _undoctored,
+     "new edge (G1,G3) has label outside the relay/encoder sets"),
+    (lambda: families._validate_inflated(inflated_spec(3, 3), _inflated(1)), _undoctored,
+     "delay violated: G1^3 vs G2^3 distinguishable inside R_3 with path length 3"),
+    (lambda: inflate_pattern(Pattern(_chain(2), (0,)), inflated_spec(3, 2), _inflated(2), 2),
+     _undoctored, "pattern's adversary does not match the inflated family size"),
+    (lambda: check_inflation_preserved(_chain(3), inflated_spec(3, 2), _chain(3), 1),
+     _undoctored, "inflation lost label bits on edge G1 -- G2: (3,) vs ()"),
+    (lambda: gen_partitioned(1, 1, 5), _undoctored,
+     "partitioned family with t=1, m=1 needs n >= 6"),
+    (lambda: gen_partitioned(1, 1),
+     lambda mp: mp.setattr(families, "induced_connected", lambda ig, nodes: False),
+     "block S_1 is not connected in the indist graph"),
+    (lambda: gen_partitioned(1, 1),
+     lambda mp: mp.setattr(families, "broadcaster_mask", lambda sigma: 1),
+     "witness patterns share a broadcaster; the block product would be broadcastable"),
+    (lambda: lossy_link(2, 3), _undoctored, "f must be in 0..2"),
+    (lambda: lossy_link(2, -1), _undoctored, "f must be in 0..2"),
+    (lambda: random_rooted(2, 4, 0),
+     lambda mp: mp.setitem(families._ROOTED_GRAPHS, 2, 4),
+     "could not sample 4 distinct rooted graphs on n=2"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, doctor, message",
+    FAMILY_CHECKS,
+    ids=[
+        "roots", "chain_edges", "inflated_root_label", "inflated_new_label", "inflated_delay",
+        "inflate_pattern_size", "inflation_preserved", "partitioned_n", "partitioned_block",
+        "partitioned_witnesses", "lossy_link_f_high", "lossy_link_f_negative",
+        "random_rooted_attempts",
+    ],
+)
+def test_family_checks_raise(build, doctor, message, monkeypatch):
+    doctor(monkeypatch)
+    with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
 

@@ -223,6 +223,25 @@ def test_prefix_and_extend(lossy_link_2):
         Pattern(d, (7,))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sigma: sigma.graph_at(0), "round 0 out of range 1..2"),
+        (lambda sigma: sigma.graph_at(3), "round 3 out of range 1..2"),
+        (lambda sigma: sigma.prefix(-1), "prefix length -1 out of range"),
+        (lambda sigma: sigma.prefix(3), "prefix length 3 out of range"),
+        (lambda sigma: sigma.remove_round(0), "round 0 out of range 1..2"),
+        (lambda sigma: pattern_at(sigma.adversary, 2, 9), "pattern index out of range"),
+    ],
+    ids=["graph_at_0", "graph_at_3", "prefix_negative", "prefix_too_long", "remove_round_0",
+         "pattern_at_past_the_end"],
+)
+def test_pattern_range_errors(lossy_link_2, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(pat(lossy_link_2, "Ga", "Gb"))
+    assert str(exc.value) == message
+
+
 def test_identifying_process_column_is_the_id_range():
     from oblicon.families import source_broadcast
     from oblicon.patterns import _extend, _round_inputs, iter_pattern_levels

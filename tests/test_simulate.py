@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from conftest import flat_rule
+from oblicon import simulate
 from oblicon.cli import load_adversary
 from oblicon.decision import Verdict, decide
-from oblicon.errors import BudgetExceededError, NonBroadcastableComponentError
+from oblicon.errors import BudgetExceededError, NonBroadcastableComponentError, NotRootedError
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary
 from oblicon.patterns import Pattern, broadcaster_mask, indist_label, pattern_index
@@ -48,6 +49,11 @@ def test_build_rule_horizon_zero():
     )
     with pytest.raises(NonBroadcastableComponentError):
         build_rule(d, 0)
+
+
+def test_build_rule_refuses_a_pattern_of_another_length(solvable_pair):
+    with pytest.raises(ValueError, match=r"^pattern has 1 rounds, rule expects 2$"):
+        build_rule(solvable_pair, 2, until=Pattern(solvable_pair, (0,)))
 
 
 def test_build_rule_source_broadcast_singleton_components():
@@ -437,6 +443,32 @@ def test_imposs_witness_lossy_link(lossy_link_2):
     for s1, s2 in zip(w.path, w.path[1:]):
         assert indist_label(s1, s2) != 0
     assert len(w.edge_labels) == len(w.path) - 1
+
+
+def test_imposs_witness_refuses_an_unrooted_adversary():
+    d = Adversary([CommunicationGraph(2, [(1, 2)], "Ok"), CommunicationGraph(2, [], "Loops")])
+    with pytest.raises(NotRootedError, match="^witness construction requires all graphs rooted$"):
+        imposs_witness(d, 1)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (lambda start, goal: None,
+         "level-1 component is root-incompatible but Ga^1 and Gb^1 are not connected "
+         "among 1-round patterns"),
+        # Ga and Gb differ in both processes' in-neighbourhoods: no edge joins them
+        (lambda start, goal: [start, goal], "path edge Ga -- Gb failed re-verification"),
+    ],
+    ids=["no_path", "path_not_in_the_graph"],
+)
+def test_imposs_witness_rechecks_the_view_path(lossy_link_2, monkeypatch, path, message):
+    """The witness's path comes from ``_view_path`` and is checked again; a
+    search that finds none, or a path that is no path, raises."""
+    monkeypatch.setattr(simulate, "_view_path", lambda views, start, goal: path(start, goal))
+    with pytest.raises(RuntimeError) as exc:
+        imposs_witness(lossy_link_2, 1)
+    assert str(exc.value) == message
 
 
 def test_imposs_witness_none_for_solvable(solvable_pair):

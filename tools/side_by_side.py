@@ -19,7 +19,7 @@ Standard library only.  Run from anywhere:
 A ratio is the after checkout's CPU time over the before checkout's, taken
 per round and reported as the median over rounds; ``faster`` counts the
 rounds where after took less.  ``same`` says whether the two checkouts
-printed the same exit code and stdout on every round.
+gave the same exit code, stdout and stderr on every round.
 """
 from __future__ import annotations
 
@@ -89,17 +89,17 @@ def time_function(pkg, target: str) -> list[int]:
     return spent
 
 
-def call(cli, argv, spent: list[list[int]]) -> tuple[int, int, str, list[int]]:
-    """CPU ns of one ``cli.main`` call, the exit code, stdout, and the CPU ns
-    spent in each timed function."""
+def call(cli, argv, spent: list[list[int]]) -> tuple[int, int, str, str, list[int]]:
+    """CPU ns of one ``cli.main`` call, the exit code, stdout, stderr, and
+    the CPU ns spent in each timed function."""
     gc.collect()
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     before = [s[0] for s in spent]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         t0 = time.process_time_ns()
         rc = cli.main(list(argv))
         ns = time.process_time_ns() - t0
-    return ns, rc, out.getvalue(), [s[0] - b for s, b in zip(spent, before)]
+    return ns, rc, out.getvalue(), err.getvalue(), [s[0] - b for s, b in zip(spent, before)]
 
 
 def row(label: str, a: list[int], b: list[int]) -> str:
@@ -137,11 +137,11 @@ def main(argv: list[str] | None = None) -> int:
             for op in ops:
                 order = (0, 1) if r % 2 else (1, 0)
                 got = {k: call(pkgs[k].cli, op.argv, spent[k]) for k in order}
-                same[op.label] &= got[0][1:3] == got[1][1:3]
+                same[op.label] &= got[0][1:4] == got[1][1:4]
                 if r:  # round 0 warms up
                     for k in (0, 1):
                         times[op.label][k].append(got[k][0])
-                        for pair, ns in zip(times[op.label][2], got[k][3]):
+                        for pair, ns in zip(times[op.label][2], got[k][4]):
                             pair[k].append(ns)
 
     print(f"{args.workload} seed {args.seed}, {args.rounds} rounds; CPU ms medians")
