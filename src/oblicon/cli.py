@@ -11,6 +11,7 @@ import argparse
 import functools
 import gc
 import json
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
@@ -37,18 +38,16 @@ EXIT_BUDGET = 3
 
 
 def adversary_to_doc(adv: Adversary) -> dict:
-    # each graph's edges(), built as lists straight off its out-masks
-    return {
-        "n": adv.n,
-        "graphs": [
-            {"name": g.name, "edges": [
-                [u, v]
-                for u, out in enumerate(g._out, 1) if out != 1 << (u - 1)
-                for v in procs_of(out) if u != v
-            ]}
-            for g in adv.graphs
-        ],
-    }
+    return {"n": adv.n, "graphs": [{"name": g.name, "edges": _edge_list(g)} for g in adv.graphs]}
+
+
+def _edge_list(g: CommunicationGraph) -> list[list[int]]:
+    # g.edges(), built as lists straight off its out-masks
+    return [
+        [u, v]
+        for u, out in enumerate(g._out, 1) if out != 1 << (u - 1)
+        for v in procs_of(out) if u != v
+    ]
 
 
 def _is_int(x: Any) -> bool:
@@ -87,6 +86,9 @@ def adversary_from_doc(doc: Any, may_hold_true: bool = True) -> Adversary:
             blank = "is empty or has leading or trailing whitespace"
             raise AdversaryFormatError(f"graph {k} name {name!r} {blank}")
         raw_edges = entry.get("edges", [])
+        if type(raw_edges) is _Built:
+            graphs.extend(raw_edges)
+            continue
         if not isinstance(raw_edges, list):
             raise AdversaryFormatError(f"graph {k} edges must be a list")
         # the build takes a JSON true as 1 and raises on every other malformed
@@ -110,23 +112,85 @@ def adversary_from_doc(doc: Any, may_hold_true: bool = True) -> Adversary:
         raise AdversaryFormatError(str(exc)) from exc
 
 
+class _Built(tuple):
+    """``(graph,)``: a graph entry's graph, built by ``_decoder`` in place of
+    its edges."""
+
+    __slots__ = ()
+
+
+@functools.lru_cache(maxsize=8)
+def _decoder(n: int) -> json.JSONDecoder:
+    """A JSON decoder that builds the graph on ``n`` processes of each object
+    holding an "edges" list as soon as the object is read, so that the list
+    is freed before the next graph is read.  A build that raises leaves the
+    list for ``adversary_from_doc`` to report.  Kept per n, like
+    ``graphs._bits``."""
+
+    def build(obj: dict) -> dict:
+        if type(obj.get("edges")) is list:
+            try:
+                obj["edges"] = _Built((CommunicationGraph(n, obj["edges"], obj.get("name")),))
+            except (TypeError, ValueError):
+                pass
+        return obj
+
+    return json.JSONDecoder(object_hook=build)
+
+
+# how ``generate`` and the indented fixtures end a document
+_TAIL = re.compile(r'"n": ([0-9]+)\s*\}\s*\Z')
+# a shorter text is decoded plainly: its edge lists take under about 1 MB,
+# and the hook's calls made loads of 400-byte documents about 7% slower
+_HOOKED_MIN = 1 << 16
+
+
 def load_adversary(path: str) -> Adversary:
+    """Read and validate the adversary document at ``path``.
+
+    A text of at least 64 KiB with no 't' (so no JSON true) that ends as
+    ``generate`` writes, with ``"n": <int>}``, is decoded by ``_decoder(n)``,
+    one graph at a time.  If that decode fails, its 'n' is another value or
+    ``adversary_from_doc`` rejects it, the text is decoded again as plain
+    JSON and validated from that, so every error reads as it does for the
+    plain decode.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+        # JSON makes a true only from the bare token, so a text without a 't'
+        # holds none; that memchr costs 12 us on an 884 KB text, "true" 0.65 ms
+        may_hold_true = "t" in text
+        tail = None if may_hold_true or len(text) < _HOOKED_MIN else _TAIL.search(text[-64:])
+        if tail and (n := int(tail[1])) <= MAX_PROCESSES:
+            # json.loads, unlike a decoder's decode, names a leading BOM
+            try:
+                doc = _decoder(n).decode(text)
+                if doc.get("n") == n:
+                    return adversary_from_doc(doc, False)
+            except (json.JSONDecodeError, AdversaryFormatError):
+                pass
         doc = json.loads(text)
     except OSError as exc:
         raise AdversaryFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise AdversaryFormatError(f"{path} is not valid JSON: {exc}") from exc
-    # JSON makes a true only from the bare token, so a text without a 't'
-    # holds none; that memchr costs 12 us on an 884 KB text, "true" 0.65 ms
-    return adversary_from_doc(doc, "t" in text)
+    return adversary_from_doc(doc, may_hold_true)
 
 
 def save_adversary(adv: Adversary, path: str) -> None:
     with _CollectorPaused():
-        _emit(json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n", path)
+        _emit(_doc_text(adv), path)
+
+
+def _doc_text(adv: Adversary) -> Iterator[str]:
+    """``json.dumps(adversary_to_doc(adv), sort_keys=True) + "\\n"`` in
+    pieces, one graph each, so that one graph's edge list is held at a time."""
+    lead = '{"graphs": ['
+    for g in adv.graphs:
+        yield f'{lead}{{"edges": {json.dumps(_edge_list(g))}, "name": {json.dumps(g.name)}}}'
+        lead = ", "
+    yield f'], "n": {adv.n}}}\n'
 
 
 class _CollectorPaused:
@@ -144,15 +208,16 @@ class _CollectorPaused:
             gc.enable()
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout for None or "-"; a
-    file that cannot be written is an input error."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` in turn to the file ``out``, opened before the first
+    is made, or to stdout for None or "-"; a file that cannot be opened or
+    written is an input error."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise AdversaryFormatError(f"cannot write {out}: {exc}") from exc
 
@@ -393,7 +458,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         ig = single_round_indist(adv)
     else:
         ig = decide(adv, no_early_exit=True).level_at(args.level)
-    _emit(ig.to_dot(), args.output)
+    _emit((ig.to_dot(),), args.output)
     return EXIT_OK
 
 

@@ -1,8 +1,15 @@
+import errno
+import io
 import json
+import os
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oblicon import cli
 from oblicon.cli import (
@@ -15,6 +22,8 @@ from oblicon.cli import (
 )
 from oblicon.errors import AdversaryFormatError
 from oblicon.families import gen_chain, lossy_link, random_rooted, simple_chain_spec
+from oblicon.graphs import CommunicationGraph
+from oblicon.indist import Adversary
 
 
 @pytest.fixture
@@ -463,35 +472,188 @@ def test_generator_output_under_the_level_one_cap_is_decided(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "SOLVABLE"
 
 
+class _FullDisk(io.StringIO):
+    """A file that opens but takes no write, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_save_adversary_pauses_the_collector(monkeypatch, tmp_path, enabled):
-    # a library caller saves outside main: the document is built with the
-    # collector paused, its bytes are those of a plain dump, and the caller's
-    # state comes back, after a failed write too
+    # a library caller saves outside main: every graph is encoded with the
+    # collector paused, the bytes are those of a plain dump, and the caller's
+    # state comes back, after a failed open and a failed write too
     import gc
 
     d = random_rooted(4, 12, 5)
     reference = json.dumps(adversary_to_doc(d), sort_keys=True) + "\n"
     during = []
 
-    def to_doc(adv):
+    def edge_list(g):
         during.append(gc.isenabled())
-        return real(adv)
+        return real(g)
 
-    real = cli.adversary_to_doc
-    monkeypatch.setattr(cli, "adversary_to_doc", to_doc)
+    real = cli._edge_list
+    monkeypatch.setattr(cli, "_edge_list", edge_list)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
         save_adversary(d, str(tmp_path / "adv.json"))
         assert gc.isenabled() is enabled
-        with pytest.raises(AdversaryFormatError):
+        # the output is opened before any graph is encoded
+        with pytest.raises(AdversaryFormatError, match="^cannot write .*missing"):
             save_adversary(d, str(tmp_path / "missing" / "adv.json"))
+        assert gc.isenabled() is enabled
+        # a write that fails after the open is the same input error
+        monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(), raising=False)
+        with pytest.raises(AdversaryFormatError, match=r"^cannot write full\.json: \[Errno 28\] "):
+            save_adversary(d, "full.json")
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False, False]
+    # each graph of the written save, then the first graph of the failed write
+    assert during == [False] * (len(d) + 1)
     assert (tmp_path / "adv.json").read_text(encoding="utf-8") == reference
+
+
+def test_generate_to_a_full_disk_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(), raising=False)
+    assert main(["generate", "chain", "--chain-len", "3", "-o", "full.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: cannot write full.json: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+
+
+def _graphs(*entries: str) -> str:
+    return '{"graphs": [' + ", ".join(entries) + "]"
+
+
+# documents whose load takes the hooked decode (n) or only the plain one
+# (None); each case is loaded both ways, and must give the same adversary or
+# the same error
+_DECODE_CASES = {
+    "n-first": (None, '{"n": 3, "graphs": [{"edges": [[1, 2]], "name": "A"}]}'),
+    "indented": (3, json.dumps(
+        {"graphs": [{"edges": [[1, 2], [2, 3]], "name": "A"}, {"edges": [], "name": "B"}], "n": 3},
+        indent=2, sort_keys=True) + "\n"),
+    "escaped-n-key": (3, _graphs('{"edges": [[1, 2]], "name": "A"}') + ', "n": 4, "a\\"n": 3}'),
+    "n-3": (3, _graphs('{"edges": [[1, 2]], "name": "A"}', '{"edges": [[2, 1], [3, 1]]}')
+            + ', "n": 3}\n\n'),
+    "true-endpoint": (None, _graphs('{"edges": [[true, 2]], "name": "A"}') + ', "n": 3}'),
+    "n-1": (1, _graphs('{"edges": [], "name": "A"}') + ', "n": 1}'),
+    "n-5000": (None, _graphs('{"edges": [[1, 2]], "name": "A"}') + ', "n": 5000}'),
+    "malformed-edge-in-graph-3": (3, _graphs(
+        *(f'{{"edges": [[1, {v}]]}}' for v in (2, 3)), '{"edges": [[2, 3]]}',
+        '{"edges": [[3, 1], [2]]}') + ', "n": 3}'),
+    "out-of-range-edge": (3, _graphs('{"edges": [[1, 9]], "name": "A"}') + ', "n": 3}'),
+    "object-in-an-edge": (3, _graphs('{"edges": [[{"edges": [[1, 2]]}, 2]], "name": "A"}')
+                          + ', "n": 3}'),
+    "non-string-name": (3, _graphs('{"edges": [[1, 2]], "name": 5}') + ', "n": 3}'),
+    "missing-names": (3, _graphs('{"edges": [[1, 2]]}', '{"edges": [[2, 1]]}') + ', "n": 3}'),
+    "unknown-graph-field": (3, _graphs('{"edges": [[1, 2]], "name": "A", "x": 1}') + ', "n": 3}'),
+    "unknown-top-level-edges": (3, '{"edges": [[1, 2]], "graphs": [{"edges": [[2, 1]]}], "n": 3}'),
+    "graphs-object": (3, '{"graphs": {"edges": [[1, 2]], "name": "A"}, "n": 3}'),
+    "byte-order-mark": (3, "\ufeff" + _graphs('{"edges": [[1, 2]], "name": "A"}') + ', "n": 3}'),
+    "invalid-json-after-two-graphs": (3, '{"graphs": [{"edges": [[1, 2]], "name": "A"}, '
+                                         '{"edges": [[2, 1]], "name": "B"}, {"edges": [[1 "n": 3}'),
+}
+
+
+@pytest.mark.parametrize("case", list(_DECODE_CASES))
+def test_hooked_decode_matches_the_plain_one(monkeypatch, tmp_path, capsys, case):
+    hooked_n, text = _DECODE_CASES[case]
+    path = tmp_path / "adv.json"
+    path.write_text(text, encoding="utf-8")
+    made = []
+    real = cli._decoder
+    monkeypatch.setattr(cli, "_decoder", lambda n: made.append(n) or real(n))
+    monkeypatch.setattr(cli, "_HOOKED_MIN", 0)  # the cases are tiny documents
+    try:
+        plain = adversary_from_doc(json.loads(text))
+    except json.JSONDecodeError as exc:
+        plain = AdversaryFormatError(f"{path} is not valid JSON: {exc}")
+    except AdversaryFormatError as exc:
+        plain = exc
+    try:
+        loaded = load_adversary(str(path))
+    except AdversaryFormatError as exc:
+        loaded = exc
+    assert made == ([] if hooked_n is None else [hooked_n])
+    if not isinstance(plain, Exception):
+        assert loaded == plain and [g.name for g in loaded.graphs] == list(plain.names)
+        return
+    assert isinstance(loaded, AdversaryFormatError) and str(loaded) == str(plain)
+    hooked_call = main(["decide", str(path)]), capsys.readouterr()
+    monkeypatch.setattr(cli, "_HOOKED_MIN", float("inf"))  # every text decoded plainly
+    assert (main(["decide", str(path)]), capsys.readouterr()) == hooked_call
+    assert hooked_call[0] == 2 and hooked_call[1].err == f"input error: {plain}\n"
+
+
+@pytest.fixture(scope="module")
+def rr_document(tmp_path_factory):
+    # random_rooted(12,1500,1) writes an 884 KB document; the graphs it loads
+    # into take about 2 MB, and a whole document's edge lists about 12 MB
+    adv = random_rooted(12, 1500, 1)
+    path = str(tmp_path_factory.mktemp("rr") / "rr.json")
+    save_adversary(adv, path)
+    load_adversary(path)  # the decoder and the per-n caches are kept
+    return adv, path
+
+
+def _traced_peak(run):
+    """``run()`` and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_adversary_holds_one_graph_at_a_time(rr_document, tmp_path):
+    adv, _ = rr_document
+    path = tmp_path / "rr.json"
+    _, peak = _traced_peak(lambda: save_adversary(adv, str(path)))
+    assert peak < 1 << 20
+    assert path.read_text(encoding="utf-8") == json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n"
+
+
+def test_load_adversary_holds_one_graph_at_a_time(rr_document):
+    adv, path = rr_document
+    loaded, peak = _traced_peak(lambda: load_adversary(path))
+    assert loaded == adv
+    assert peak < 4 << 20
+
+
+# names as load_adversary takes them: no '.' or ',', not blank at either
+# end; quotes, backslashes and non-ASCII are escaped by the writer, and a
+# 't' sends the text down the plain decode
+_names = st.text(
+    st.one_of(st.sampled_from('"\\t\u00e9\u2603\U0001d11e'), st.characters(blacklist_characters=".,")),
+    min_size=1, max_size=6,
+).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def named_adversaries(draw):
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edge_sets = draw(st.lists(st.frozensets(st.sampled_from(pairs)), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(_names, min_size=len(edge_sets), max_size=len(edge_sets), unique=True))
+    return Adversary([CommunicationGraph(n, sorted(e), name) for e, name in zip(edge_sets, names)])
+
+
+@given(named_adversaries())
+@example(Adversary([CommunicationGraph(3, [(1, 2)], 'a"\u00e9'), CommunicationGraph(3, [], "\\")]))
+@settings(max_examples=80, deadline=None)
+def test_saved_document_is_the_plain_dump_and_loads_back(adv):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "adv.json")
+        save_adversary(adv, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(adversary_to_doc(adv), sort_keys=True) + "\n"
+        assert load_adversary(path) == adv
+        with mock.patch.object(cli, "_HOOKED_MIN", 0):  # a name without a 't' takes the hook
+            assert load_adversary(path) == adv
 
 
 def test_simulate_json_reports_a_missing_rule_as_verify_does(capsys):

@@ -11,10 +11,16 @@ timed.  ``--time MODULE.FUNC`` also times every call of one program
 function, say ``cli.adversary_from_doc``, inside each operation, one row
 per function; it may be given more than once, so that one run times
 ``indist.single_round_indist`` (L1) and ``decision.decide`` (L1 and L2).
+``--setup`` also times each checkout's own run of the workload's set-up
+(generating and writing every document) in the same alternating rounds, as
+the row ``set-up``; the benchmark's ``setup_s`` moves by about 5% between
+identical runs, which paired rounds see through.  ``--peak`` also prints,
+per checkout, the tracemalloc peak of one more run of every call and of the
+set-up, taken after the timed rounds so that tracing slows none of them.
 Standard library only.  Run from anywhere:
 
     python3 tools/side_by_side.py BEFORE AFTER --workload decide-large [--seed 7]
-        [--rounds 21] [--time MODULE.FUNC]...
+        [--rounds 21] [--time MODULE.FUNC]... [--setup] [--peak]
 
 A ratio is the after checkout's CPU time over the before checkout's, taken
 per round and reported as the median over rounds; ``faster`` counts the
@@ -32,6 +38,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -50,7 +57,7 @@ def import_package(checkout: Path, name: str):
 def import_workloads(checkout: Path, pkg):
     """``checkout/bench/workloads.py``, with its ``oblicon`` bound to ``pkg``."""
     path = checkout / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("side_by_side_workloads", path)
+    spec = importlib.util.spec_from_file_location(f"side_by_side_workloads_{pkg.__name__}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     saved = sys.modules.get("oblicon")
@@ -102,6 +109,26 @@ def call(cli, argv, spent: list[list[int]]) -> tuple[int, int, str, str, list[in
     return ns, rc, out.getvalue(), err.getvalue(), [s[0] - b for s, b in zip(spent, before)]
 
 
+def setup_ns(setup, seed: int) -> int:
+    """CPU ns of one ``setup(seed, workdir)``, into a directory of its own."""
+    gc.collect()
+    with tempfile.TemporaryDirectory() as workdir:
+        t0 = time.process_time_ns()
+        setup(seed, workdir)
+        return time.process_time_ns() - t0
+
+
+def peak_bytes(run) -> int:
+    """The tracemalloc peak of ``run()``, counted from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def row(label: str, a: list[int], b: list[int]) -> str:
     ratios = [y / x for x, y in zip(a, b) if x]
     faster = sum(y < x for x, y in zip(a, b))
@@ -122,20 +149,29 @@ def main(argv: list[str] | None = None) -> int:
         "--time", metavar="MODULE.FUNC", action="append", default=[],
         help="also time this program function (repeatable)",
     )
+    parser.add_argument("--setup", action="store_true", help="also time each checkout's set-up")
+    parser.add_argument("--peak", action="store_true", help="also print tracemalloc peaks")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave both checkouts as they are
 
     pkgs = [import_package(args.before, "oblicon_before"), import_package(args.after, "oblicon_after")]
-    workloads = import_workloads(args.before, pkgs[0])
+    # the before checkout's workloads, run by each checkout's program
+    setups = [import_workloads(args.before, pkg).WORKLOADS[args.workload].setup for pkg in pkgs]
     spent = [[time_function(pkg, target) for target in args.time] for pkg in pkgs]
+    setup_times: tuple[list[int], list[int]] = ([], [])
     with tempfile.TemporaryDirectory() as workdir:
-        ops, _ = workloads.WORKLOADS[args.workload].setup(args.seed, workdir)
+        ops, _ = setups[0](args.seed, workdir)
         # before, after, and per timed function its before and after
         times = {op.label: ([], [], [([], []) for _ in args.time]) for op in ops}
         same = {op.label: True for op in ops}
         for r in range(args.rounds + 1):
+            order = (0, 1) if r % 2 else (1, 0)
+            if args.setup:
+                got_setup = {k: setup_ns(setups[k], args.seed) for k in order}
+                if r:
+                    for k in (0, 1):
+                        setup_times[k].append(got_setup[k])
             for op in ops:
-                order = (0, 1) if r % 2 else (1, 0)
                 got = {k: call(pkgs[k].cli, op.argv, spent[k]) for k in order}
                 same[op.label] &= got[0][1:4] == got[1][1:4]
                 if r:  # round 0 warms up
@@ -143,14 +179,24 @@ def main(argv: list[str] | None = None) -> int:
                         times[op.label][k].append(got[k][0])
                         for pair, ns in zip(times[op.label][2], got[k][4]):
                             pair[k].append(ns)
+        if args.peak:
+            peaks = {"set-up": [peak_bytes(lambda: setup_ns(setups[k], args.seed)) for k in (0, 1)]}
+            for op in ops:
+                peaks[op.label] = [peak_bytes(lambda: call(pkgs[k].cli, op.argv, [])) for k in (0, 1)]
 
     print(f"{args.workload} seed {args.seed}, {args.rounds} rounds; CPU ms medians")
     print(f"{'call':<40}{'before':>10}{'after':>10}{'ratio':>8}{'faster':>9}  same")
+    if args.setup:
+        print(row("set-up", *setup_times))
     for op in ops:
         a, b, funcs = times[op.label]
         print(row(op.label, a, b) + f"  {'yes' if same[op.label] else 'NO'}")
         for target, (fa, fb) in zip(args.time, funcs):
             print(row(f"  {target}", fa, fb))
+    if args.peak:
+        print(f"\ntracemalloc peak of one run, MiB\n{'call':<40}{'before':>10}{'after':>10}{'ratio':>8}")
+        for label, (a, b) in peaks.items():
+            print(f"{label:<40}{a / 2**20:>10.3f}{b / 2**20:>10.3f}{b / a:>8.3f}")
     return 0 if all(same.values()) else 1
 
 
