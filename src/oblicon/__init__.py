@@ -16,13 +16,12 @@ from .errors import (
     NotRootedError,
     PremiseError,
 )
-from .graphs import CommunicationGraph, is_root_compatible, reaches_all
+from .graphs import CommunicationGraph
 from .indist import Adversary, IndistGraph, is_protected, single_round_indist
 from .patterns import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     broadcaster_mask,
-    heard_of,
     indist_label,
     pattern_at,
     pattern_index,
@@ -64,16 +63,13 @@ __all__ = [
     "build_rule",
     "check_protected_chain",
     "decide",
-    "heard_of",
     "imposs_witness",
     "indist_label",
     "is_protected",
-    "is_root_compatible",
     "oracle_min_horizon",
     "pattern_at",
     "pattern_index",
     "pattern_indist_graph",
-    "reaches_all",
     "run",
     "single_round_indist",
     "verify_all_runs",

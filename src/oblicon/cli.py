@@ -38,16 +38,8 @@ EXIT_BUDGET = 3
 
 
 def adversary_to_doc(adv: Adversary) -> dict:
-    return {"n": adv.n, "graphs": [{"name": g.name, "edges": _edge_list(g)} for g in adv.graphs]}
-
-
-def _edge_list(g: CommunicationGraph) -> list[list[int]]:
-    # g.edges(), built as lists straight off its out-masks
-    return [
-        [u, v]
-        for u, out in enumerate(g._out, 1) if out != 1 << (u - 1)
-        for v in procs_of(out) if u != v
-    ]
+    graphs = [{"name": g.name, "edges": [list(e) for e in g.edges()]} for g in adv.graphs]
+    return {"n": adv.n, "graphs": graphs}
 
 
 def _is_int(x: Any) -> bool:
@@ -168,13 +160,15 @@ def load_adversary(path: str) -> Adversary:
                 doc = _decoder(n).decode(text)
                 if doc.get("n") == n:
                     return adversary_from_doc(doc, False)
-            except (json.JSONDecodeError, AdversaryFormatError):
+            except (RecursionError, ValueError):
                 pass
         doc = json.loads(text)
     except OSError as exc:
         raise AdversaryFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise AdversaryFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:  # not UTF-8, too deep, or too many digits
+        raise AdversaryFormatError(f"cannot decode {path}: {exc}") from exc
     return adversary_from_doc(doc, may_hold_true)
 
 
@@ -188,7 +182,7 @@ def _doc_text(adv: Adversary) -> Iterator[str]:
     pieces, one graph each, so that one graph's edge list is held at a time."""
     lead = '{"graphs": ['
     for g in adv.graphs:
-        yield f'{lead}{{"edges": {json.dumps(_edge_list(g))}, "name": {json.dumps(g.name)}}}'
+        yield f'{lead}{{"edges": {json.dumps(g.edges())}, "name": {json.dumps(g.name)}}}'
         lead = ", "
     yield f'], "n": {adv.n}}}\n'
 

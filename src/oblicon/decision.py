@@ -43,9 +43,6 @@ class Verdict(enum.Enum):
     IMPOSSIBLE = "IMPOSSIBLE"
     NOT_ROOTED = "IMPOSSIBLE-NOT-ROOTED"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 Edge = tuple[int, int]
 

@@ -11,8 +11,8 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
 
-from .errors import AdversaryFormatError, NotRootedError
-from .procset import bit, full_mask, procs_of
+from .errors import AdversaryFormatError
+from .procset import full_mask, procs_of
 
 # Each graph holds 2n masks of up to n bits, so a document's memory grows as
 # n squared per graph; larger process counts are refused before any graph is
@@ -65,13 +65,6 @@ class CommunicationGraph:
         self._out = tuple(out_masks[1:])
         self._root_mask = _root_mask(n, self._in, self._out)
         self._in_indices: tuple[tuple[int, ...], ...] | None = None
-
-    @classmethod
-    def complete(cls, n: int, name: str | None = None) -> "CommunicationGraph":
-        return cls(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v], name)
-
-    def in_neighbors(self, p: int) -> tuple[int, ...]:
-        return procs_of(self._in[p - 1])
 
     def in_indices(self) -> tuple[tuple[int, ...], ...]:
         """Each process's in-neighbours as ascending 0-based indices, built on
@@ -129,7 +122,7 @@ class CommunicationGraph:
 
 @lru_cache(maxsize=8)
 def _bits(n: int) -> dict[int, int]:
-    """Each process's bit, keyed by the process: ``_bits(n)[p] == bit(p)``.
+    """Each process's bit, keyed by the process: ``_bits(n)[p] == 1 << (p - 1)``.
     Every graph on n processes shares the one dict, so it is only read."""
     return {p: 1 << (p - 1) for p in range(1, n + 1)}
 
@@ -194,21 +187,3 @@ def _root_mask(n: int, in_masks: Sequence[int], out_masks: Sequence[int]) -> int
             return 0
         pick = far & candidates or candidates
         c = pick & -pick
-
-
-def is_root_compatible(graphs: Iterable[CommunicationGraph]) -> bool:
-    """True iff all root components share at least one common process.
-
-    Raises NotRootedError if any graph has no unique root component.
-    """
-    common = -1
-    for g in graphs:
-        if not g.is_rooted:
-            raise NotRootedError(f"graph {g.name or g!r} is not rooted")
-        common &= g.root_mask
-    return common != 0
-
-
-def reaches_all(g: CommunicationGraph, p: int) -> bool:
-    """True iff p has a directed path to every process; equals p in Root(g) for rooted g."""
-    return _closure(bit(p), g._out)[0] == full_mask(g.n)

@@ -54,9 +54,6 @@ class Adversary:
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def __getitem__(self, i: int) -> CommunicationGraph:
-        return self.graphs[i]
-
     def index_of(self, name: str) -> int:
         return self._by_name[name]
 

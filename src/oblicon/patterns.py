@@ -28,7 +28,7 @@ from operator import add, and_, eq, floordiv, mul, ne, or_, sub, xor
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
 from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
-from .procset import bit, procs_of
+from .procset import procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
 # pattern counts above this are not computed exactly (see _check_budget)
@@ -159,20 +159,6 @@ def indist_label(sigma: Pattern, sigma_prime: Pattern) -> int:
         if a[p] == b[p]:
             label |= 1 << p
     return label
-
-
-def heard_of(sigma: Pattern, p: int, r_from: int, q: int, r_to: int) -> bool:
-    """True iff p's state at time r_from influences q's state at time r_to."""
-    n = sigma.adversary.n
-    for arg, x in (("p", p), ("q", q)):
-        if not 1 <= x <= n:
-            raise ValueError(f"need 1 <= {arg} <= {n}, got {arg}={x}")
-    if not (0 <= r_from < r_to <= len(sigma)):
-        raise ValueError(
-            f"need 0 <= r_from < r_to <= {len(sigma)}, got r_from={r_from}, r_to={r_to}"
-        )
-    [(_, state)] = final_views([Pattern(sigma.adversary, sigma.rounds[r_from:r_to])])
-    return bool(state[q - 1] & bit(p))
 
 
 def broadcaster_mask(sigma: Pattern) -> int:

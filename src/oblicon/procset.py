@@ -9,10 +9,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
-def bit(p: int) -> int:
-    return 1 << (p - 1)
-
-
 def mask_of(procs: Iterable[int]) -> int:
     m = 0
     for p in procs:

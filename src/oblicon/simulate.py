@@ -89,10 +89,6 @@ class ConsensusRule:
             if decided[comp[0]]
         )
 
-    def decision_process(self, sigma: Pattern) -> int:
-        """The process whose input sigma's runs adopt, or 0 when no round decides it."""
-        return _decision(self, sigma)[1]
-
 
 def _decision(rule: ConsensusRule, sigma: Pattern) -> tuple[int, int]:
     """The round that decides a t-round pattern and the adopted process,

@@ -7,10 +7,10 @@ from typing import NamedTuple
 
 import pytest
 
-from oblicon.graphs import CommunicationGraph
+from oblicon.graphs import CommunicationGraph, _closure
 from oblicon.indist import Adversary, IndistGraph
 from oblicon.patterns import _level_zero, iter_pattern_levels
-from oblicon.procset import mask_of
+from oblicon.procset import full_mask, mask_of, procs_of
 from oblicon.simulate import ConsensusRule
 
 
@@ -58,6 +58,22 @@ def flat_rule(d: Adversary, t: int, decided: Sequence[int]) -> ConsensusRule:
     )
 
 
+def complete(n: int, name: str | None = None) -> CommunicationGraph:
+    """The graph in which every process hears every other."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    return CommunicationGraph(n, pairs, name)
+
+
+def in_neighbors(g: CommunicationGraph, p: int) -> tuple[int, ...]:
+    """The processes p hears in g, itself included, ascending."""
+    return procs_of(g._in[p - 1])
+
+
+def reaches_all(g: CommunicationGraph, p: int) -> bool:
+    """True iff p has a directed path to every process; equals p in Root(g) for rooted g."""
+    return _closure(mask_of([p]), g._out)[0] == full_mask(g.n)
+
+
 # --- independent oracles -----------------------------------------------------
 
 
@@ -74,7 +90,7 @@ def naive_view(sigma, p: int, r: int):
     if r == 0:
         return ("init", p)
     g = sigma.graph_at(r)
-    return (p, r, frozenset(naive_view(sigma, q, r - 1) for q in g.in_neighbors(p)))
+    return (p, r, frozenset(naive_view(sigma, q, r - 1) for q in in_neighbors(g, p)))
 
 
 def interned_levels(d: Adversary, r_max: int) -> list[list[tuple[int, ...]]]:

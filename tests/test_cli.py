@@ -21,7 +21,13 @@ from oblicon.cli import (
     save_adversary,
 )
 from oblicon.errors import AdversaryFormatError
-from oblicon.families import gen_chain, lossy_link, random_rooted, simple_chain_spec
+from oblicon.families import (
+    gen_chain,
+    lossy_link,
+    random_rooted,
+    simple_chain_spec,
+    source_broadcast,
+)
 from oblicon.graphs import CommunicationGraph
 from oblicon.indist import Adversary
 
@@ -65,16 +71,24 @@ def test_roundtrip_normalizes_self_loops():
         lambda: gen_chain(simple_chain_spec(200)),
         lambda: lossy_link(4, 3),
         lambda: random_rooted(5, 40, 3),
+        lambda: random_rooted(12, 1500, 1),
+        lambda: source_broadcast(4, 1),
     ],
-    ids=["chain200", "lossy_link4-3", "random_rooted5x40"],
+    ids=["chain200", "lossy_link4-3", "random_rooted5x40", "random_rooted12x1500",
+         "source_broadcast4-1"],
 )
-def test_document_edges_are_the_graph_edges(make):
+def test_document_edges_are_the_graph_edges(make, tmp_path):
+    # the document lists each graph's edges, and the streaming writer's
+    # bytes are those of a plain dump of that document
     adv = make()
     doc = adversary_to_doc(adv)
     assert doc["n"] == adv.n
     assert doc["graphs"] == [
         {"name": g.name, "edges": [[u, v] for u, v in g.edges()]} for g in adv.graphs
     ]
+    save_adversary(adv, str(tmp_path / "adv.json"))
+    text = (tmp_path / "adv.json").read_text(encoding="utf-8")
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_document_rejects_unknown_fields():
@@ -490,12 +504,12 @@ def test_save_adversary_pauses_the_collector(monkeypatch, tmp_path, enabled):
     reference = json.dumps(adversary_to_doc(d), sort_keys=True) + "\n"
     during = []
 
-    def edge_list(g):
+    def edges(g):
         during.append(gc.isenabled())
         return real(g)
 
-    real = cli._edge_list
-    monkeypatch.setattr(cli, "_edge_list", edge_list)
+    real = CommunicationGraph.edges
+    monkeypatch.setattr(CommunicationGraph, "edges", edges)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()

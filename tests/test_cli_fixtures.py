@@ -24,11 +24,19 @@ recorded while every call still went through the top-level parser, before
 ``main`` handed a call straight to its verb's parser.
 Every call must give the same bytes whether it builds the parser or reuses
 it after other calls.
+
+The ``deep_nesting``, ``huge_integer`` and ``invalid_utf8`` documents cannot
+be decoded: their lists nest past the recursion limit, an endpoint has more
+digits than Python converts, and a name holds a byte that is not UTF-8.
+Each ``*.decide.err`` fixture pins the one input-error line ``decide``
+prints for it; the test runs in the document's directory and names it by
+its file name, so the line does not depend on where the repository lies.
 """
 from pathlib import Path
 
 import pytest
 
+from oblicon import cli
 from oblicon.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +98,9 @@ USAGE_CASES = [
 ]
 
 
+UNDECODABLE = ["deep_nesting", "huge_integer", "invalid_utf8"]
+
+
 def _fixture_call(doc, out, argv, code):
     """(argv, exit code, stdout, stderr) expected of one fixture case."""
     text = (FIXTURES / f"{doc}.{out}").read_text(encoding="utf-8")
@@ -129,6 +140,24 @@ def test_usage_output_matches_fixture(name, argv, code, stream, capsys, monkeypa
     build_parser.cache_clear()  # this call builds the parser
     argv, *expected = _usage_call(name, argv, code, stream)
     assert list(_run(argv, capsys)) == expected
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+@pytest.mark.parametrize("doc", UNDECODABLE)
+def test_undecodable_document_matches_fixture(doc, padded, capsys, monkeypatch, tmp_path):
+    """The recorded line, exit 2; padded to 64 KiB before its "n", a text
+    that reads as UTF-8 goes through the hooked decoder first."""
+    expected = (FIXTURES / f"{doc}.decide.err").read_text(encoding="utf-8")
+    data = (FIXTURES / f"{doc}.json").read_bytes()
+    if padded:
+        data = data.replace(b', "n"', b" " * cli._HOOKED_MIN + b', "n"')
+    (tmp_path / f"{doc}.json").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    made = []
+    real = cli._decoder
+    monkeypatch.setattr(cli, "_decoder", lambda n: made.append(n) or real(n))
+    assert _run(["decide", f"{doc}.json"], capsys) == (2, "", expected)
+    assert made == ([3] if padded and doc != "invalid_utf8" else [])
 
 
 def test_repeated_calls_share_no_state(capsys, monkeypatch):

@@ -178,15 +178,16 @@ def test_inflation_preserves_edges_lengths_1_and_2():
 
 
 def test_inflated_root_influence_delayed_by_path():
-    from oblicon.patterns import heard_of
+    from oblicon.patterns import final_views
+    from oblicon.procset import mask_of
 
     base_adv, spec, infl_adv = _inflated_pair(2, 2)
     u = min(spec.base.roots[0])
     b = min(spec.base.encoders)
     # reaching the encoders takes the full relay: one hop in, |P|-1 along, one out
     for k in (1, 2):
-        assert not heard_of(Pattern.repeat(infl_adv, 0, k), u, 0, b, k)
-    assert heard_of(Pattern.repeat(infl_adv, 0, 3), u, 0, b, 3)
+        assert not final_views([Pattern.repeat(infl_adv, 0, k)])[0][1][b - 1] & mask_of([u])
+    assert final_views([Pattern.repeat(infl_adv, 0, 3)])[0][1][b - 1] & mask_of([u])
 
 
 def test_inflated_new_edges_vanish_in_first_removal():

@@ -1,14 +1,21 @@
 import pytest
 
-from oblicon.errors import NotRootedError
-from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
+from oblicon.graphs import CommunicationGraph
+from oblicon.indist import common_masks
+
+from conftest import complete, in_neighbors, reaches_all
+
+
+def root_compatible(*graphs: CommunicationGraph) -> bool:
+    """True iff the root components of ``graphs`` share a process."""
+    return common_masks([range(len(graphs))], [g.root_mask for g in graphs])[0] != 0
 
 
 def test_self_loops_inserted():
     g = CommunicationGraph(3, [(1, 2)])
     for p in (1, 2, 3):
-        assert p in g.in_neighbors(p)
-    assert g.in_neighbors(2) == (1, 2)
+        assert p in in_neighbors(g, p)
+    assert in_neighbors(g, 2) == (1, 2)
 
 
 def test_rejects_small_n_and_bad_edges():
@@ -64,7 +71,7 @@ def test_root_absent_when_disconnected():
 
 
 def test_root_complete_graph():
-    g = CommunicationGraph.complete(3)
+    g = complete(3)
     assert g.root == {1, 2, 3}
 
 
@@ -72,8 +79,8 @@ def test_root_compatibility_basic():
     a = CommunicationGraph(3, [(1, 2), (1, 3)])  # root {1}
     b = CommunicationGraph(3, [(1, 2), (2, 1), (1, 3)])  # root {1,2}
     c = CommunicationGraph(3, [(2, 1), (2, 3)])  # root {2}
-    assert is_root_compatible([a, b])
-    assert not is_root_compatible([a, c])
+    assert root_compatible(a, b)
+    assert not root_compatible(a, c)
 
 
 def test_root_compatibility_pairwise_but_not_jointly():
@@ -86,15 +93,8 @@ def test_root_compatibility_pairwise_but_not_jointly():
     # oracle: direct set intersection
     assert roots[0] & roots[1] and roots[1] & roots[2] and roots[0] & roots[2]
     assert not (roots[0] & roots[1] & roots[2])
-    assert is_root_compatible([g12, g23])
-    assert not is_root_compatible([g12, g23, g13])
-
-
-def test_root_compatibility_requires_rooted():
-    ok = CommunicationGraph(2, [(1, 2)])
-    bad = CommunicationGraph(2, [])
-    with pytest.raises(NotRootedError):
-        is_root_compatible([ok, bad])
+    assert root_compatible(g12, g23)
+    assert not root_compatible(g12, g23, g13)
 
 
 def test_reaches_all_star_and_chain():
@@ -103,8 +103,8 @@ def test_reaches_all_star_and_chain():
     assert not reaches_all(star, 2)
     chain = CommunicationGraph(3, [(1, 2), (2, 3)])
     assert not reaches_all(chain, 2)
-    complete = CommunicationGraph.complete(3)
-    assert all(reaches_all(complete, p) for p in (1, 2, 3))
+    k3 = complete(3)
+    assert all(reaches_all(k3, p) for p in (1, 2, 3))
 
 
 def test_reaches_all_matches_root_membership():

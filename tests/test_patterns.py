@@ -7,15 +7,14 @@ from oblicon.patterns import (
     Pattern,
     broadcaster_mask,
     final_views,
-    heard_of,
     indist_label,
     pattern_at,
     pattern_index,
     pattern_indist_graph,
 )
-from oblicon.procset import bit, mask_of, procs_of
+from oblicon.procset import mask_of, procs_of
 
-from conftest import naive_indist_procs
+from conftest import complete, naive_indist_procs
 
 
 def pat(d, *names):
@@ -33,8 +32,8 @@ def test_round_zero_views_shared_across_patterns(lossy_link_2):
 def test_one_round_views_match_labels(lossy_link_2):
     d = lossy_link_2
     # Ga and Gc agree exactly on process 2's in-neighborhood
-    assert indist_label(pat(d, "Ga"), pat(d, "Gc")) & bit(2)
-    assert not indist_label(pat(d, "Ga"), pat(d, "Gc")) & bit(1)
+    assert indist_label(pat(d, "Ga"), pat(d, "Gc")) & mask_of([2])
+    assert not indist_label(pat(d, "Ga"), pat(d, "Gc")) & mask_of([1])
     assert indist_label(pat(d, "Ga"), pat(d, "Gc")) == mask_of({2})
 
 
@@ -42,11 +41,11 @@ def test_two_round_views_lossy_link(lossy_link_2):
     d = lossy_link_2
     # process 1's round-1 view differs under Ga vs Gc and feeds process 2 in
     # round 2 of Ga, so the second round breaks the indistinguishability
-    assert not indist_label(pat(d, "Ga", "Ga"), pat(d, "Gc", "Ga")) & bit(2)
+    assert not indist_label(pat(d, "Ga", "Ga"), pat(d, "Gc", "Ga")) & mask_of([2])
     # extending by Gc makes process 2 hear process 1 again: still distinct
-    assert not indist_label(pat(d, "Ga", "Gc"), pat(d, "Gc", "Gc")) & bit(2)
+    assert not indist_label(pat(d, "Ga", "Gc"), pat(d, "Gc", "Gc")) & mask_of([2])
     # extending by Gb keeps process 2 isolated from process 1: indistinct
-    assert indist_label(pat(d, "Ga", "Gb"), pat(d, "Gc", "Gb")) & bit(2)
+    assert indist_label(pat(d, "Ga", "Gb"), pat(d, "Gc", "Gb")) & mask_of([2])
     # oracle: raw recursive views without interning agree on all three
     assert naive_indist_procs(pat(d, "Ga", "Ga"), pat(d, "Gc", "Ga")) == set()
     assert naive_indist_procs(pat(d, "Ga", "Gc"), pat(d, "Gc", "Gc")) == set()
@@ -56,7 +55,7 @@ def test_two_round_views_lossy_link(lossy_link_2):
 def test_indistinguishable_reflexive(lossy_link_2):
     d = lossy_link_2
     sigma = pat(d, "Ga", "Gc", "Gb")
-    assert all(indist_label(sigma, sigma) & bit(p) for p in (1, 2))
+    assert all(indist_label(sigma, sigma) & mask_of([p]) for p in (1, 2))
 
 
 def test_indistinguishable_length_mismatch(lossy_link_2):
@@ -65,37 +64,22 @@ def test_indistinguishable_length_mismatch(lossy_link_2):
         indist_label(pat(d, "Ga"), pat(d, "Ga", "Gb"))
 
 
+# q has heard of p's initial state by the end of sigma iff final_views puts
+# p's bit in q's influence mask
+
+
 def test_heard_of_self_loop_step(chain_graph):
     d = Adversary([chain_graph])
     sigma = Pattern.repeat(d, 0, 3)
     for p in (1, 2, 3):
-        assert heard_of(sigma, p, 0, p, 1)
+        assert final_views([sigma.prefix(1)])[0][1][p - 1] & mask_of([p])
 
 
 def test_heard_of_chain_path_lengths(chain_graph):
     d = Adversary([chain_graph])
     sigma = Pattern.repeat(d, 0, 2)
-    assert heard_of(sigma, 1, 0, 3, 2)
-    assert not heard_of(sigma, 1, 0, 3, 1)
-    with pytest.raises(ValueError):
-        heard_of(sigma, 1, 2, 3, 2)
-    with pytest.raises(ValueError):
-        heard_of(sigma, 1, 0, 3, 5)
-
-
-@pytest.mark.parametrize(
-    "p, q, message",
-    [
-        (0, 1, "p=0"),
-        (4, 1, "p=4"),
-        (1, 0, "q=0"),
-        (1, 4, "q=4"),
-    ],
-)
-def test_heard_of_rejects_processes_out_of_range(chain_graph, p, q, message):
-    sigma = Pattern.repeat(Adversary([chain_graph]), 0, 2)
-    with pytest.raises(ValueError, match=message):
-        heard_of(sigma, p, 0, q, 2)
+    assert final_views([sigma])[0][1][3 - 1] & mask_of([1])
+    assert not final_views([sigma.prefix(1)])[0][1][3 - 1] & mask_of([1])
 
 
 def test_broadcasters_repeat_equals_root(chain_graph):
@@ -105,7 +89,7 @@ def test_broadcasters_repeat_equals_root(chain_graph):
 
 
 def test_broadcasters_empty_and_complete():
-    d = Adversary([CommunicationGraph.complete(3, "K"), CommunicationGraph(3, [(1, 2), (2, 3)], "C")])
+    d = Adversary([complete(3, "K"), CommunicationGraph(3, [(1, 2), (2, 3)], "C")])
     assert frozenset(procs_of(broadcaster_mask(Pattern(d, ())))) == frozenset()
     assert frozenset(procs_of(broadcaster_mask(Pattern(d, (0,))))) == {1, 2, 3}
     # one round of the chain graph reaches only two processes

@@ -21,7 +21,7 @@ from oblicon.families import (
     simple_chain_spec,
     source_broadcast,
 )
-from oblicon.graphs import CommunicationGraph, is_root_compatible, reaches_all
+from oblicon.graphs import CommunicationGraph
 from oblicon.indist import (
     Adversary,
     IndistGraph,
@@ -53,9 +53,10 @@ from oblicon.patterns import (
     pattern_indist_graph,
 )
 from oblicon.procset import is_subset, mask_of, procs_of
-from oblicon.simulate import build_rule, imposs_witness, oracle_min_horizon
+from oblicon.simulate import _decision, build_rule, imposs_witness, oracle_min_horizon
 
 from conftest import (
+    complete,
     interned_levels,
     naive_bucket_labels,
     naive_components,
@@ -65,6 +66,7 @@ from conftest import (
     naive_refinement,
     naive_root,
     naive_view,
+    reaches_all,
 )
 
 
@@ -95,7 +97,7 @@ def adversaries(draw, min_n=2, max_n=4, max_graphs=3, rooted=False):
         seen.add(g._in)
         graphs.append(g)
     if not graphs:
-        g = CommunicationGraph.complete(n)
+        g = complete(n)
         graphs = [g]
     return Adversary(graphs)
 
@@ -382,7 +384,7 @@ def test_rule_matches_component_reference(d, t):
         first = next(
             c for c in (level_commons[r][i // m ** (t - r)] for r in range(t + 1)) if c
         )
-        b = rule.decision_process(pattern_at(d, t, i))
+        b = _decision(rule, pattern_at(d, t, i))[1]
         assert b == min(procs_of(first))
         assert common_of[i] >> (b - 1) & 1
 
@@ -1087,7 +1089,7 @@ def test_views_interning_matches_naive_equality(d):
         [
             CommunicationGraph(3, [(3, 1), (1, 2), (3, 2), (1, 3), (2, 3)]),
             CommunicationGraph(3, [(2, 1), (3, 1), (1, 3), (2, 3)]),
-            CommunicationGraph.complete(3),
+            complete(3),
         ]
     )
 )
@@ -1173,9 +1175,9 @@ def test_rule_until_a_pattern_matches_the_whole_tree(d, t):
         except NonBroadcastableComponentError as exc:
             assert exc.pattern_names == failing
             continue
-        assert rule.decision_process(sigma)
+        assert _decision(rule, sigma)[1]
         if whole is not None:
-            assert rule.decision_process(sigma) == whole.decision_process(sigma)
+            assert _decision(rule, sigma)[1] == _decision(whole, sigma)[1]
 
 
 def test_oracle_broadcastability_monotone_on_catalog():

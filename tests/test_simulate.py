@@ -70,7 +70,7 @@ def test_build_rule_source_broadcast_singleton_components():
     # which still broadcasts in the whole pattern
     for i in range(9):
         sigma = pattern_at(d, 2, i)
-        b = rule.decision_process(sigma)
+        b = simulate._decision(rule, sigma)[1]
         assert b == rule.decided[1][i // 3] == min(procs_of(broadcaster_mask(sigma.prefix(1))))
         assert b in procs_of(broadcaster_mask(sigma))
 
@@ -319,11 +319,11 @@ def test_decision_process_rejects_a_pattern_of_another_length():
     d = source_broadcast(3, 1)
     rule = build_rule(d, 3)
     with pytest.raises(ValueError, match="^pattern has 1 rounds, rule expects 3$"):
-        rule.decision_process(Pattern.from_names(d, "S2"))
+        simulate._decision(rule, Pattern.from_names(d, "S2"))
     with pytest.raises(ValueError, match="^pattern has 4 rounds, rule expects 3$"):
-        rule.decision_process(Pattern(d, (0, 0, 0, 0)))
+        simulate._decision(rule, Pattern(d, (0, 0, 0, 0)))
     # S1.S1.S2 is decided with its prefix S1, at round 1
-    assert rule.decision_process(Pattern(d, (0, 0, 1))) == rule.decided[1][0] == 1
+    assert simulate._decision(rule, Pattern(d, (0, 0, 1)))[1] == rule.decided[1][0] == 1
 
 
 def test_run_validates_lengths(solvable_pair):
