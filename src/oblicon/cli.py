@@ -23,7 +23,7 @@ from .errors import AdversaryFormatError, BudgetExceededError, NonBroadcastableC
 from .graphs import MAX_PROCESSES, CommunicationGraph, check_process_count  # noqa: F401
 from .indist import Adversary, single_round_indist
 from .patterns import DEFAULT_PATTERN_BUDGET, Pattern, pattern_indist_graph
-from .procset import procs_of
+from .procset import procs_of, select
 from .simulate import build_rule, oracle_min_horizon, run as run_pattern, verify_all_runs
 
 EXIT_OK = 0
@@ -77,6 +77,10 @@ def adversary_from_doc(doc: Any, may_hold_true: bool = True) -> Adversary:
         if name is not None and (not name or name != name.strip()):
             blank = "is empty or has leading or trailing whitespace"
             raise AdversaryFormatError(f"graph {k} name {name!r} {blank}")
+        # only a lone surrogate escape makes a str that UTF-8 cannot encode
+        if name is not None and not name.isascii():
+            if name != name.encode(errors="replace").decode():
+                raise AdversaryFormatError(f"graph {k} name {name!r} holds a lone surrogate")
         raw_edges = entry.get("edges", [])
         if type(raw_edges) is _Built:
             graphs.extend(raw_edges)
@@ -182,9 +186,29 @@ def _doc_text(adv: Adversary) -> Iterator[str]:
     pieces, one graph each, so that one graph's edge list is held at a time."""
     lead = '{"graphs": ['
     for g in adv.graphs:
-        yield f'{lead}{{"edges": {json.dumps(g.edges())}, "name": {json.dumps(g.name)}}}'
+        yield f'{lead}{{"edges": {_edges_text(g)}, "name": {json.dumps(g.name)}}}'
         lead = ", "
     yield f'], "n": {adv.n}}}\n'
+
+
+def _edges_text(g: CommunicationGraph) -> str:
+    """``json.dumps(g.edges())``, one row ``[u, v1], [u, v2], ...`` per process
+    u with out-neighbours, which ``select`` picks from the cached digits."""
+    digits, heads, seps = _row_text(g.n)
+    rows = [
+        heads[u] + seps[u].join(select(digits, out ^ (1 << u))) + "]"
+        for u, out in enumerate(g._out)
+        if out != 1 << u
+    ]
+    return "[" + ", ".join(rows) + "]"
+
+
+@functools.lru_cache(maxsize=8)
+def _row_text(n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The digits of 1..n, each ``"[u, "`` and each ``"], [u, "``, indexed
+    by u - 1; kept per n, like ``graphs._bits``."""
+    digits = tuple(map(str, range(1, n + 1)))
+    return digits, tuple(f"[{d}, " for d in digits), tuple(f"], [{d}, " for d in digits)
 
 
 class _CollectorPaused:

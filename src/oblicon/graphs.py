@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache, reduce
-from itertools import compress
 from operator import or_
 
 from .errors import AdversaryFormatError
-from .procset import full_mask, procs_of
+from .procset import full_mask, procs_of, select
 
 # Each graph holds 2n masks of up to n bits, so a document's memory grows as
 # n squared per graph; larger process counts are refused before any graph is
@@ -107,6 +106,13 @@ class CommunicationGraph:
             name if name is not None else self.name,
         )
 
+    def with_name(self, name: str) -> "CommunicationGraph":
+        """This graph under ``name``, sharing its masks, root and in-indices."""
+        g = object.__new__(CommunicationGraph)
+        g.n, g.name, g._in, g._out = self.n, name, self._in, self._out
+        g._root_mask, g._in_indices = self._root_mask, self._in_indices
+        return g
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommunicationGraph):
             return NotImplemented
@@ -127,17 +133,13 @@ def _bits(n: int) -> dict[int, int]:
     return {p: 1 << (p - 1) for p in range(1, n + 1)}
 
 
-# bin() digits as 0/1 bytes, to select a mask's members with compress()
-_BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _closure(start: int, adj: Sequence[int]) -> tuple[int, int]:
     """Mask of the processes reachable from the mask ``start`` along ``adj``
     (``adj[p-1]`` is p's neighbour mask), one frontier at a time, and the
     last non-empty frontier: the processes farthest from ``start``.
 
     A frontier of up to 16 processes is walked bit by bit; a larger one
-    selects its rows with one C pass over its binary digits, lowest first.
+    selects its rows with ``select``, one C pass over its binary digits.
     The pass has a fixed cost, so it wins only on large frontiers: at
     n = 209 it takes 2.2 us against the walk's 0.4 us for one member and
     14.6 against 55.7 us for 209, and the two cross between 16 and 32
@@ -148,8 +150,7 @@ def _closure(start: int, adj: Sequence[int]) -> tuple[int, int]:
     reached = frontier = far = start
     while frontier and reached != full:
         if frontier.bit_count() > 16:
-            rows = compress(adj, bin(frontier)[:1:-1].encode().translate(_BIN_DIGITS))
-            nxt = reduce(or_, rows)
+            nxt = reduce(or_, select(adj, frontier))
         else:
             nxt = 0
             while frontier:

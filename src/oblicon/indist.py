@@ -41,7 +41,7 @@ class Adversary:
             name = g.name if g.name is not None else f"G{k + 1}"
             seen_adj[key] = name
             if g.name is None:
-                g = CommunicationGraph(n, g.edges(), name)
+                g = g.with_name(name)
             named.append(g)
         names = tuple(g.name for g in named)
         if len(set(names)) != len(names):

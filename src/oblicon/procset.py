@@ -6,7 +6,8 @@ the refinement loop, so sets stay as plain ints throughout the core.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress
 
 
 def mask_of(procs: Iterable[int]) -> int:
@@ -27,6 +28,16 @@ def procs_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+# bin() digits as 0/1 bytes, to select a mask's members with compress()
+_BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def select(seq: Sequence, mask: int) -> Iterator:
+    """The items ``seq[p-1]`` for the members p of ``mask``, ascending, in one
+    C pass over the mask's binary digits, lowest first."""
+    return compress(seq, bin(mask)[:1:-1].encode().translate(_BIN_DIGITS))
 
 
 def is_subset(a: int, b: int) -> bool:

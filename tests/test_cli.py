@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -73,9 +74,22 @@ def test_roundtrip_normalizes_self_loops():
         lambda: random_rooted(5, 40, 3),
         lambda: random_rooted(12, 1500, 1),
         lambda: source_broadcast(4, 1),
+        # the writer's row edge cases: a graph with no edges, rows holding
+        # only the self-loop, edges into and out of process n, n = 2, and
+        # process numbers of one, two and three digits
+        lambda: _unnamed(3, [], [(1, 2), (2, 3)]),
+        lambda: _unnamed(4, [(2, 1), (2, 3)], [(1, 1), (2, 2), (4, 3)], [(4, 4)]),
+        lambda: _unnamed(5, [(5, 1), (1, 5), (5, 4)], [(4, 5), (5, 5)]),
+        lambda: _unnamed(2, [(1, 2)], [(2, 1)], [(1, 2), (2, 1)], []),
+        lambda: _unnamed(
+            120,
+            [(1, 120), (120, 1), (99, 100), (100, 99), (9, 10), (10, 9), (105, 7)],
+            [(u, u % 120 + 1) for u in range(1, 121)],
+        ),
     ],
     ids=["chain200", "lossy_link4-3", "random_rooted5x40", "random_rooted12x1500",
-         "source_broadcast4-1"],
+         "source_broadcast4-1", "no-edges", "self-loop-rows", "process-n", "n2",
+         "three-digits"],
 )
 def test_document_edges_are_the_graph_edges(make, tmp_path):
     # the document lists each graph's edges, and the streaming writer's
@@ -89,6 +103,63 @@ def test_document_edges_are_the_graph_edges(make, tmp_path):
     save_adversary(adv, str(tmp_path / "adv.json"))
     text = (tmp_path / "adv.json").read_text(encoding="utf-8")
     assert text == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _unnamed(n: int, *edge_lists) -> Adversary:
+    return Adversary([CommunicationGraph(n, edges) for edges in edge_lists])
+
+
+# sha256 and length of `generate` output for every family, taken from the
+# writer that dumped each graph's edge tuples with json.dumps
+GENERATED = [
+    (["chain", "--chain-len", "4"], 369,
+     "e8425c6e8cecef56ee53d1a19442d6c8efa9635edeca2f2140814f3415014544"),
+    (["chain", "--chain-len", "3", "--n", "120"], 3372,
+     "b8de210c8c73abc566080b70112507d403089c7bcb3960e589f6b464e80ce691"),
+    (["canonical-chain", "--n", "12", "--chain-len", "3"], 392,
+     "26c667e183f012df66e77af5e82cfcf1b73c4cab5963066b8675693b71ec1ad9"),
+    (["inflated", "--chain-len", "2", "--path-len", "2"], 187,
+     "9c3c60a2172db92779d34c8c5b746a1b7aab6aae1d9ee2cc1d6918274ea6cd8d"),
+    (["partitioned", "--blocks", "2", "--root-size", "3"], 3591,
+     "748d8c26450f6a99580177af3f07650abf2a2bd4e1feff96608241b1ffe71966"),
+    (["rooted-trees", "--n", "3"], 426,
+     "55817a0a6225e9224ba0cccbc96e6a0886f78208e05ba41461e12858ef4bea30"),
+    (["source-broadcast", "--n", "5", "--clique-size", "2"], 941,
+     "c2f08e20d41921684bce455936ff40747a1c80742a88c57d2ee36d1a38d62f36"),
+    (["lossy-link", "--n", "4", "--f", "2"], 8656,
+     "0b92e4b38b79be7db78fb1e3e5d14ade87424bd0343092abac10d507ef26ab1c"),
+    (["random-rooted", "--n", "12", "--count", "20", "--seed", "1"], 11587,
+     "db62e5188beb4b70889d3dd9bb2f729d2a5d16a3e45b3ef9c0ccb6f87db43021"),
+    (["random-rooted", "--n", "2", "--count", "2", "--seed", "3"], 91,
+     "5547c00cbe9dedc8487e2236e1a956f2a32be67a804a2a9dd4fda9a06998359c"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", GENERATED, ids=[" ".join(c[0]) for c in GENERATED])
+def test_generate_output_keeps_its_bytes(argv, size, digest, tmp_path):
+    out = tmp_path / "adv.json"
+    assert main(["generate", *argv, "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_unnamed_document_loads_as_the_named_one():
+    # a graph without a name is named G<k> in place, not rebuilt
+    doc = adversary_to_doc(random_rooted(5, 40, 3))
+    named = adversary_from_doc(doc)
+    for entry in doc["graphs"]:
+        del entry["name"]
+    unnamed = adversary_from_doc(doc)
+    assert unnamed == named and unnamed.names == tuple(f"G{k}" for k in range(1, 41))
+    for g, h in zip(unnamed.graphs, named.graphs):
+        parts = (g.name, g._out, g.root_mask, g.in_indices())
+        assert parts == (h.name, h._out, h.root_mask, h.in_indices())
+    assert adversary_to_doc(unnamed) == adversary_to_doc(named)
+    # the duplicate message names an unnamed graph by its position
+    doc["graphs"].append(doc["graphs"][1])
+    with pytest.raises(AdversaryFormatError) as err:
+        adversary_from_doc(doc)
+    assert str(err.value) == "duplicate graph: 40 has the same adjacency as G2"
 
 
 def test_document_rejects_unknown_fields():
@@ -504,12 +575,12 @@ def test_save_adversary_pauses_the_collector(monkeypatch, tmp_path, enabled):
     reference = json.dumps(adversary_to_doc(d), sort_keys=True) + "\n"
     during = []
 
-    def edges(g):
+    def edges_text(g):
         during.append(gc.isenabled())
         return real(g)
 
-    real = CommunicationGraph.edges
-    monkeypatch.setattr(CommunicationGraph, "edges", edges)
+    real = cli._edges_text
+    monkeypatch.setattr(cli, "_edges_text", edges_text)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -649,7 +720,8 @@ _names = st.text(
 
 @st.composite
 def named_adversaries(draw):
-    n = draw(st.integers(2, 5))
+    # one- to three-digit process numbers, for the writer's rows
+    n = draw(st.one_of(st.integers(2, 5), st.sampled_from([9, 10, 99, 100, 101, 130])))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     edge_sets = draw(st.lists(st.frozensets(st.sampled_from(pairs)), min_size=1, max_size=4, unique=True))
     names = draw(st.lists(_names, min_size=len(edge_sets), max_size=len(edge_sets), unique=True))

@@ -31,6 +31,9 @@ digits than Python converts, and a name holds a byte that is not UTF-8.
 Each ``*.decide.err`` fixture pins the one input-error line ``decide``
 prints for it; the test runs in the document's directory and names it by
 its file name, so the line does not depend on where the repository lies.
+The ``lone_surrogate`` document decodes, but a graph name holds the escape
+``\ud800``, which no UTF-8 text can hold; its ``decide.err`` fixture pins the
+input error that ``decide`` and ``export-dot`` print before any output.
 """
 from pathlib import Path
 
@@ -158,6 +161,24 @@ def test_undecodable_document_matches_fixture(doc, padded, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "_decoder", lambda n: made.append(n) or real(n))
     assert _run(["decide", f"{doc}.json"], capsys) == (2, "", expected)
     assert made == ([3] if padded and doc != "invalid_utf8" else [])
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+@pytest.mark.parametrize("verb", ["decide", "export-dot"])
+def test_lone_surrogate_name_matches_fixture(verb, padded, capsys, monkeypatch, tmp_path):
+    """The recorded line, exit 2, with nothing on stdout; padded to 64 KiB,
+    the document is read by the hooked decoder first and then plainly."""
+    expected = (FIXTURES / "lone_surrogate.decide.err").read_text(encoding="utf-8")
+    data = (FIXTURES / "lone_surrogate.json").read_bytes()
+    if padded:
+        data = data.replace(b', "n"', b" " * cli._HOOKED_MIN + b', "n"')
+    (tmp_path / "lone_surrogate.json").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    made = []
+    real = cli._decoder
+    monkeypatch.setattr(cli, "_decoder", lambda n: made.append(n) or real(n))
+    assert _run([verb, "lone_surrogate.json"], capsys) == (2, "", expected)
+    assert made == ([2] if padded else [])
 
 
 def test_repeated_calls_share_no_state(capsys, monkeypatch):
