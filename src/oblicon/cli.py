@@ -123,7 +123,10 @@ def _decoder(n: int) -> json.JSONDecoder:
     list for ``adversary_from_doc`` to report.  Kept per n, like
     ``graphs._bits``."""
 
-    def build(obj: dict) -> dict:
+    def build(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            _unique(pairs)  # raises; inlined: a call per object cost ~0.6% of a decode
         if type(obj.get("edges")) is list:
             try:
                 obj["edges"] = _Built((CommunicationGraph(n, obj["edges"], obj.get("name")),))
@@ -131,9 +134,28 @@ def _decoder(n: int) -> json.JSONDecoder:
                 pass
         return obj
 
-    return json.JSONDecoder(object_hook=build)
+    return json.JSONDecoder(object_pairs_hook=build)
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object holds the key ``args[0]`` more than once."""
+
+
+def _unique(pairs: list[tuple[str, Any]]) -> dict:
+    """The object of ``pairs``; raises _RepeatedKey on its first repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
+# the plain decode, made once: a decoder made per call cost about 15 us on a
+# tiny document right after a collection
+_PLAIN = json.JSONDecoder(object_pairs_hook=_unique)
 # how ``generate`` and the indented fixtures end a document
 _TAIL = re.compile(r'"n": ([0-9]+)\s*\}\s*\Z')
 # a shorter text is decoded plainly: its edge lists take under about 1 MB,
@@ -149,7 +171,8 @@ def load_adversary(path: str) -> Adversary:
     one graph at a time.  If that decode fails, its 'n' is another value or
     ``adversary_from_doc`` rejects it, the text is decoded again as plain
     JSON and validated from that, so every error reads as it does for the
-    plain decode.
+    plain decode.  On either path an object that repeats a key is an input
+    error naming the key.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -159,18 +182,20 @@ def load_adversary(path: str) -> Adversary:
         may_hold_true = "t" in text
         tail = None if may_hold_true or len(text) < _HOOKED_MIN else _TAIL.search(text[-64:])
         if tail and (n := int(tail[1])) <= MAX_PROCESSES:
-            # json.loads, unlike a decoder's decode, names a leading BOM
             try:
                 doc = _decoder(n).decode(text)
                 if doc.get("n") == n:
                     return adversary_from_doc(doc, False)
             except (RecursionError, ValueError):
                 pass
-        doc = json.loads(text)
+        # json.loads, unlike a decoder's decode, names a leading BOM
+        doc = json.loads(text) if text.startswith("\ufeff") else _PLAIN.decode(text)
     except OSError as exc:
         raise AdversaryFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise AdversaryFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except _RepeatedKey as exc:
+        raise AdversaryFormatError(f"{path} repeats the key {exc.args[0]!r} in one object") from exc
     except (RecursionError, ValueError) as exc:  # not UTF-8, too deep, or too many digits
         raise AdversaryFormatError(f"cannot decode {path}: {exc}") from exc
     return adversary_from_doc(doc, may_hold_true)

@@ -9,7 +9,8 @@ iff all components of the final level are root-compatible.
 A label never changes across levels, so the graphs that fit an edge are
 fixed: each edge carries that set as a bitmask over graph indices, and an
 iteration tests each surviving edge with one AND against its component's
-member mask.  Level 1 and bulk removals relink the components by union-find.
+member mask.  Level 1 comes with its components, linked from its
+in-neighbourhood groups, and bulk removals relink them by union-find.
 After that, each removed edge splits its component by a search from both of
 its endpoints in turn (Even and Shiloach's decremental connectivity), so an
 iteration costs its edge tests plus the smaller sides, not a relink: the
@@ -144,11 +145,11 @@ def _fitting_masks(labels: Iterable[int], root_masks: Sequence[int]) -> dict[int
 
 
 def _relink(
-    edges: Iterable[Sequence[int]], bits: list[int], root_masks: Sequence[int]
+    rep: list[int], bits: list[int], root_masks: Sequence[int]
 ) -> tuple[list[int], list[int], list[int]]:
-    """Each node's label, its component's smallest member, and per label the
-    member mask and root AND, folded in from the nodes that are not labels."""
-    rep = union_find(len(bits), edges)
+    """Each node's label, its component's smallest member as ``rep`` holds
+    it, and per label the member mask and root AND, folded in from the nodes
+    that are not labels."""
     members = bits[:]
     common = list(root_masks)
     for x in compress(count(), map(ne, rep, count())):
@@ -238,7 +239,7 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     alive = [(u, v, fitting[label]) for (u, v), label in labels.items()]
     removed: list[tuple[Edge, ...]] = [()]
     bits = [1 << x for x in range(size)]
-    comp, members, common = _relink(alive, bits, root_masks)
+    comp, members, common = _relink(first.representatives(), bits, root_masks)
     # the relinks after level 1 may spend twice level 1's edge count before
     # removed edges split their components by search
     relink_budget = 2 * len(alive)
@@ -275,7 +276,7 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
                     steps = _split(adj, u, v, steps, comp, members, common, bits, root_masks)
             if steps >= 0:
                 continue
-        comp, members, common = _relink(kept, bits, root_masks)
+        comp, members, common = _relink(union_find(size, kept), bits, root_masks)
         relink_budget -= len(kept)
 
     parts: dict[int, list[int]] = {}

@@ -88,10 +88,15 @@ class ChainSpec:
                 raise FamilyValidationError("root sets must all have the same size")
             if not all(1 <= p <= n for p in r):
                 raise FamilyValidationError(f"root set R_{k} out of range 1..{n}")
-        for a in range(len(roots)):
-            for b in range(a + 1, len(roots)):
-                if roots[a] == roots[b]:
-                    raise FamilyValidationError(f"root sets R_{a + 1} and R_{b + 1} coincide")
+        # per earlier root set, where it first comes again; the least pair is named
+        first: dict[frozenset[int], int] = {}
+        again: dict[int, int] = {}
+        for b, r in enumerate(roots):
+            if (a := first.setdefault(r, b)) != b:
+                again.setdefault(a, b)
+        if again:
+            a = min(again)
+            raise FamilyValidationError(f"root sets R_{a + 1} and R_{again[a] + 1} coincide")
         for k in range(len(roots) - 2):
             window = roots[k : k + 3]
             if window[0] & window[1] or window[0] & window[2] or window[1] & window[2]:

@@ -7,7 +7,7 @@ same in-neighborhood in both; the edge label collects all such processes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, combinations, compress, count, islice, repeat
+from itertools import chain, combinations, compress, count, islice, pairwise, repeat
 from operator import eq
 
 from .errors import NotRootedError, PairBudgetExceededError
@@ -81,11 +81,17 @@ class IndistGraph:
 
     ``edges`` maps each ``(u, v)`` with ``0 <= u < v < size`` to its label, as
     ``bucket_labels`` returns; any other key or an empty label raises
-    ``ValueError`` naming the first bad edge."""
+    ``ValueError`` naming the first bad edge.  The graph owns the mapping it
+    is handed, without a copy, so its producer must not change it later.
+    ``rep``, if given, holds each node's ``union_find`` representative over
+    the edges."""
 
-    __slots__ = ("size", "names", "_edges", "_components", "_comp_of")
+    __slots__ = ("size", "names", "_edges", "_rep", "_components", "_comp_of")
 
-    def __init__(self, size: int, names: Sequence[str], edges: Mapping[tuple[int, int], int]):
+    def __init__(
+        self, size: int, names: Sequence[str], edges: Mapping[tuple[int, int], int],
+        rep: list[int] | None = None,
+    ):
         if len(names) != size:
             raise ValueError("one name per node required")
         for (u, v), label in edges.items():
@@ -99,7 +105,8 @@ class IndistGraph:
                 raise ValueError(f"edge ({u},{v}) has an empty label")
         self.size = size
         self.names = tuple(names)
-        self._edges = dict(edges)
+        self._edges = edges
+        self._rep = rep
         self._components: tuple[tuple[int, ...], ...] | None = None
         self._comp_of: tuple[int, ...] | None = None
 
@@ -120,10 +127,17 @@ class IndistGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    def representatives(self) -> list[int]:
+        """Each node's component representative, its smallest node, in a
+        fresh list the caller may change."""
+        if self._rep is None:
+            self._rep = union_find(self.size, self._edges)
+        return self._rep[:]
+
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, ordered by smallest contained node."""
         if self._components is None:
-            comp_of, comps = group(union_find(self.size, self._edges))
+            comp_of, comps = group(self.representatives())
             self._components = tuple(tuple(c) for c in comps)
             self._comp_of = tuple(comp_of)
         return self._components
@@ -154,7 +168,8 @@ def _dot_escape(name: str) -> str:
 
 
 def bucket_labels(
-    columns: Sequence[Sequence[int]], cap: int | None = None, rounds: int = 1
+    columns: Sequence[Sequence[int]], cap: int | None = None, rounds: int = 1,
+    groups: list[list[int]] | None = None,
 ) -> dict[tuple[int, int], int]:
     """Edge labels of the nodes whose entries coincide in some process's column.
 
@@ -164,9 +179,10 @@ def bucket_labels(
     grouped by it, and p's bit is ORed into the label of every pair inside a
     group, so the work beyond the sort is proportional to the
     indistinguishable pairs rather than all pairs.  Each column's groups are
-    labelled and dropped in turn, unless ``cap`` needs the pairs counted
-    first, from the groups, once per process: a count above it raises
-    PairBudgetExceededError, which names it and ``rounds``.
+    labelled and dropped in turn (kept in ``groups`` when it is given),
+    unless ``cap`` needs the pairs counted first, from the groups, once per
+    process: a count above it raises PairBudgetExceededError, which names it
+    and ``rounds``.  An ``IndistGraph`` handed the dict owns it.
     """
     def grouped_columns() -> Iterator[tuple[int, Iterable[list[int]]]]:
         for p, column in enumerate(columns):
@@ -188,6 +204,8 @@ def bucket_labels(
             raise PairBudgetExceededError(pairs, cap, rounds)
     labels: dict[tuple[int, int], int] = {}
     for pbit, buckets in grouped:
+        if groups is not None:
+            groups.extend(buckets)
         for pair in chain.from_iterable(map(combinations, buckets, repeat(2))):
             labels[pair] = labels.get(pair, 0) | pbit
     return labels
@@ -275,6 +293,9 @@ def common_masks(comps: Iterable[Sequence[int]], masks: Sequence[int]) -> list[i
 # level-1 pairs above which single_round_indist refuses to build the graph:
 # its labels take memory quadratic in the graphs
 MAX_LEVEL1_PAIRS = 1 << 20
+# what a level-1 chain link costs to generate and link, in labelled pairs
+# linked: a link took 240 ns and a pair 135 ns on random_rooted(12,1500)
+_LINK_COST = 2
 
 
 def single_round_indist(d: Adversary) -> IndistGraph:
@@ -286,11 +307,22 @@ def single_round_indist(d: Adversary) -> IndistGraph:
     more than ``MAX_LEVEL1_PAIRS`` pairs and the pairs sharing some
     process's in-neighbourhood, counted once per process, exceed it too:
     the labels hold at most all pairs, so the cap bounds their memory.
+
+    Each group of graphs that give one process the same in-neighbourhood is
+    a clique, so the components are linked along a chain through each
+    group, a link fewer than its size, rather than over every labelled
+    pair; but a link costs about ``_LINK_COST`` pairs, so the pairs are
+    linked when they cost less.  The graph owns the labels.
     """
     m = len(d)
     cap = MAX_LEVEL1_PAIRS if m * (m - 1) // 2 > MAX_LEVEL1_PAIRS else None
     in_masks = list(zip(*(g._in for g in d.graphs)))
-    return IndistGraph(m, d.names, bucket_labels(in_masks, cap))
+    groups: list[list[int]] = []
+    labels = bucket_labels(in_masks, cap, groups=groups)
+    links = sum(map(len, groups)) - len(groups)
+    chains = chain.from_iterable(map(pairwise, groups))
+    edges = chains if len(labels) >= _LINK_COST * links else labels
+    return IndistGraph(m, d.names, labels, union_find(m, edges))
 
 
 def is_protected(

@@ -6,7 +6,9 @@ byte flips, deep nesting, a huge integer, a value of another type, a
 duplicated key or bytes that are not UTF-8.  Whatever the document, a call
 exits 0, 1, 2 or 3; exit 1 comes only after a verdict or a verify report on
 stdout; exits 2 and 3 write nothing to stdout and at most one line to
-stderr; exits 0 and 1 write nothing to stderr; and nothing raises.  Every
+stderr; exits 0 and 1 write nothing to stderr; and nothing raises.  A
+document with a duplicated key exits 2, since a repeated key is an input
+error.  Every
 other mutant is loaded with the hooked decoder's size gate open, so both
 decode paths see every kind of mutation.  Standard library only.
 """
@@ -98,11 +100,13 @@ def mutate(rng: random.Random, data: bytes) -> tuple[str, bytes]:
     return kind, data[:at] + rng.choice(_NOT_UTF8) + data[at:]
 
 
-def broken_rule(code: int, out: str, err: str) -> str | None:
+def broken_rule(code: int, out: str, err: str, kind: str = "") -> str | None:
     """The first rule that a call which exited ``code`` after writing
-    ``out`` and ``err`` breaks, or None."""
+    ``out`` and ``err`` on a mutant of the given kind breaks, or None."""
     if code not in (0, 1, 2, 3):
         return f"exit {code}"
+    if kind == "duplicate" and code != 2:
+        return f"exit {code} on a duplicated key"
     if code == 1 and not out.startswith(("verdict: ", "horizon")):
         return f"exit 1 after {out[:80]!r}"
     if code in (2, 3) and out:
@@ -114,11 +118,13 @@ def broken_rule(code: int, out: str, err: str) -> str | None:
     return None
 
 
-def run_mutant(k: int, mutant: bytes, path: str) -> list[tuple[list[str], int | None, str | None]]:
-    """Write mutant number ``k`` to ``path`` and run ``decide`` on it, then,
-    for every fourth, ``verify --horizon 2``; the hooked decoder's gate is
-    open for an odd ``k``.  One (argv, exit code or None after a raise,
-    broken rule or None) per call."""
+def run_mutant(
+    k: int, mutant: bytes, path: str, kind: str = ""
+) -> list[tuple[list[str], int | None, str | None]]:
+    """Write mutant number ``k``, of the given kind, to ``path`` and run
+    ``decide`` on it, then, for every fourth, ``verify --horizon 2``; the
+    hooked decoder's gate is open for an odd ``k``.  One (argv, exit code or
+    None after a raise, broken rule or None) per call."""
     with open(path, "wb") as fh:
         fh.write(mutant)
     verbs = [["decide"]] + ([["verify", "--horizon", "2"]] if k % VERIFY_EVERY == 0 else [])
@@ -135,7 +141,7 @@ def run_mutant(k: int, mutant: bytes, path: str) -> list[tuple[list[str], int | 
             except Exception as exc:  # a raise is the broken rule reported
                 calls.append((argv, None, f"raised {type(exc).__name__}: {exc}"[:300]))
                 continue
-            calls.append((argv, code, broken_rule(code, out.getvalue(), err.getvalue())))
+            calls.append((argv, code, broken_rule(code, out.getvalue(), err.getvalue(), kind)))
     finally:
         cli._HOOKED_MIN = hooked_min
     return calls

@@ -674,6 +674,39 @@ def test_hooked_decode_matches_the_plain_one(monkeypatch, tmp_path, capsys, case
     assert hooked_call[0] == 2 and hooked_call[1].err == f"input error: {plain}\n"
 
 
+# documents with an object that repeats a key, the key, and the n their tail
+# gives the hooked decoder
+_REPEATED_KEYS = {
+    "edges-twice": ('edges', 3, _graphs('{"edges": [[1, 2]], "name": "A"}',
+                                        '{"edges": [[2, 1]], "name": "B", "edges": [[2, 3]]}')
+                    + ', "n": 3}'),
+    "same-name-twice": ('name', 3, _graphs('{"edges": [[1, 2]], "name": "A", "name": "A"}')
+                        + ', "n": 3}'),
+    "n-first-and-last": ('n', 3, '{"n": 2, ' + _graphs('{"edges": [[1, 2]], "name": "A"}')[1:]
+                         + ', "n": 3}'),
+    "graphs-twice": ('graphs', 3, _graphs('{"edges": [[1, 2]], "name": "A"}')
+                     + ', "graphs": [], "n": 3}'),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPEATED_KEYS))
+def test_repeated_key_is_an_input_error_on_both_decode_paths(monkeypatch, tmp_path, capsys, case):
+    key, hooked_n, text = _REPEATED_KEYS[case]
+    path = tmp_path / "adv.json"
+    path.write_text(text, encoding="utf-8")
+    made = []
+    real = cli._decoder
+    monkeypatch.setattr(cli, "_decoder", lambda n: made.append(n) or real(n))
+    expected = (2, "", f"input error: {path} repeats the key {key!r} in one object\n")
+    for gate, hooked in ((0, [hooked_n]), (float("inf"), [])):
+        monkeypatch.setattr(cli, "_HOOKED_MIN", gate)
+        made.clear()
+        code = main(["decide", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert made == hooked
+
+
 @pytest.fixture(scope="module")
 def rr_document(tmp_path_factory):
     # random_rooted(12,1500,1) writes an 884 KB document; the graphs it loads

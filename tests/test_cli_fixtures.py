@@ -31,7 +31,9 @@ digits than Python converts, and a name holds a byte that is not UTF-8.
 Each ``*.decide.err`` fixture pins the one input-error line ``decide``
 prints for it; the test runs in the document's directory and names it by
 its file name, so the line does not depend on where the repository lies.
-The ``lone_surrogate`` document decodes, but a graph name holds the escape
+The ``duplicate_n`` document repeats its "n" key; a repeated key is an input
+error, whichever value comes last, and its ``decide.err`` fixture pins the
+line.  The ``lone_surrogate`` document decodes, but a graph name holds the escape
 ``\ud800``, which no UTF-8 text can hold; its ``decide.err`` fixture pins the
 input error that ``decide`` and ``export-dot`` print before any output.
 """
@@ -101,7 +103,7 @@ USAGE_CASES = [
 ]
 
 
-UNDECODABLE = ["deep_nesting", "huge_integer", "invalid_utf8"]
+UNDECODABLE = ["deep_nesting", "huge_integer", "invalid_utf8", "duplicate_n"]
 
 
 def _fixture_call(doc, out, argv, code):

@@ -216,6 +216,12 @@ _BASE = simple_chain_spec(2, 8)  # roots {1}, {2}, {3}; encoders {4, 5, 6}
          "root sets must all have the same size"),
         (lambda: ChainSpec(10, (_ROOTS[0], frozenset({11})), _ENCODERS),
          "root set R_2 out of range 1..10"),
+        # two coincident pairs, R_2 = R_3 and R_1 = R_4: the one with the
+        # smaller first index is named, as a scan over every pair names it
+        (lambda: ChainSpec(10, (*_ROOTS, *_ROOTS[::-1]), _ENCODERS),
+         "root sets R_1 and R_4 coincide"),
+        (lambda: ChainSpec(10, (_ROOTS[1], *_ROOTS, _ROOTS[1], _ROOTS[1]), _ENCODERS),
+         "root sets R_1 and R_3 coincide"),
         (lambda: ChainSpec(10, _ROOTS, frozenset()), "encoder set is empty"),
         (lambda: ChainSpec(10, _ROOTS, _ENCODERS | {11}), "encoder set out of range 1..10"),
         (lambda: ChainSpec(10, _ROOTS, _ENCODERS | {2}), "encoder set intersects root set R_2"),
@@ -227,7 +233,7 @@ _BASE = simple_chain_spec(2, 8)  # roots {1}, {2}, {3}; encoders {4, 5, 6}
     ],
     ids=[
         "one_root_set", "empty_root_set", "unequal_root_sizes", "root_out_of_range",
-        "no_encoders", "encoder_out_of_range", "encoder_in_root", "empty_path",
+        "coincident_pairs", "root_set_thrice", "no_encoders", "encoder_out_of_range", "encoder_in_root", "empty_path",
         "repeated_path_node", "path_out_of_range", "chain_n_too_small", "canonical_len_zero",
     ],
 )

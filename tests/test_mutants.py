@@ -3,8 +3,8 @@
 The mutator and the rules every call must keep are in ``mutation.py``:
 whatever the document, a call exits 0, 1, 2 or 3; exit 1 comes only after a
 verdict or a verify report on stdout; exits 2 and 3 write nothing to stdout
-and at most one line to stderr; exits 0 and 1 write nothing to stderr; and
-nothing raises.  ``tools/mutants.py`` runs more of them on demand.
+and at most one line to stderr; exits 0 and 1 write nothing to stderr;
+nothing raises; and a duplicated key exits 2.  ``tools/mutants.py`` runs more of them on demand.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def test_mutated_documents_end_in_an_exit_code(name, tmp_path):
     for k in range(MUTANTS):
         kind, mutant = mutate(rng, data)
         kinds.add(kind)
-        for argv, _, problem in run_mutant(k, mutant, path):
+        for argv, _, problem in run_mutant(k, mutant, path, kind):
             if problem:
                 failures.append(f"mutant {k} ({kind}), {argv[0]}: {problem}")
     assert not failures, "\n".join(failures)

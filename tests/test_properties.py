@@ -5,12 +5,17 @@ import tracemalloc
 from functools import reduce
 from itertools import count
 from operator import and_, or_
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oblicon.cli import load_adversary
 from oblicon.decision import Verdict, decide
-from oblicon.errors import NonBroadcastableComponentError
+from oblicon.errors import (
+    AdversaryFormatError, NonBroadcastableComponentError, PairBudgetExceededError,
+)
 from oblicon.families import (
     gen_canonical_chain,
     gen_chain,
@@ -1003,23 +1008,115 @@ def test_decide_matches_naive_refinement_on_families(name):
     assert_matches_naive_refinement(FAMILY_CASES[name]())
 
 
+def _decide_linked_from_pairs(d, no_early_exit):
+    """``decide`` handed a level 1 without representatives, so that its
+    first relink runs ``union_find`` over every labelled pair."""
+    first = single_round_indist(d)
+    plain = IndistGraph(first.size, first.names, dict(first.labels()))
+    with mock.patch("oblicon.decision.single_round_indist", lambda _: plain):
+        return decide(d, no_early_exit)
+
+
+def _outcome(trace):
+    return (
+        trace.verdict, trace.iterations, trace.removed, trace.components_final,
+        trace.round_bound, trace.fitting,
+    )
+
+
+def assert_level_one_linked_exactly(d):
+    """Level 1, linked along its in-neighbourhood groups or over its pairs,
+    whichever ``single_round_indist`` picks, and each forced in turn, has the
+    components, and ``decide`` the outcome, of union-find over every
+    labelled pair."""
+    import oblicon.indist
+
+    for link_cost in (oblicon.indist._LINK_COST, 0, float("inf")):  # as is, chains, pairs
+        with mock.patch.object(oblicon.indist, "_LINK_COST", link_cost):
+            ig = single_round_indist(d)
+            rep = union_find(len(d), ig.labels())
+            comp_of, comps = group(rep)
+            assert ig.representatives() == rep
+            assert ig.components() == tuple(map(tuple, comps))
+            assert [ig.component_of(x) for x in range(len(d))] == comp_of
+            for no_early_exit in (False, True):
+                expected = _outcome(_decide_linked_from_pairs(d, no_early_exit))
+                assert _outcome(decide(d, no_early_exit)) == expected
+
+
+LEVEL_ONE_CASES = {
+    "lossy_link3-1": lambda: lossy_link(3, 1),
+    "lossy_link3-2": lambda: lossy_link(3, 2),
+    "lossy_link4-3": lambda: lossy_link(4, 3),
+    # dense: many graphs on few processes, so large in-neighbourhood groups
+    "random_rooted3x40s1": lambda: random_rooted(3, 40, 1),
+    "random_rooted4x400s2": lambda: random_rooted(4, 400, 2),
+    # sparse: few graphs share an in-neighbourhood
+    "random_rooted8x60s5": lambda: random_rooted(8, 60, 5),
+    "random_rooted12x300s1": lambda: random_rooted(12, 300, 1),
+    "chain40": lambda: gen_chain(simple_chain_spec(40)),
+    "rooted_trees3": lambda: rooted_trees(3),
+    "source_broadcast4-1": lambda: source_broadcast(4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ONE_CASES))
+def test_level_one_groups_link_like_its_pairs(name):
+    assert_level_one_linked_exactly(LEVEL_ONE_CASES[name]())
+
+
+def test_level_one_groups_link_like_its_pairs_on_fixtures():
+    loaded = []
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        try:
+            loaded.append((path.stem, load_adversary(str(path))))
+        except AdversaryFormatError:  # the documents that pin input errors
+            continue
+    assert [stem for stem, _ in loaded] == ["chain8", "lossy_link3_1", "random_rooted4_5_0"]
+    for _, d in loaded:
+        assert_level_one_linked_exactly(d)
+
+
+@given(st.one_of(
+    adversaries(min_n=2, max_n=6, max_graphs=8),
+    adversaries(min_n=2, max_n=6, max_graphs=8, rooted=True),
+))
+@settings(max_examples=150, deadline=None)
+def test_level_one_groups_link_like_its_pairs_on_random_adversaries(d):
+    assert_level_one_linked_exactly(d)
+
+
+def test_level_one_cap_refuses_before_any_label_or_link(monkeypatch):
+    import oblicon.indist
+
+    def refuse(*args):
+        raise AssertionError("a label or a link was built")
+
+    monkeypatch.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", 100)
+    monkeypatch.setattr(oblicon.indist, "combinations", refuse)
+    monkeypatch.setattr(oblicon.indist, "pairwise", refuse)
+    monkeypatch.setattr(oblicon.indist, "union_find", refuse)
+    with pytest.raises(PairBudgetExceededError) as exc:
+        single_round_indist(lossy_link(4, 3))
+    assert (exc.value.budget, exc.value.rounds) == (100, 1)
+
 def test_refinement_reaches_relink_search_and_fallback(monkeypatch):
     import oblicon.decision
 
-    union_find = oblicon.decision.union_find
+    relink = oblicon.decision._relink
     split = oblicon.decision._split
     events = []
 
-    def counted_union_find(*args):
+    def counted_relink(*args):
         events.append("relink")
-        return union_find(*args)
+        return relink(*args)
 
     def counted_split(*args):
         steps = split(*args)
         events.append("searched" if steps >= 0 else "out of steps")
         return steps
 
-    monkeypatch.setattr(oblicon.decision, "union_find", counted_union_find)
+    monkeypatch.setattr(oblicon.decision, "_relink", counted_relink)
     monkeypatch.setattr(oblicon.decision, "_split", counted_split)
     for no_early_exit in (False, True):
         # one edge per iteration: level 1 and three more levels are relinked,

@@ -43,7 +43,7 @@ def main(argv: list[str]) -> int:
         for j in range(args.count):
             name = DOCUMENTS[j % len(DOCUMENTS)]
             kind, mutant = mutate(rng, data[j % len(DOCUMENTS)])
-            for call, code, problem in run_mutant(j, mutant, path):
+            for call, code, problem in run_mutant(j, mutant, path, kind):
                 if problem:
                     print(f"mutant {j} ({kind} of {name}), {call[0]}: {problem}")
                     return 1
