@@ -84,7 +84,8 @@ class IndistGraph:
     ``ValueError`` naming the first bad edge.  The graph owns the mapping it
     is handed, without a copy, so its producer must not change it later.
     ``rep``, if given, holds each node's ``union_find`` representative over
-    the edges."""
+    the edges; a producer that hands it built the edges too, so they are not
+    checked."""
 
     __slots__ = ("size", "names", "_edges", "_rep", "_components", "_comp_of")
 
@@ -94,7 +95,7 @@ class IndistGraph:
     ):
         if len(names) != size:
             raise ValueError("one name per node required")
-        for (u, v), label in edges.items():
+        for (u, v), label in edges.items() if rep is None else ():
             if not (0 <= u < v < size and label):
                 if u == v:
                     raise ValueError(f"self-edge at node {u}")
@@ -293,9 +294,6 @@ def common_masks(comps: Iterable[Sequence[int]], masks: Sequence[int]) -> list[i
 # level-1 pairs above which single_round_indist refuses to build the graph:
 # its labels take memory quadratic in the graphs
 MAX_LEVEL1_PAIRS = 1 << 20
-# what a level-1 chain link costs to generate and link, in labelled pairs
-# linked: a link took 240 ns and a pair 135 ns on random_rooted(12,1500)
-_LINK_COST = 2
 
 
 def single_round_indist(d: Adversary) -> IndistGraph:
@@ -311,18 +309,15 @@ def single_round_indist(d: Adversary) -> IndistGraph:
     Each group of graphs that give one process the same in-neighbourhood is
     a clique, so the components are linked along a chain through each
     group, a link fewer than its size, rather than over every labelled
-    pair; but a link costs about ``_LINK_COST`` pairs, so the pairs are
-    linked when they cost less.  The graph owns the labels.
+    pair.  The graph owns the labels.
     """
     m = len(d)
     cap = MAX_LEVEL1_PAIRS if m * (m - 1) // 2 > MAX_LEVEL1_PAIRS else None
     in_masks = list(zip(*(g._in for g in d.graphs)))
     groups: list[list[int]] = []
     labels = bucket_labels(in_masks, cap, groups=groups)
-    links = sum(map(len, groups)) - len(groups)
-    chains = chain.from_iterable(map(pairwise, groups))
-    edges = chains if len(labels) >= _LINK_COST * links else labels
-    return IndistGraph(m, d.names, labels, union_find(m, edges))
+    rep = union_find(m, chain.from_iterable(map(pairwise, groups)))
+    return IndistGraph(m, d.names, labels, rep)
 
 
 def is_protected(

@@ -742,11 +742,14 @@ def test_load_adversary_holds_one_graph_at_a_time(rr_document):
     assert peak < 4 << 20
 
 
-# names as load_adversary takes them: no '.' or ',', not blank at either
-# end; quotes, backslashes and non-ASCII are escaped by the writer, and a
-# 't' sends the text down the plain decode
+# names as load_adversary takes them: no '.' or ',' or lone surrogate, not
+# blank at either end; quotes, backslashes and non-ASCII are escaped by the
+# writer, and a 't' sends the text down the plain decode
 _names = st.text(
-    st.one_of(st.sampled_from('"\\t\u00e9\u2603\U0001d11e'), st.characters(blacklist_characters=".,")),
+    st.one_of(
+        st.sampled_from('"\\t\u00e9\u2603\U0001d11e'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=".,"),
+    ),
     min_size=1, max_size=6,
 ).filter(lambda s: s == s.strip())
 

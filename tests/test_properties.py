@@ -1025,23 +1025,17 @@ def _outcome(trace):
 
 
 def assert_level_one_linked_exactly(d):
-    """Level 1, linked along its in-neighbourhood groups or over its pairs,
-    whichever ``single_round_indist`` picks, and each forced in turn, has the
-    components, and ``decide`` the outcome, of union-find over every
-    labelled pair."""
-    import oblicon.indist
-
-    for link_cost in (oblicon.indist._LINK_COST, 0, float("inf")):  # as is, chains, pairs
-        with mock.patch.object(oblicon.indist, "_LINK_COST", link_cost):
-            ig = single_round_indist(d)
-            rep = union_find(len(d), ig.labels())
-            comp_of, comps = group(rep)
-            assert ig.representatives() == rep
-            assert ig.components() == tuple(map(tuple, comps))
-            assert [ig.component_of(x) for x in range(len(d))] == comp_of
-            for no_early_exit in (False, True):
-                expected = _outcome(_decide_linked_from_pairs(d, no_early_exit))
-                assert _outcome(decide(d, no_early_exit)) == expected
+    """Level 1, linked along its in-neighbourhood groups, has the components,
+    and ``decide`` the outcome, of union-find over every labelled pair."""
+    ig = single_round_indist(d)
+    rep = union_find(len(d), ig.labels())
+    comp_of, comps = group(rep)
+    assert ig.representatives() == rep
+    assert ig.components() == tuple(map(tuple, comps))
+    assert [ig.component_of(x) for x in range(len(d))] == comp_of
+    for no_early_exit in (False, True):
+        expected = _outcome(_decide_linked_from_pairs(d, no_early_exit))
+        assert _outcome(decide(d, no_early_exit)) == expected
 
 
 LEVEL_ONE_CASES = {
