@@ -6,12 +6,15 @@ root component is inside the edge label.  The loop stops when the edge set
 stabilizes or every component becomes root-compatible; consensus is solvable
 iff all components of the final level are root-compatible.
 
+Level 1 comes with its components, linked from its in-neighbourhood
+groups, and builds its labels only when they are read.  ``decide`` stops
+without them when those components are root-compatible (iteration 1) or
+pass ``_certified`` (iteration 2, nothing removed).
 A label never changes across levels, so the graphs that fit an edge are
 fixed: each edge carries that set as a bitmask over graph indices, and an
 iteration tests each surviving edge with one AND against its component's
-member mask.  Level 1 comes with its components, linked from its
-in-neighbourhood groups, and bulk removals relink them by union-find.
-After that, each removed edge splits its component by a search from both of
+member mask.  Bulk removals relink the components by union-find.  After
+that, each removed edge splits its component by a search from both of
 its endpoints in turn (Even and Shiloach's decremental connectivity), so an
 iteration costs its edge tests plus the smaller sides, not a relink: the
 refinement of chain(200) went from 9.3 to 3.2 ms (README gives the
@@ -21,11 +24,11 @@ when read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
-from functools import reduce
-from itertools import accumulate, compress, count
-from operator import and_, ne
+from functools import cached_property, reduce
+from itertools import accumulate, compress, count, repeat
+from operator import and_, itemgetter, ne
 
 from .errors import PremiseError
 from .indist import (
@@ -60,7 +63,7 @@ class RefinementTrace:
     level 1 counting as iteration 1; ``removal_iterations`` counts only the
     levels that actually dropped an edge, so both ways of counting are
     available.  ``fitting`` maps each level-1 label to the mask of graph
-    indices whose root lies inside it.
+    indices whose root lies inside it, built on first read.
     """
 
     adversary: Adversary
@@ -70,7 +73,12 @@ class RefinementTrace:
     components_final: tuple[tuple[int, ...], ...]
     iterations: int
     early_exit: bool
-    fitting: Mapping[int, int] = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def fitting(self) -> Mapping[int, int]:
+        if self.first_level is None:
+            return {}
+        return _fitting_masks(self.first_level.labels().values(), self.adversary.root_masks())
 
     @property
     def levels(self) -> tuple[IndistGraph, ...]:
@@ -197,6 +205,17 @@ def _split(
     return steps
 
 
+def _certified(groups: Iterable, rep: Sequence[int], root_masks: Sequence[int]) -> bool:
+    """True iff each group of process p (``IndistGraph.groups``) lies in a
+    component, named by ``rep``, that holds a graph whose root is exactly
+    {p}.  Then no edge leaves the next iteration: its label holds such a p."""
+    exact = set(zip(root_masks, rep))
+    return all(
+        exact.issuperset(zip(repeat(pbit), map(rep.__getitem__, map(itemgetter(0), buckets))))
+        for pbit, buckets in groups
+    )
+
+
 def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     """Run the refinement and judge consensus solvability for the adversary.
 
@@ -209,7 +228,8 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     characterizes; property checks that reason about late levels need this
     mode.
 
-    An iteration reads only each node's component label and each label's
+    A level 1 without groups is always refined through its labels.  An
+    iteration reads only each node's component label and each label's
     member mask and root AND.  A relink recomputes them; a split keeps them
     exact.  Dropping one edge of a component leaves at most two components,
     u's and v's, so edges are dropped one at a time.  A search that runs out
@@ -232,17 +252,10 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
 
     first = single_round_indist(d)
     size = first.size
-    # unsorted: only the removed edges are sorted, and no label depends on
-    # the edge order
-    labels = first.labels()
-    fitting = _fitting_masks(labels.values(), root_masks)
-    alive = [(u, v, fitting[label]) for (u, v), label in labels.items()]
     removed: list[tuple[Edge, ...]] = [()]
     bits = [1 << x for x in range(size)]
     comp, members, common = _relink(first.representatives(), bits, root_masks)
-    # the relinks after level 1 may spend twice level 1's edge count before
-    # removed edges split their components by search
-    relink_budget = 2 * len(alive)
+    alive: list[tuple[int, int, int]] | None = None
     adj: list[set[int]] | None = None
     iterations = 1
     while True:
@@ -250,6 +263,18 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
         if compatible and not no_early_exit:
             break
         iterations += 1
+        if alive is None:
+            if first.groups is not None and _certified(first.groups, comp, root_masks):
+                removed.append(())
+                break
+            # unsorted: only the removed edges are sorted, and no label
+            # depends on the edge order
+            labels = first.labels()
+            fitting = _fitting_masks(labels.values(), root_masks)
+            alive = [(u, v, fitting[label]) for (u, v), label in labels.items()]
+            # the relinks after level 1 may spend twice level 1's edge count
+            # before removed edges split their components by search
+            relink_budget = 2 * len(alive)
         kept = []
         gone = []
         for edge in alive:
@@ -290,7 +315,6 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
         components_final=tuple(map(tuple, parts.values())),
         iterations=iterations,
         early_exit=not no_early_exit,
-        fitting=fitting,
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, combinations, compress, count, islice, pairwise, repeat
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import NotRootedError, PairBudgetExceededError
 from .graphs import CommunicationGraph
@@ -85,13 +85,15 @@ class IndistGraph:
     is handed, without a copy, so its producer must not change it later.
     ``rep``, if given, holds each node's ``union_find`` representative over
     the edges; a producer that hands it built the edges too, so they are not
-    checked."""
+    checked.  Handed ``bucket_groups``' list as ``groups``, with ``rep`` and
+    None for ``edges``, the graph keeps it and builds the labels from it,
+    with ``bucket_labels``, on the first read of an edge."""
 
-    __slots__ = ("size", "names", "_edges", "_rep", "_components", "_comp_of")
+    __slots__ = ("size", "names", "groups", "_edges", "_rep", "_components", "_comp_of")
 
     def __init__(
-        self, size: int, names: Sequence[str], edges: Mapping[tuple[int, int], int],
-        rep: list[int] | None = None,
+        self, size: int, names: Sequence[str], edges: Mapping[tuple[int, int], int] | None,
+        rep: list[int] | None = None, groups: list[tuple[int, Iterable[list[int]]]] | None = None,
     ):
         if len(names) != size:
             raise ValueError("one name per node required")
@@ -106,6 +108,7 @@ class IndistGraph:
                 raise ValueError(f"edge ({u},{v}) has an empty label")
         self.size = size
         self.names = tuple(names)
+        self.groups = groups
         self._edges = edges
         self._rep = rep
         self._components: tuple[tuple[int, ...], ...] | None = None
@@ -113,26 +116,28 @@ class IndistGraph:
 
     def label(self, u: int, v: int) -> int | None:
         key = (u, v) if u < v else (v, u)
-        return self._edges.get(key)
+        return self.labels().get(key)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Edges as (u, v, label) with u < v, sorted for determinism."""
-        return [(u, v, self._edges[(u, v)]) for (u, v) in sorted(self._edges)]
+        return sorted((u, v, label) for (u, v), label in self.labels().items())
 
     def labels(self) -> Mapping[tuple[int, int], int]:
         """The label of each edge (u, v), keyed with u < v, in insertion
         order rather than sorted; the graph's own mapping, only to be read."""
+        if self._edges is None:
+            self._edges = bucket_labels(self.groups)
         return self._edges
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self.labels())
 
     def representatives(self) -> list[int]:
         """Each node's component representative, its smallest node, in a
         fresh list the caller may change."""
         if self._rep is None:
-            self._rep = union_find(self.size, self._edges)
+            self._rep = union_find(self.size, self.labels())
         return self._rep[:]
 
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -168,22 +173,19 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def bucket_labels(
+def bucket_groups(
     columns: Sequence[Sequence[int]], cap: int | None = None, rounds: int = 1,
-    groups: list[list[int]] | None = None,
-) -> dict[tuple[int, int], int]:
-    """Edge labels of the nodes whose entries coincide in some process's column.
+) -> Iterable[tuple[int, Iterable[list[int]]]]:
+    """Per process p whose column repeats an entry, p's bit and p's groups:
+    the nodes that share one entry, each ascending.
 
     ``columns[p][i]`` is node i's entry for process p.  A column's repeated
     entries are found in C, by sorting it and comparing neighbours; a column
-    without any is skipped.  Only the nodes holding a repeated entry are
-    grouped by it, and p's bit is ORed into the label of every pair inside a
-    group, so the work beyond the sort is proportional to the
-    indistinguishable pairs rather than all pairs.  Each column's groups are
-    labelled and dropped in turn (kept in ``groups`` when it is given),
-    unless ``cap`` needs the pairs counted first, from the groups, once per
+    without any is skipped, and only the nodes holding a repeated entry are
+    grouped.  The columns are grouped one at a time as they are read, unless
+    ``cap`` needs the pairs counted first, from the groups, once per
     process: a count above it raises PairBudgetExceededError, which names it
-    and ``rounds``.  An ``IndistGraph`` handed the dict owns it.
+    and ``rounds``.
     """
     def grouped_columns() -> Iterator[tuple[int, Iterable[list[int]]]]:
         for p, column in enumerate(columns):
@@ -203,10 +205,16 @@ def bucket_labels(
         pairs = sum(len(b) * (len(b) - 1) // 2 for _, buckets in grouped for b in buckets)
         if pairs > cap:
             raise PairBudgetExceededError(pairs, cap, rounds)
+    return grouped
+
+
+def bucket_labels(grouped: Iterable[tuple[int, Iterable[list[int]]]]) -> dict[tuple[int, int], int]:
+    """Edge labels of the nodes whose entries coincide in some process's
+    column: each process's bit ORed into every pair inside each of its
+    ``bucket_groups``, so the work beyond the grouping is proportional to
+    those pairs.  An ``IndistGraph`` handed the dict owns it."""
     labels: dict[tuple[int, int], int] = {}
     for pbit, buckets in grouped:
-        if groups is not None:
-            groups.extend(buckets)
         for pair in chain.from_iterable(map(combinations, buckets, repeat(2))):
             labels[pair] = labels.get(pair, 0) | pbit
     return labels
@@ -309,15 +317,16 @@ def single_round_indist(d: Adversary) -> IndistGraph:
     Each group of graphs that give one process the same in-neighbourhood is
     a clique, so the components are linked along a chain through each
     group, a link fewer than its size, rather than over every labelled
-    pair.  The graph owns the labels.
+    pair.  The graph keeps the groups and builds its labels from them only
+    when an edge is first read.
     """
     m = len(d)
     cap = MAX_LEVEL1_PAIRS if m * (m - 1) // 2 > MAX_LEVEL1_PAIRS else None
     in_masks = list(zip(*(g._in for g in d.graphs)))
-    groups: list[list[int]] = []
-    labels = bucket_labels(in_masks, cap, groups=groups)
-    rep = union_find(m, chain.from_iterable(map(pairwise, groups)))
-    return IndistGraph(m, d.names, labels, rep)
+    groups = list(bucket_groups(in_masks, cap))
+    chains = map(pairwise, chain.from_iterable(map(itemgetter(1), groups)))
+    rep = union_find(m, chain.from_iterable(chains))
+    return IndistGraph(m, d.names, None, rep, groups)
 
 
 def is_protected(

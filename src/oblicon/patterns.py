@@ -27,7 +27,7 @@ from operator import add, and_, eq, floordiv, mul, ne, or_, sub, xor
 
 from .errors import BudgetExceededError
 from .graphs import CommunicationGraph
-from .indist import Adversary, IndistGraph, bucket_labels, group, union_find
+from .indist import Adversary, IndistGraph, bucket_groups, bucket_labels, group, union_find
 from .procset import procs_of
 
 DEFAULT_PATTERN_BUDGET = 200_000
@@ -656,12 +656,12 @@ def pattern_indist_graph(
     """The full labeled indistinguishability graph over all r-round patterns.
 
     Nodes enumerate the patterns lexicographically; names compose the round
-    graph names ("Ga.Gc").  The edges come from ``bucket_labels`` with the
+    graph names ("Ga.Gc").  The edges come from ``bucket_groups`` with the
     budget as its cap, so too many pairs raise PairBudgetExceededError
     before any edge is built.
     """
     views = _final_level(d, r, budget).views
-    labels = bucket_labels(views, budget, r)
+    labels = bucket_labels(bucket_groups(views, budget, r))
     size = len(views[0])
     names = [pattern_at(d, r, i).name for i in range(size)]
     return IndistGraph(size, names, labels)

@@ -47,6 +47,21 @@ def chain_file(tmp_path):
     return str(path)
 
 
+def test_module_run_as_a_script_exits_with_mains_code(monkeypatch, capsys):
+    import runpy
+    import sys
+    import warnings
+
+    doc = Path(__file__).parent / "fixtures" / "lossy_link3_1.json"
+    monkeypatch.setattr(sys, "argv", ["oblicon", "decide", str(doc)])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # runpy warns that the package already imported oblicon.cli
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("oblicon.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == doc.with_name("lossy_link3_1.decide.txt").read_text()
+
+
 def test_document_roundtrip(tmp_path):
     adv = gen_chain(simple_chain_spec(4))
     path = tmp_path / "adv.json"

@@ -73,6 +73,31 @@ def test_single_round_no_edges_for_distinct_stars():
     assert single_round_indist(d).num_edges == 0
 
 
+def test_equality_with_another_type_is_left_to_it():
+    g = CommunicationGraph(2, [(1, 2)])
+    d = Adversary([g])
+    assert g.__eq__((1, 2)) is NotImplemented and g != (1, 2)
+    assert d.__eq__([g]) is NotImplemented and d != [g]
+
+
+def test_level_one_builds_its_labels_on_first_read(lossy_link_2, monkeypatch):
+    import oblicon.indist
+
+    def refuse(*args):
+        raise AssertionError("a label was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oblicon.indist, "combinations", refuse)
+        ig = single_round_indist(lossy_link_2)
+        # process 1 shares its in-neighbourhood in Gb and Gc, process 2 in Ga and Gc
+        groups = [(pbit, list(buckets)) for pbit, buckets in ig.groups]
+        assert groups == [(1, [[1, 2]]), (2, [[0, 2]])]
+        assert ig.components() == ((0, 1, 2),)
+    assert repr(ig) == "IndistGraph(nodes=3, edges=2)"
+    assert list(ig.labels().items()) == [((1, 2), 1), ((0, 2), 2)]
+    assert IndistGraph(3, ("a", "b", "c"), {(0, 1): 1}).groups is None
+
+
 def test_connected_components_ordering():
     ig = IndistGraph(3, ("a", "b", "c"), {})
     assert ig.components() == ((0,), (1,), (2,))
@@ -186,11 +211,11 @@ def test_union_find_with_masks_stops_at_an_empty_and():
 
 def test_bucket_labels_counts_pairs_before_building_any():
     from oblicon.errors import PairBudgetExceededError
-    from oblicon.indist import bucket_labels
+    from oblicon.indist import bucket_groups, bucket_labels
 
     # p1 holds one bucket of three nodes (3 pairs), p2 one of two (1 pair)
     columns = [[5, 5, 5], [1, 2, 1]]
-    assert bucket_labels(columns, cap=4) == {(0, 1): 1, (0, 2): 3, (1, 2): 1}
+    assert bucket_labels(bucket_groups(columns, cap=4)) == {(0, 1): 1, (0, 2): 3, (1, 2): 1}
     with pytest.raises(PairBudgetExceededError) as exc:
-        bucket_labels(columns, cap=3, rounds=2)
+        bucket_groups(columns, cap=3, rounds=2)
     assert (exc.value.required, exc.value.budget, exc.value.rounds) == (4, 3, 2)

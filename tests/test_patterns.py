@@ -29,6 +29,10 @@ def test_round_zero_views_shared_across_patterns(lossy_link_2):
     assert va[0] != va[1]
 
 
+def test_final_views_of_no_patterns_is_empty():
+    assert final_views([]) == []
+
+
 def test_one_round_views_match_labels(lossy_link_2):
     d = lossy_link_2
     # Ga and Gc agree exactly on process 2's in-neighborhood

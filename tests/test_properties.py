@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import count
 from operator import and_, or_
@@ -30,6 +31,7 @@ from oblicon.graphs import CommunicationGraph
 from oblicon.indist import (
     Adversary,
     IndistGraph,
+    bucket_groups,
     bucket_labels,
     common_masks,
     group,
@@ -1024,6 +1026,15 @@ def _outcome(trace):
     )
 
 
+def assert_decided_like_labelled_level_one(d):
+    """``decide`` on level 1 with its groups, which may judge from them and
+    its components without a label, has every outcome of ``decide`` on
+    level 1 without them, which refines through the labels."""
+    for no_early_exit in (False, True):
+        expected = _outcome(_decide_linked_from_pairs(d, no_early_exit))
+        assert _outcome(decide(d, no_early_exit)) == expected
+
+
 def assert_level_one_linked_exactly(d):
     """Level 1, linked along its in-neighbourhood groups, has the components,
     and ``decide`` the outcome, of union-find over every labelled pair."""
@@ -1033,9 +1044,7 @@ def assert_level_one_linked_exactly(d):
     assert ig.representatives() == rep
     assert ig.components() == tuple(map(tuple, comps))
     assert [ig.component_of(x) for x in range(len(d))] == comp_of
-    for no_early_exit in (False, True):
-        expected = _outcome(_decide_linked_from_pairs(d, no_early_exit))
-        assert _outcome(decide(d, no_early_exit)) == expected
+    assert_decided_like_labelled_level_one(d)
 
 
 LEVEL_ONE_CASES = {
@@ -1093,6 +1102,83 @@ def test_level_one_cap_refuses_before_any_label_or_link(monkeypatch):
     with pytest.raises(PairBudgetExceededError) as exc:
         single_round_indist(lossy_link(4, 3))
     assert (exc.value.budget, exc.value.rounds) == (100, 1)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_decide_from_groups_matches_labelled_refinement_on_families(name):
+    assert_decided_like_labelled_level_one(FAMILY_CASES[name]())
+
+
+def _decide_counting_label_builds(d, no_early_exit):
+    """``decide``'s trace, and whether it built level 1's labels."""
+    import oblicon.indist
+
+    built = []
+    build = oblicon.indist.bucket_labels
+    counted = lambda groups: built.append(1) or build(groups)  # noqa: E731
+    with mock.patch("oblicon.indist.bucket_labels", counted):
+        trace = decide(d, no_early_exit)
+    return trace, bool(built)
+
+
+def test_decide_from_groups_matches_labelled_refinement_on_random_rooted_corpus():
+    label_free = Counter()
+    for n in range(2, 6):
+        # two processes have only three rooted graphs
+        for graphs in range(1, 4 if n == 2 else 9):
+            for seed in range(30):
+                d = random_rooted(n, graphs, seed)
+                assert_decided_like_labelled_level_one(d)
+                for no_early_exit in (False, True):
+                    trace, built = _decide_counting_label_builds(d, no_early_exit)
+                    if not built:
+                        label_free[no_early_exit, trace.verdict, trace.iterations] += 1
+    # every way of judging without a label is exercised: compatible at
+    # level 1, and certified at iteration 2 with either verdict
+    assert set(label_free) == {
+        (False, Verdict.SOLVABLE, 1),
+        (False, Verdict.IMPOSSIBLE, 2),
+        (True, Verdict.SOLVABLE, 2),
+        (True, Verdict.IMPOSSIBLE, 2),
+    }
+    assert min(label_free.values()) >= 20
+
+
+NO_LABEL_CASES = {
+    # (adversary, verdict, iterations, early-exit modes that build no label)
+    "lossy_link4-3": (lambda: lossy_link(4, 3), Verdict.IMPOSSIBLE, 2, (False, True)),
+    "lossy_link6-2": (lambda: lossy_link(6, 2), Verdict.SOLVABLE, 1, (False,)),
+    "source_broadcast4-1": (lambda: source_broadcast(4, 1), Verdict.SOLVABLE, 1, (False,)),
+    "rooted_trees3": (lambda: rooted_trees(3), Verdict.IMPOSSIBLE, 2, (False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_LABEL_CASES))
+def test_decide_builds_no_label_when_groups_decide(name, monkeypatch):
+    import oblicon.indist
+
+    make, verdict, iterations, modes = NO_LABEL_CASES[name]
+    d = make()
+    eager = bucket_labels(bucket_groups(list(zip(*(g._in for g in d.graphs)))))
+    roots = d.root_masks()
+    eager_fitting = {
+        label: sum(1 << g for g, rm in enumerate(roots) if is_subset(rm, label))
+        for label in set(eager.values())
+    }
+
+    def refuse(*args):
+        raise AssertionError("a level-1 label was built")
+
+    for no_early_exit in modes:
+        with monkeypatch.context() as patched:
+            patched.setattr(oblicon.indist, "combinations", refuse)
+            trace = decide(d, no_early_exit)
+        assert (trace.verdict, trace.removed) == (verdict, ((),) * trace.iterations)
+        assert trace.iterations == (2 if no_early_exit else iterations)
+        # read afterwards, the labels and fitting masks are the eager ones
+        assert trace.fitting == eager_fitting
+        assert list(trace.level_at(1).labels().items()) == list(eager.items())
+
 
 def test_refinement_reaches_relink_search_and_fallback(monkeypatch):
     import oblicon.decision
@@ -1325,4 +1411,4 @@ def label_columns(draw):
 @given(label_columns())
 @settings(max_examples=200, deadline=None)
 def test_bucket_labels_match_all_pairs_reference(columns):
-    assert bucket_labels(columns) == naive_bucket_labels(columns)
+    assert bucket_labels(bucket_groups(columns)) == naive_bucket_labels(columns)

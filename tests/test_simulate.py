@@ -471,6 +471,13 @@ def test_imposs_witness_rechecks_the_view_path(lossy_link_2, monkeypatch, path, 
     assert str(exc.value) == message
 
 
+def test_view_path_is_none_when_no_chain_of_views_reaches_the_goal():
+    # process 1 tells the three patterns apart; process 2 joins 0 and 1 only
+    views = [[0, 1, 2], [3, 3, 4]]
+    assert simulate._view_path(views, 0, 1) == [0, 1]
+    assert simulate._view_path(views, 0, 2) is None
+
+
 def test_imposs_witness_none_for_solvable(solvable_pair):
     for i in (1, 2, 3):
         assert imposs_witness(solvable_pair, i) is None
@@ -512,7 +519,7 @@ def test_imposs_witness_builds_no_pattern_graph(monkeypatch):
     # lossy_link(4,3) has 89,401 two-round patterns but 28,019,136 pairs
     # that share some process's view: the witness must not list them.  The
     # refinement's level-1 graph over the 299 graphs themselves still goes
-    # through ``oblicon.indist.bucket_labels``.
+    # through ``oblicon.indist.bucket_groups``.
     import oblicon.patterns
     import oblicon.simulate
     from oblicon.families import lossy_link

@@ -11,6 +11,8 @@ timed.  ``--time MODULE.FUNC`` also times every call of one program
 function, say ``cli.adversary_from_doc``, inside each operation, one row
 per function; it may be given more than once, so that one run times
 ``indist.single_round_indist`` (L1) and ``decision.decide`` (L1 and L2).
+``--time MODULE.CLASS.METHOD``, say ``indist.IndistGraph.labels``, times a
+method the same way, through its class.
 ``--setup`` also times each checkout's own run of the workload's set-up
 (generating and writing every document) in the same alternating rounds, as
 the row ``set-up``; the benchmark's ``setup_s`` moves by about 5% between
@@ -20,7 +22,7 @@ set-up, taken after the timed rounds so that tracing slows none of them.
 Standard library only.  Run from anywhere:
 
     python3 tools/side_by_side.py BEFORE AFTER --workload decide-large [--seed 7]
-        [--rounds 21] [--time MODULE.FUNC]... [--setup] [--peak]
+        [--rounds 21] [--time MODULE[.CLASS].FUNC]... [--setup] [--peak]
 
 A ratio is the after checkout's CPU time over the before checkout's, taken
 per round and reported as the median over rounds; ``faster`` counts the
@@ -73,11 +75,14 @@ def import_workloads(checkout: Path, pkg):
 
 
 def time_function(pkg, target: str) -> list[int]:
-    """Replace ``pkg.MODULE.FUNC`` in every module of ``pkg`` that holds it
-    by a wrapper that adds each call's CPU nanoseconds to the returned
-    one-item list."""
-    module, func = target.rsplit(".", 1)
-    original = getattr(importlib.import_module(f"{pkg.__name__}.{module}"), func)
+    """Replace ``pkg.MODULE.FUNC`` in every module of ``pkg`` that holds it,
+    or the method ``pkg.MODULE.CLASS.FUNC`` on its class, by a wrapper that
+    adds each call's CPU nanoseconds to the returned one-item list."""
+    module, *classes, func = target.split(".")
+    owner = importlib.import_module(f"{pkg.__name__}.{module}")
+    for name in classes:
+        owner = getattr(owner, name)
+    original = getattr(owner, func)
     spent = [0]
 
     def timed(*args, **kwargs):
@@ -87,6 +92,9 @@ def time_function(pkg, target: str) -> list[int]:
         finally:
             spent[0] += time.process_time_ns() - t0
 
+    if classes:
+        setattr(owner, func, timed)
+        return spent
     prefix = pkg.__name__ + "."
     for name, mod in list(sys.modules.items()):
         if name.startswith(prefix) or name == pkg.__name__:
@@ -146,8 +154,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument(
-        "--time", metavar="MODULE.FUNC", action="append", default=[],
-        help="also time this program function (repeatable)",
+        "--time", metavar="MODULE[.CLASS].FUNC", action="append", default=[],
+        help="also time this program function or method (repeatable)",
     )
     parser.add_argument("--setup", action="store_true", help="also time each checkout's set-up")
     parser.add_argument("--peak", action="store_true", help="also print tracemalloc peaks")
