@@ -11,15 +11,15 @@ groups, and builds its labels only when they are read.  ``decide`` stops
 without them when those components are root-compatible (iteration 1) or
 pass ``_certified`` (iteration 2, nothing removed).
 A label never changes across levels, so the graphs that fit an edge are
-fixed: each edge carries that set as a bitmask over graph indices, and an
-iteration tests each surviving edge with one AND against its component's
-member mask.  Bulk removals relink the components by union-find.  After
-that, each removed edge splits its component by a search from both of
-its endpoints in turn (Even and Shiloach's decremental connectivity), so an
-iteration costs its edge tests plus the smaller sides, not a relink: the
-refinement of chain(200) went from 9.3 to 3.2 ms (README gives the
-setting).  Levels are kept as the log of removed edges and rebuilt only
-when read.
+fixed: each edge carries that set as a bitmask over graph indices, and
+survives while it meets its component's member mask.  Bulk removals relink
+the components by union-find, and the next iteration tests every edge.
+After that, each removed edge splits its component by a search from both
+of its endpoints in turn (Even and Shiloach's decremental connectivity),
+and each edge watches one graph of its mask in its component, as a SAT
+solver watches literals: only an edge whose witness or endpoint moved is
+tested again, so an iteration costs its splits, not a relink or a scan.
+Levels are kept as the log of removed edges and rebuilt only when read.
 """
 from __future__ import annotations
 
@@ -167,16 +167,18 @@ def _relink(
 
 
 def _split(
-    adj: list[set[int]], u: int, v: int, steps: int, comp: list[int],
-    members: list[int], common: list[int], bits: list[int], root_masks: Sequence[int],
+    adj: list[set[int]], u: int, v: int, steps: int, comp: list[int], members: list[int],
+    common: list[int], bits: list[int], root_masks: Sequence[int], moved: set[int],
 ) -> int:
     """Search from u and from v in turn, a node at a time, once their edge has
     left ``adj``.  If one search runs out before they meet, its side takes a
-    fresh label out of the other's members and root AND.  Each node searched
-    costs its degree plus one step; returns the steps left (negative: no answer)."""
+    fresh label out of the other's members and root AND, and joins ``moved``.
+    Each node searched costs its degree plus one step; returns the steps left
+    (negative: no answer)."""
     seen = ({u}, {v})
-    todo = ([u], [v])
-    k = 0
+    # an endpoint left without a neighbour is its own component
+    todo = ([u] if adj[u] else [], [v] if adj[v] else [])
+    k = 0 if todo[1] else 1
     while todo[k]:
         if steps < 0:
             return steps
@@ -192,6 +194,7 @@ def _split(
     label = len(members)
     for x in side:
         comp[x] = label
+    moved |= side
     mask = sum(map(bits.__getitem__, side))
     members[old] ^= mask
     members.append(mask)
@@ -237,6 +240,12 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     then lacks the other endpoint; the rest is that endpoint's component.
     No edge test depends on which member names a label, and after the loop
     each label is renamed to its smallest member, as a relink names it.
+    Once edges split by search, each edge watches its witness, the lowest
+    graph of its mask in its component.  A split moves only the side it
+    relabels, so an edge whose witness and endpoints stayed put still meets
+    its component; the others are tested and watch afresh.  When a search
+    runs out of steps the components are relinked, and the next iteration
+    tests and watches every edge.
     """
     root_masks = d.root_masks()
     if any(rm == 0 for rm in root_masks):
@@ -257,6 +266,7 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
     comp, members, common = _relink(first.representatives(), bits, root_masks)
     alive: list[tuple[int, int, int]] | None = None
     adj: list[set[int]] | None = None
+    moved: set[int] | None = None
     iterations = 1
     while True:
         compatible = all(common)
@@ -275,32 +285,59 @@ def decide(d: Adversary, no_early_exit: bool = False) -> RefinementTrace:
             # the relinks after level 1 may spend twice level 1's edge count
             # before removed edges split their components by search
             relink_budget = 2 * len(alive)
-        kept = []
-        gone = []
-        for edge in alive:
-            if edge[2] & members[comp[edge[0]]]:
-                kept.append(edge)
+        if relink_budget >= 0:
+            kept = []
+            gone = []
+            for edge in alive:
+                if edge[2] & members[comp[edge[0]]]:
+                    kept.append(edge)
+                else:
+                    gone.append(edge[:2])
+            alive = kept
+        else:
+            if adj is None:
+                adj = [set() for _ in bits]
+                for u, v, _ in alive:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                fit = {edge[:2]: edge[2] for edge in alive}
+                watcher = dict.fromkeys(fit, 0)
+            if moved is None:
+                # after a relink every edge is tested and watched afresh
+                watch: list[set[Edge]] = [set() for _ in bits]
+                retest: Iterable[Edge] = list(watcher)
             else:
-                gone.append(edge[:2])
+                # an edge can fail only if its witness or an endpoint moved
+                retest = set()
+                for x in moved:
+                    retest |= watch[x]
+                    retest.update([(x, y) if x < y else (y, x) for y in adj[x]])
+            gone = []
+            for key in retest:
+                watch[watcher.pop(key)].discard(key)
+                hit = fit[key] & members[comp[key[0]]]
+                if hit:
+                    w = (hit & -hit).bit_length() - 1
+                    watcher[key] = w
+                    watch[w].add(key)
+                else:
+                    gone.append(key)
+            kept = watcher
         removed.append(tuple(sorted(gone)))
         if not gone:
             break
-        if adj is None and relink_budget < 0:
-            adj = [set() for _ in bits]
-            for u, v, _ in alive:
-                adj[u].add(v)
-                adj[v].add(u)
-        alive = kept
         if adj is not None:
             # the searches share about the cost of the relink they replace
             steps = len(kept) + size
+            moved = set()
             for u, v in gone:
                 adj[u].remove(v)
                 adj[v].remove(u)
                 if steps >= 0:
-                    steps = _split(adj, u, v, steps, comp, members, common, bits, root_masks)
+                    steps = _split(adj, u, v, steps, comp, members, common, bits, root_masks, moved)
             if steps >= 0:
                 continue
+            moved = None
         comp, members, common = _relink(union_find(size, kept), bits, root_masks)
         relink_budget -= len(kept)
 

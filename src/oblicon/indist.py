@@ -87,7 +87,8 @@ class IndistGraph:
     the edges; a producer that hands it built the edges too, so they are not
     checked.  Handed ``bucket_groups``' list as ``groups``, with ``rep`` and
     None for ``edges``, the graph keeps it and builds the labels from it,
-    with ``bucket_labels``, on the first read of an edge."""
+    with ``bucket_labels`` under the level-1 cap, on the first read of an
+    edge."""
 
     __slots__ = ("size", "names", "groups", "_edges", "_rep", "_components", "_comp_of")
 
@@ -126,7 +127,10 @@ class IndistGraph:
         """The label of each edge (u, v), keyed with u < v, in insertion
         order rather than sorted; the graph's own mapping, only to be read."""
         if self._edges is None:
-            self._edges = bucket_labels(self.groups)
+            # only single_round_indist hands groups, so this is level 1's cap
+            m = self.size
+            cap = MAX_LEVEL1_PAIRS if m * (m - 1) // 2 > MAX_LEVEL1_PAIRS else None
+            self._edges = bucket_labels(self.groups, cap)
         return self._edges
 
     @property
@@ -173,46 +177,41 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def bucket_groups(
-    columns: Sequence[Sequence[int]], cap: int | None = None, rounds: int = 1,
-) -> Iterable[tuple[int, Iterable[list[int]]]]:
+def bucket_groups(columns: Sequence[Sequence[int]]) -> Iterator[tuple[int, Iterable[list[int]]]]:
     """Per process p whose column repeats an entry, p's bit and p's groups:
     the nodes that share one entry, each ascending.
 
     ``columns[p][i]`` is node i's entry for process p.  A column's repeated
     entries are found in C, by sorting it and comparing neighbours; a column
     without any is skipped, and only the nodes holding a repeated entry are
-    grouped.  The columns are grouped one at a time as they are read, unless
-    ``cap`` needs the pairs counted first, from the groups, once per
-    process: a count above it raises PairBudgetExceededError, which names it
-    and ``rounds``.
+    grouped.  The columns are grouped one at a time as they are read.
     """
-    def grouped_columns() -> Iterator[tuple[int, Iterable[list[int]]]]:
-        for p, column in enumerate(columns):
-            ordered = sorted(column)
-            repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
-            if not repeated:
-                continue
-            buckets: dict[int, list[int]] = {}
-            for i in compress(count(), map(repeated.__contains__, column)):
-                buckets.setdefault(column[i], []).append(i)
-            yield 1 << p, buckets.values()
+    for p, column in enumerate(columns):
+        ordered = sorted(column)
+        repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+        if not repeated:
+            continue
+        buckets: dict[int, list[int]] = {}
+        for i in compress(count(), map(repeated.__contains__, column)):
+            buckets.setdefault(column[i], []).append(i)
+        yield 1 << p, buckets.values()
 
-    grouped: Iterable = grouped_columns()
-    # a count is needed only where all pairs of every column could pass the cap
-    if cap is not None and len(columns) * len(columns[0]) ** 2 > 2 * cap:
+
+def bucket_labels(
+    grouped: Iterable[tuple[int, Iterable[list[int]]]], cap: int | None = None, rounds: int = 1,
+) -> dict[tuple[int, int], int]:
+    """Edge labels of the nodes whose entries coincide in some process's
+    column: each process's bit ORed into every pair inside each of its
+    ``bucket_groups``, so the work beyond the grouping is proportional to
+    those pairs.  With ``cap``, the pairs are first counted from the groups,
+    once per process, and a count above it raises PairBudgetExceededError,
+    which names it and ``rounds``, before any pair is built.  An
+    ``IndistGraph`` handed the dict owns it."""
+    if cap is not None:
         grouped = list(grouped)
         pairs = sum(len(b) * (len(b) - 1) // 2 for _, buckets in grouped for b in buckets)
         if pairs > cap:
             raise PairBudgetExceededError(pairs, cap, rounds)
-    return grouped
-
-
-def bucket_labels(grouped: Iterable[tuple[int, Iterable[list[int]]]]) -> dict[tuple[int, int], int]:
-    """Edge labels of the nodes whose entries coincide in some process's
-    column: each process's bit ORed into every pair inside each of its
-    ``bucket_groups``, so the work beyond the grouping is proportional to
-    those pairs.  An ``IndistGraph`` handed the dict owns it."""
     labels: dict[tuple[int, int], int] = {}
     for pbit, buckets in grouped:
         for pair in chain.from_iterable(map(combinations, buckets, repeat(2))):
@@ -299,8 +298,8 @@ def common_masks(comps: Iterable[Sequence[int]], masks: Sequence[int]) -> list[i
     return out
 
 
-# level-1 pairs above which single_round_indist refuses to build the graph:
-# its labels take memory quadratic in the graphs
+# level-1 pairs above which level 1 refuses to build its labels: they take
+# memory quadratic in the graphs
 MAX_LEVEL1_PAIRS = 1 << 20
 
 
@@ -308,25 +307,23 @@ def single_round_indist(d: Adversary) -> IndistGraph:
     """The indistinguishability graph of the adversary's graphs viewed as one-round patterns.
 
     Two graphs are joined iff some process has identical in-neighborhoods in
-    both; the label is the set of all such processes.  Raises
-    PairBudgetExceededError, before building any edge, when the graphs have
-    more than ``MAX_LEVEL1_PAIRS`` pairs and the pairs sharing some
-    process's in-neighbourhood, counted once per process, exceed it too:
-    the labels hold at most all pairs, so the cap bounds their memory.
+    both; the label is the set of all such processes.
 
     Each group of graphs that give one process the same in-neighbourhood is
     a clique, so the components are linked along a chain through each
     group, a link fewer than its size, rather than over every labelled
     pair.  The graph keeps the groups and builds its labels from them only
-    when an edge is first read.
+    when an edge is first read.  That read raises PairBudgetExceededError,
+    before building any edge, when the graphs have more than
+    ``MAX_LEVEL1_PAIRS`` pairs and the pairs sharing some process's
+    in-neighbourhood, counted once per process, exceed it too: the labels
+    hold at most all pairs, so the cap bounds their memory.
     """
-    m = len(d)
-    cap = MAX_LEVEL1_PAIRS if m * (m - 1) // 2 > MAX_LEVEL1_PAIRS else None
     in_masks = list(zip(*(g._in for g in d.graphs)))
-    groups = list(bucket_groups(in_masks, cap))
+    groups = list(bucket_groups(in_masks))
     chains = map(pairwise, chain.from_iterable(map(itemgetter(1), groups)))
-    rep = union_find(m, chain.from_iterable(chains))
-    return IndistGraph(m, d.names, None, rep, groups)
+    rep = union_find(len(d), chain.from_iterable(chains))
+    return IndistGraph(len(d), d.names, None, rep, groups)
 
 
 def is_protected(

@@ -656,12 +656,12 @@ def pattern_indist_graph(
     """The full labeled indistinguishability graph over all r-round patterns.
 
     Nodes enumerate the patterns lexicographically; names compose the round
-    graph names ("Ga.Gc").  The edges come from ``bucket_groups`` with the
+    graph names ("Ga.Gc").  The edges come from ``bucket_labels`` with the
     budget as its cap, so too many pairs raise PairBudgetExceededError
     before any edge is built.
     """
     views = _final_level(d, r, budget).views
-    labels = bucket_labels(bucket_groups(views, budget, r))
+    labels = bucket_labels(bucket_groups(views), budget, r)
     size = len(views[0])
     names = [pattern_at(d, r, i).name for i in range(size)]
     return IndistGraph(size, names, labels)

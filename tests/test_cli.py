@@ -515,10 +515,12 @@ def test_main_restores_the_collector_state(monkeypatch, ll_file, chain_file, cap
     assert during and not any(during)
 
 
-def _dense_level_one(path, m: int = 60) -> int:
+def _dense_level_one(path, m: int = 60, apart: bool = True) -> int:
     """Write a 12-process document of m graphs in which p1 hears only
-    itself; return its level-1 pairs, counted once per process that shares
-    an in-neighbourhood."""
+    itself, and with ``apart`` one more graph in which p1 hears p2, the
+    graph's root, so that ``decide`` reads level 1's labels; return its
+    level-1 pairs, counted once per process that shares an
+    in-neighbourhood."""
     from collections import Counter
 
     from oblicon.graphs import CommunicationGraph
@@ -531,6 +533,8 @@ def _dense_level_one(path, m: int = 60) -> int:
         )
         for k in range(m)
     ]
+    if apart:
+        graphs.append(CommunicationGraph(n, [(2, 1)] + [(1, v) for v in range(3, n + 1)]))
     d = Adversary(graphs)
     save_adversary(d, str(path))
     return sum(c * (c - 1) // 2 for col in zip(*(g._in for g in d.graphs)) for c in Counter(col).values())
@@ -538,14 +542,16 @@ def _dense_level_one(path, m: int = 60) -> int:
 
 @pytest.mark.parametrize("verb", [["decide"], ["export-dot", "--level", "1"], ["oracle"]])
 def test_dense_level_one_exits_3_before_building_pairs(monkeypatch, tmp_path, capsys, verb):
-    # every pair of graphs shares p1's in-neighbourhood, so the level-1
-    # pairs grow with the square of the graphs; they are counted first and
-    # refused above the cap, here lowered, with exit 3
+    # every pair of graphs but the last shares p1's in-neighbourhood, so
+    # the level-1 pairs grow with the square of the graphs; the roots share
+    # no process and p3's groups hold no graph rooted at p3 alone, so each
+    # verb reads the labels, whose pairs are counted first and refused
+    # above the cap, here lowered, with exit 3
     import oblicon.indist
 
     path = tmp_path / "dense.json"
     pairs = _dense_level_one(path)
-    every = 60 * 59 // 2
+    every = 61 * 60 // 2
     assert pairs > every
     monkeypatch.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", every - 1)
     t0 = time.perf_counter()
@@ -561,6 +567,32 @@ def test_dense_level_one_exits_3_before_building_pairs(monkeypatch, tmp_path, ca
     # graphs, but the labels hold at most those, so the graph is built
     monkeypatch.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", every)
     assert main(["decide", str(path)]) in (0, 1)
+
+
+def test_decide_above_the_level_one_cap_judges_from_groups(monkeypatch, tmp_path, capsys):
+    # the cap bounds the labels, not the groups: a verdict read from the
+    # groups and components is given however many pairs the labels hold
+    import oblicon.indist
+
+    dense = tmp_path / "dense.json"
+    assert _dense_level_one(dense, apart=False) > 60 * 59 // 2
+    with monkeypatch.context() as patched:
+        patched.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", 60 * 59 // 2 - 1)
+        # one component, every graph rooted at p1: compatible at level 1
+        assert main(["decide", str(dense)]) == 0
+    # lossy_link(5,4) has 6,196 graphs: certified at iteration 2 under the
+    # default cap, while a verb that reads its labels still refuses them
+    path = tmp_path / "ll54.json"
+    assert main(["generate", "lossy-link", "--n", "5", "--f", "4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["decide", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["iterations"]) == ("IMPOSSIBLE", 2)
+    assert main(["export-dot", str(path), "--level", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "budget error: the 1-round pattern graph has up to 20965250 indistinguishable "
+        "pairs, over the budget of 1048576\n"
+    )
 
 
 def test_generator_output_under_the_level_one_cap_is_decided(tmp_path, capsys):

@@ -215,7 +215,7 @@ def test_bucket_labels_counts_pairs_before_building_any():
 
     # p1 holds one bucket of three nodes (3 pairs), p2 one of two (1 pair)
     columns = [[5, 5, 5], [1, 2, 1]]
-    assert bucket_labels(bucket_groups(columns, cap=4)) == {(0, 1): 1, (0, 2): 3, (1, 2): 1}
+    assert bucket_labels(bucket_groups(columns), cap=4) == {(0, 1): 1, (0, 2): 3, (1, 2): 1}
     with pytest.raises(PairBudgetExceededError) as exc:
-        bucket_groups(columns, cap=3, rounds=2)
+        bucket_labels(bucket_groups(columns), cap=3, rounds=2)
     assert (exc.value.required, exc.value.budget, exc.value.rounds) == (4, 3, 2)

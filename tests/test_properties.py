@@ -983,6 +983,7 @@ FAMILY_CASES = {
     **{f"random_rooted4x14s{seed}": (lambda s=seed: random_rooted(4, 14, s)) for seed in range(4)},
     # long enough to split components by search
     "chain60": lambda: gen_chain(simple_chain_spec(60)),
+    "chain120": lambda: gen_chain(simple_chain_spec(120)),
     "canonical_chain24-29": lambda: gen_chain(gen_canonical_chain(24, 29)),
     # G3 plus the edge 3 -> 4, linked to G3 and G4: a search splits off
     # {G1, G2}, whose roots share no process
@@ -990,13 +991,22 @@ FAMILY_CASES = {
         H=[(3, 1), (3, 2), (3, 4), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12),
            (9, 4), (10, 4), (11, 5)],
     ),
-    # M and U are linked to G3, G4 and each other.  One iteration drops G4-M
-    # and G4-U, so G4, M and U all part, and two run out of steps mid-way
+    # M and U are linked to G3, G4 and each other.  One iteration drops
+    # G3-G4, G3-M, G3-U and M-U, and runs out of steps on its third search
     "chain7+MU": lambda: chain7_plus(
         M=[(3, 4), (3, 8), (4, 3), (8, 6), (8, 9), (8, 10), (10, 1), (10, 11), (11, 5), (11, 7),
            (11, 12), (12, 2)],
         U=[(3, 8), (4, 2), (6, 1), (6, 7), (7, 1), (8, 6), (11, 5), (11, 10), (11, 12), (12, 3),
            (12, 4), (12, 9)],
+    ),
+    # P is linked to G1, G2 and G4, and Q to G1, G2 and G7.  A search splits
+    # G2-G3 off, and the next iteration, tested from the witness index,
+    # drops G1-G2, G1-P and G2-P and runs out of steps on its second search
+    "chain7+PQ": lambda: chain7_plus(
+        P=[(1, 8), (2, 7), (4, 5), (4, 11), (8, 2), (9, 4), (9, 10), (10, 1), (10, 3), (10, 7),
+           (11, 12), (12, 6)],
+        Q=[(1, 4), (1, 9), (2, 8), (4, 6), (5, 3), (6, 7), (7, 10), (7, 11), (8, 5), (8, 12),
+           (9, 2), (9, 3)],
     ),
     # one iteration drops both edges of the path 0-1-2
     "random_rooted3x3s9": lambda: random_rooted(3, 3, 9),
@@ -1089,18 +1099,22 @@ def test_level_one_groups_link_like_its_pairs_on_random_adversaries(d):
     assert_level_one_linked_exactly(d)
 
 
-def test_level_one_cap_refuses_before_any_label_or_link(monkeypatch):
+def test_level_one_cap_refuses_before_any_label(monkeypatch):
     import oblicon.indist
 
     def refuse(*args):
-        raise AssertionError("a label or a link was built")
+        raise AssertionError("a label was built")
 
     monkeypatch.setattr(oblicon.indist, "MAX_LEVEL1_PAIRS", 100)
     monkeypatch.setattr(oblicon.indist, "combinations", refuse)
-    monkeypatch.setattr(oblicon.indist, "pairwise", refuse)
-    monkeypatch.setattr(oblicon.indist, "union_find", refuse)
+    # level 1 is linked along its groups over the cap, and decide judges
+    # from them, but the first read of an edge refuses the labels
+    d = lossy_link(4, 3)
+    assert decide(d).verdict is Verdict.IMPOSSIBLE
+    ig = single_round_indist(d)
+    assert len(ig.components()) == 1
     with pytest.raises(PairBudgetExceededError) as exc:
-        single_round_indist(lossy_link(4, 3))
+        ig.labels()
     assert (exc.value.budget, exc.value.rounds) == (100, 1)
 
 
@@ -1115,7 +1129,7 @@ def _decide_counting_label_builds(d, no_early_exit):
 
     built = []
     build = oblicon.indist.bucket_labels
-    counted = lambda groups: built.append(1) or build(groups)  # noqa: E731
+    counted = lambda *args: built.append(1) or build(*args)  # noqa: E731
     with mock.patch("oblicon.indist.bucket_labels", counted):
         trace = decide(d, no_early_exit)
     return trace, bool(built)
@@ -1214,11 +1228,19 @@ def test_refinement_reaches_relink_search_and_fallback(monkeypatch):
         trace = decide(FAMILY_CASES["chain7+H"](), no_early_exit)
         assert ((2, 3), (3, 7)) in trace.removed
         assert events == ["relink"] * 4 + ["searched"] * 4
-        # the budget runs out after two searches, twice; both levels are relinked
+        # the budget runs out after two searches and that level is relinked;
+        # the next one drops G4-M and G4-U, which leave M and U without a
+        # neighbour, so their searches end at once and the budget holds
         events.clear()
         decide(FAMILY_CASES["chain7+MU"](), no_early_exit)
-        twice = ["searched", "searched", "out of steps", "relink"] * 2
-        assert events == ["relink"] * 4 + twice + ["searched"]
+        once = ["searched", "searched", "out of steps", "relink"]
+        assert events == ["relink"] * 4 + once + ["searched"] * 4
+        # the budget runs out in an iteration after a search, so one that
+        # re-tests only the edges it can drop, and that level is relinked
+        events.clear()
+        trace = decide(FAMILY_CASES["chain7+PQ"](), no_early_exit)
+        assert trace.removed[-2 if no_early_exit else -1] == ((0, 1), (0, 7), (1, 7))
+        assert events == ["relink"] * 5 + ["searched"] + ["searched", "out of steps", "relink"]
 
 
 @given(adversaries(max_n=5, max_graphs=8, rooted=True))
